@@ -7,6 +7,7 @@ from .core import (
     RunResult,
     estimate_pf,
     lambda_schedule,
+    run,
     run_ice,
     run_safe_ice,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "oscillator_lsf",
     "persist",
     "problem_registry",
+    "run",
     "run_ice",
     "run_repetitions",
     "run_safe_ice",

@@ -9,9 +9,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RunConfig, RunResult, run_ice, run_safe_ice
+from .core import RunConfig, RunResult, run
 
-__all__ = ["BenchmarkStats", "run_repetitions", "persist"]
+__all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "persist"]
 
 _RUN_FIELDS = ("run", "seed", "pf", "iterations", "final_k", "lsf_evals", "converged")
 _SUMMARY_FIELDS = ("summary", "p_ref", "rel_error", "cv", "mean_t", "mean_k", "n_runs")
@@ -55,10 +55,9 @@ def run_repetitions(
         raise ValueError("need at least two runs for spread statistics")
     if p_ref <= 0.0:
         raise ValueError("p_ref must be positive")
-    runner = run_safe_ice if config.method == "safe-ice" else run_ice
 
     def one(i: int) -> RunResult:
-        return runner(problem, replace(config, seed=config.seed + i))
+        return run(problem, replace(config, seed=config.seed + i))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -82,18 +81,11 @@ def run_repetitions(
 
 
 def _run_record(i: int, r: RunResult) -> dict:
-    return {
-        "run": i,
-        "seed": r.seed,
-        "pf": r.pf,
-        "iterations": r.iterations,
-        "final_k": r.final_k,
-        "lsf_evals": r.lsf_evals,
-        "converged": r.converged,
-    }
+    return {"run": i, **{f: getattr(r, f) for f in _RUN_FIELDS[1:]}}
 
 
-def _summary_record(stats: BenchmarkStats) -> dict:
+def summary_record(stats: BenchmarkStats) -> dict:
+    """The summary line of a bench output file and of ``safeice bench`` stdout."""
     return {
         "summary": True,
         "p_ref": stats.p_ref,
@@ -123,7 +115,7 @@ def persist(stats: BenchmarkStats, path: str, fmt: str = "jsonl") -> None:
     if not stats.runs:
         raise ValueError("no runs to persist")
     records = [_run_record(i, r) for i, r in enumerate(stats.runs)]
-    summary = _summary_record(stats)
+    summary = summary_record(stats)
     if fmt == "jsonl":
         with open(path, "w") as fh:
             for rec in records:

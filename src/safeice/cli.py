@@ -15,38 +15,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
-from .bench import persist, run_repetitions
-from .core import RunConfig, run_ice, run_safe_ice
+from .bench import persist, run_repetitions, summary_record
+from .core import RunConfig, run
 from .oracle import mc_estimate
-from .problems import PROBLEM_NAMES, problem_registry
-
-_RUN_KEYS = (
-    "n_per_iter",
-    "k_init",
-    "delta_star",
-    "delta_target",
-    "sigma0",
-    "anneal_horizon",
-    "max_outer",
-    "max_em",
-    "em_tol",
-    "seed",
-    "method",
-)
+from .problems import PROBLEM_NAMES, PROBLEMS, problem_registry
 
 _DEFAULTS = {
-    "n_per_iter": 1000,
-    "k_init": 20,
-    "delta_star": 1.5,
-    "delta_target": 4.0,
-    "sigma0": 10.0,
-    "anneal_horizon": None,
-    "max_outer": 20,
-    "max_em": 20,
-    "em_tol": 1e-4,
-    "seed": 0,
-    "method": "safe-ice",
+    **{f.name: f.default for f in fields(RunConfig)},
     "d": None,
     "threads": None,
     "n_total": 1_000_000,
@@ -126,21 +103,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
 
 
 def _run_config(opts: dict) -> RunConfig:
-    return RunConfig(**{k: opts[k] for k in _RUN_KEYS})
-
-
-def _result_record(result) -> dict:
-    return {
-        "pf": result.pf,
-        "iterations": result.iterations,
-        "final_k": result.final_k,
-        "lsf_evals": result.lsf_evals,
-        "converged": result.converged,
-        "seed": result.seed,
-        "sigma_trace": result.sigma_trace,
-        "lambda_trace": result.lambda_trace,
-        "k_trace": result.k_trace,
-    }
+    return RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:
@@ -148,9 +111,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-problems":
-        fixed = {"four-branch": 2, "three-mode": 2, "two-mode": None, "oscillator": 10}
-        for name in PROBLEM_NAMES:
-            print(json.dumps({"name": name, "d": fixed[name]}))
+        for name, (d, _) in PROBLEMS.items():
+            print(json.dumps({"name": name, "d": d}))
         return 0
 
     try:
@@ -162,10 +124,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "estimate":
-            config = _run_config(opts)
-            runner = run_safe_ice if config.method == "safe-ice" else run_ice
-            result = runner(problem, config)
-            print(json.dumps(_result_record(result)))
+            print(json.dumps(asdict(run(problem, _run_config(opts)))))
             return 0
         if args.command == "oracle":
             est = mc_estimate(
@@ -174,40 +133,18 @@ def main(argv=None) -> int:
                 batch_size=int(opts["batch_size"]),
                 seed=int(opts["seed"]),
             )
-            print(
-                json.dumps(
-                    {
-                        "pf": est.pf,
-                        "n_total": est.n_total,
-                        "n_failures": est.n_failures,
-                        "cv": est.cv,
-                    }
-                )
-            )
+            print(json.dumps(asdict(est)))
             return 0
         if args.command == "bench":
-            config = _run_config(opts)
             stats = run_repetitions(
                 problem,
-                config,
+                _run_config(opts),
                 n_runs=int(opts["reps"]),
                 p_ref=float(opts["p_ref"]),
                 threads=int(opts["threads"]),
             )
             persist(stats, opts["out"], fmt=opts["format"])
-            print(
-                json.dumps(
-                    {
-                        "summary": True,
-                        "p_ref": stats.p_ref,
-                        "rel_error": stats.rel_error,
-                        "cv": stats.cv,
-                        "mean_t": stats.mean_iterations,
-                        "mean_k": stats.mean_final_k,
-                        "n_runs": stats.n_runs,
-                    }
-                )
-            )
+            print(json.dumps(summary_record(stats)))
             return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ The baseline keeps a fixed component count, plain EM, and no heavy kernel.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "lambda_schedule",
     "estimate_pf",
     "init_light_params",
+    "run",
     "run_safe_ice",
     "run_ice",
 ]
@@ -151,11 +152,7 @@ def _weight_cv(log_w: np.ndarray) -> float:
     shift = log_w.max()
     if not np.isfinite(shift):
         return np.inf
-    w = np.exp(log_w - shift)
-    mean = w.mean()
-    if mean == 0.0:
-        return np.inf
-    return float(w.std(ddof=1) / mean)
+    return cv(np.exp(log_w - shift))
 
 
 def _golden_refine(objective, a: float, b: float) -> tuple[float, float]:
@@ -296,7 +293,16 @@ def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
     )
 
 
-def _run_adaptive(problem, config: RunConfig, rng, use_heavy: bool) -> RunResult:
+def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> RunResult:
+    """Adaptive run of ``config.method``.
+
+    "safe-ice" mixes the heavy inverse-Nakagami kernel into the proposal
+    and prunes components through the penalized EM; "ice" keeps the light
+    mixture only, with a fixed K and plain EM.
+    """
+    if problem.dim < 2:
+        raise ValueError("adaptive sampling requires dimension >= 2")
+    use_heavy = config.method == "safe-ice"
     if rng is None:
         rng = rng_from_seed(config.seed)
     d = problem.dim
@@ -373,13 +379,9 @@ def _run_adaptive(problem, config: RunConfig, rng, use_heavy: bool) -> RunResult
 
 def run_safe_ice(problem, config: RunConfig, rng: np.random.Generator | None = None) -> RunResult:
     """Heavy-tail-guarded adaptive run with component pruning."""
-    if problem.dim < 2:
-        raise ValueError("adaptive sampling requires dimension >= 2")
-    return _run_adaptive(problem, config, rng, use_heavy=True)
+    return run(problem, replace(config, method="safe-ice"), rng)
 
 
 def run_ice(problem, config: RunConfig, rng: np.random.Generator | None = None) -> RunResult:
     """Baseline adaptive run: light mixture only, fixed K, plain EM."""
-    if problem.dim < 2:
-        raise ValueError("adaptive sampling requires dimension >= 2")
-    return _run_adaptive(problem, config, rng, use_heavy=False)
+    return run(problem, replace(config, method="ice"), rng)

@@ -78,8 +78,11 @@ def nakagami_logpdf(r, m, omega):
         )
 
 
-def nakagami_sample(rng: np.random.Generator, m: float, omega: float, size=None):
-    """Draw Nakagami(m, omega) radii as sqrt of gamma(m, omega/m) variates."""
+def nakagami_sample(rng: np.random.Generator, m, omega, size=None):
+    """Draw Nakagami(m, omega) radii as sqrt of gamma(m, omega/m) variates.
+
+    ``m`` and ``omega`` broadcast, so per-sample parameter arrays draw one
+    radius each."""
     m, omega = _check_shape_params(m, omega)
     return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
 
@@ -108,7 +111,7 @@ def inv_nakagami_logpdf(r, m, omega):
         )
 
 
-def inv_nakagami_sample(rng: np.random.Generator, m: float, omega: float, size=None):
+def inv_nakagami_sample(rng: np.random.Generator, m, omega, size=None):
     """Draw from the inverse Nakagami law as 1/X with X ~ Nakagami(m, omega)."""
     return 1.0 / nakagami_sample(rng, m, omega, size=size)
 

@@ -24,7 +24,9 @@ from scipy.special import logsumexp
 
 from .distributions import (
     inv_nakagami_logpdf,
+    inv_nakagami_sample,
     nakagami_logpdf,
+    nakagami_sample,
     prior_radial_logpdf,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
@@ -127,10 +129,20 @@ class VmfnmParams:
         return self.mu.shape[1]
 
 
+def _nakagami_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
+    """(n, K) Nakagami radial log densities, one column per component."""
+    return nakagami_logpdf(samples.r[:, None], v.m[None, :], v.omega[None, :])
+
+
+def _vmf_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
+    """(n, K) vMF angular log densities, one column per component."""
+    return vmf_log_normalizer(v.dim, v.kappa)[None, :] + (samples.a @ v.mu.T) * v.kappa[None, :]
+
+
 def _component_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
     """(n, K) matrix of per-component vMFN log densities (no mixture weights)."""
-    radial = nakagami_logpdf(samples.r[:, None], v.m[None, :], v.omega[None, :])
-    angular = vmf_log_normalizer(v.dim, v.kappa)[None, :] + (samples.a @ v.mu.T) * v.kappa[None, :]
+    radial = _nakagami_logpdfs(samples, v)
+    angular = _vmf_logpdfs(samples, v)
     return radial + angular
 
 
@@ -188,13 +200,13 @@ def _safe_radial_logpdfs(samples: PolarSamples, phi: SafeMixtureParams) -> np.nd
     v = phi.light
     lam = phi.lam
     if lam == 1.0:
-        return nakagami_logpdf(samples.r[:, None], v.m[None, :], v.omega[None, :])
+        return _nakagami_logpdfs(samples, v)
     heavy = inv_nakagami_logpdf(
         samples.r[:, None], float(phi.heavy_m), phi.heavy_omega[None, :]
     )
     if lam == 0.0:
         return heavy
-    light = nakagami_logpdf(samples.r[:, None], v.m[None, :], v.omega[None, :])
+    light = _nakagami_logpdfs(samples, v)
     return np.logaddexp(np.log(lam) + light, np.log1p(-lam) + heavy)
 
 
@@ -202,7 +214,7 @@ def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
     """Log density of the safe mixture at each sample."""
     v = phi.light
     radial = _safe_radial_logpdfs(samples, phi)
-    angular = vmf_log_normalizer(v.dim, v.kappa)[None, :] + (samples.a @ v.mu.T) * v.kappa[None, :]
+    angular = _vmf_logpdfs(samples, v)
     return logsumexp(np.log(v.pi)[None, :] + radial + angular, axis=1)
 
 
@@ -225,13 +237,10 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
     r = np.empty(n)
     if n_light:
         light_comp = comp[:n_light]
-        r[:n_light] = np.sqrt(
-            rng.gamma(shape=v.m[light_comp], scale=(v.omega / v.m)[light_comp])
-        )
+        r[:n_light] = nakagami_sample(rng, v.m[light_comp], v.omega[light_comp])
     if n_light < n:
         heavy_comp = comp[n_light:]
-        scale = phi.heavy_omega[heavy_comp] / phi.heavy_m
-        r[n_light:] = 1.0 / np.sqrt(rng.gamma(shape=float(phi.heavy_m), scale=scale))
+        r[n_light:] = inv_nakagami_sample(rng, float(phi.heavy_m), phi.heavy_omega[heavy_comp])
 
     a = np.empty((n, v.dim))
     for k in range(v.k):

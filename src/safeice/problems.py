@@ -9,6 +9,7 @@ deterministic and free of randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "oscillator_lsf",
     "Problem",
     "problem_registry",
+    "PROBLEMS",
     "PROBLEM_NAMES",
 ]
 
@@ -178,31 +180,29 @@ class Problem:
     evaluate: Callable[[np.ndarray], np.ndarray]
 
 
-PROBLEM_NAMES = ("four-branch", "three-mode", "two-mode", "oscillator")
+# name -> (fixed dimension, or None where any d >= 1 is allowed; g(u, z))
+PROBLEMS = {
+    "four-branch": (2, four_branch),
+    "three-mode": (2, three_mode),
+    "two-mode": (None, two_mode),
+    "oscillator": (OscillatorConfig.dim, oscillator_lsf),
+}
+PROBLEM_NAMES = tuple(PROBLEMS)
 
 
 def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
-    """Build a benchmark problem by name, validating the dimension.
-
-    four-branch and three-mode require d = 2, the oscillator d = 10;
-    two-mode accepts any d >= 1 (default 2).
-    """
-    if name == "four-branch":
-        if d not in (None, 2):
-            raise ValueError("four-branch requires d = 2")
-        return Problem(name, 2, z, lambda u: four_branch(u, z))
-    if name == "three-mode":
-        if d not in (None, 2):
-            raise ValueError("three-mode requires d = 2")
-        return Problem(name, 2, z, lambda u: three_mode(u, z))
-    if name == "two-mode":
+    """Build a benchmark problem by name, validating the dimension against
+    ``PROBLEMS``: a fixed-dimension problem accepts only its own d, a free
+    one any d >= 1 (default 2)."""
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEM_NAMES)}")
+    fixed, lsf = PROBLEMS[name]
+    if fixed is None:
         dim = 2 if d is None else int(d)
         if dim < 1:
-            raise ValueError("two-mode requires d >= 1")
-        return Problem(name, dim, z, lambda u: two_mode(u, z))
-    if name == "oscillator":
-        cfg = OscillatorConfig()
-        if d not in (None, cfg.dim):
-            raise ValueError(f"oscillator requires d = {cfg.dim}")
-        return Problem(name, cfg.dim, z, lambda u: oscillator_lsf(u, z, cfg))
-    raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEM_NAMES)}")
+            raise ValueError(f"{name} requires d >= 1")
+    elif d not in (None, fixed):
+        raise ValueError(f"{name} requires d = {fixed}")
+    else:
+        dim = fixed
+    return Problem(name, dim, z, partial(lsf, z=z))

@@ -40,7 +40,7 @@ PROB = problem_registry("two-mode", 2.0, 2)
 
 def test_identical_runs_zero_error(monkeypatch):
     table = {i: 4.6527e-4 for i in range(4)}
-    monkeypatch.setattr(bench, "run_safe_ice", stub_runner(table))
+    monkeypatch.setattr(bench, "run", stub_runner(table))
     stats = run_repetitions(PROB, RunConfig(seed=0), 4, p_ref=4.6527e-4)
     assert stats.rel_error == 0.0
     assert stats.cv == 0.0
@@ -50,7 +50,7 @@ def test_identical_runs_zero_error(monkeypatch):
 
 def test_two_run_arithmetic(monkeypatch):
     table = {0: 1e-4, 1: 3e-4}
-    monkeypatch.setattr(bench, "run_safe_ice", stub_runner(table))
+    monkeypatch.setattr(bench, "run", stub_runner(table))
     stats = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=2e-4)
     assert stats.rel_error <= 1e-12
     assert stats.cv == pytest.approx(np.sqrt(2.0) * 1e-4 / 2e-4, rel=1e-12)
@@ -60,7 +60,7 @@ def test_two_run_arithmetic(monkeypatch):
 def test_zero_pf_runs_included(monkeypatch):
     # estimates of zero are kept and show up as an honest error
     table = {0: 0.0, 1: 0.0}
-    monkeypatch.setattr(bench, "run_safe_ice", stub_runner(table))
+    monkeypatch.setattr(bench, "run", stub_runner(table))
     stats = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=1e-3)
     assert stats.rel_error == 1.0
     assert stats.cv == np.inf
@@ -71,9 +71,9 @@ def test_statistics_permutation_invariant(monkeypatch):
     values = [2.1e-4, 1.7e-4, 2.6e-4, 1.2e-4, 2.0e-4]
     table_a = dict(enumerate(values))
     table_b = dict(enumerate(values[::-1]))
-    monkeypatch.setattr(bench, "run_safe_ice", stub_runner(table_a))
+    monkeypatch.setattr(bench, "run", stub_runner(table_a))
     sa = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
-    monkeypatch.setattr(bench, "run_safe_ice", stub_runner(table_b))
+    monkeypatch.setattr(bench, "run", stub_runner(table_b))
     sb = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
     assert sa.rel_error == pytest.approx(sb.rel_error, rel=1e-12)
     assert sa.cv == pytest.approx(sb.cv, rel=1e-12)
@@ -85,7 +85,7 @@ def test_mean_iteration_and_k(monkeypatch):
         i = config.seed
         return make_result(i, 2e-4, iterations=i + 1, final_k=i + 2)
 
-    monkeypatch.setattr(bench, "run_safe_ice", run)
+    monkeypatch.setattr(bench, "run", run)
     stats = run_repetitions(PROB, RunConfig(seed=0), 3, p_ref=2e-4)
     assert stats.mean_iterations == 2.0
     assert stats.mean_final_k == 3.0
@@ -98,7 +98,7 @@ def test_doubling_runs_is_stable(monkeypatch):
         noise = np.random.default_rng(config.seed).normal(scale=0.1)
         return make_result(config.seed, 2e-4 * (1.0 + noise))
 
-    monkeypatch.setattr(bench, "run_safe_ice", run)
+    monkeypatch.setattr(bench, "run", run)
     ok = 0
     for trial in range(20):
         base = 1000 * trial
@@ -107,15 +107,6 @@ def test_doubling_runs_is_stable(monkeypatch):
         if abs(s1.rel_error - s2.rel_error) < 3.0 * s1.cv / np.sqrt(10.0):
             ok += 1
     assert ok >= 14
-
-
-def test_method_dispatch(monkeypatch):
-    monkeypatch.setattr(bench, "run_safe_ice", stub_runner({0: 1e-4, 1: 1e-4}))
-    monkeypatch.setattr(bench, "run_ice", stub_runner({0: 9e-4, 1: 9e-4}))
-    s_safe = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=1e-4)
-    s_ice = run_repetitions(PROB, RunConfig(seed=0, method="ice"), 2, p_ref=1e-4)
-    assert s_safe.mean_pf == 1e-4
-    assert s_ice.mean_pf == 9e-4
 
 
 def test_run_repetitions_validation():

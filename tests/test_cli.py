@@ -5,6 +5,7 @@ import json
 import pytest
 
 from safeice.cli import main
+from safeice.problems import problem_registry
 
 FAST = ["--n-per-iter", "200", "--k-init", "4"]
 
@@ -36,6 +37,17 @@ def test_list_problems(capsys):
     assert by_name["oscillator"] == 10
 
 
+def test_list_problems_matches_registry(capsys):
+    _, out, _ = run_cli(capsys, ["list-problems"])
+    for rec in map(json.loads, out.splitlines()):
+        if rec["d"] is None:
+            continue
+        assert problem_registry(rec["name"], 0.0).dim == rec["d"]
+        assert problem_registry(rec["name"], 0.0, rec["d"]).dim == rec["d"]
+        with pytest.raises(ValueError, match=f"requires d = {rec['d']}"):
+            problem_registry(rec["name"], 0.0, rec["d"] + 1)
+
+
 # ------------------------------------------------------------------- estimate
 
 
@@ -58,11 +70,13 @@ def test_estimate_record(capsys):
         "sigma_trace",
         "lambda_trace",
         "k_trace",
+        "n_failures",
     }
     assert rec["pf"] > 0.0
     assert rec["seed"] == 5
     assert rec["lsf_evals"] == 200 * (rec["iterations"] + 1)
     assert len(rec["sigma_trace"]) == rec["iterations"] + 1
+    assert 0 < rec["n_failures"] <= 200  # failures in the final batch
 
 
 def test_estimate_deterministic_bytes(capsys):

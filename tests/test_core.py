@@ -1,5 +1,7 @@
 """Tests for the adaptive loop building blocks and the two run drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
@@ -12,6 +14,7 @@ from safeice.core import (
     intermediate_log_weights,
     lambda_schedule,
     log_smooth_indicator,
+    run,
     run_ice,
     run_safe_ice,
     select_sigma,
@@ -452,6 +455,20 @@ def test_run_rejects_dimension_one():
         run_safe_ice(prob, RunConfig())
     with pytest.raises(ValueError):
         run_ice(prob, RunConfig())
+    with pytest.raises(ValueError):
+        run(prob, RunConfig(method="ice"))
+
+
+def test_run_dispatches_on_method():
+    prob = problem_registry("four-branch", 0.0, 2)
+    ice_cfg = RunConfig(seed=3, method="ice", k_init=4, n_per_iter=200)
+    assert run(prob, ice_cfg) == run_ice(prob, ice_cfg)
+    safe_cfg = replace(ice_cfg, method="safe-ice")
+    assert run(prob, safe_cfg) == run_safe_ice(prob, safe_cfg)
+    # the named entry points pin the method whatever the config says
+    assert run_safe_ice(prob, ice_cfg) == run(prob, safe_cfg)
+    assert run_ice(prob, safe_cfg) == run(prob, ice_cfg)
+    assert run(prob, safe_cfg) != run(prob, ice_cfg)
 
 
 def test_safe_beats_plain_on_rare_two_mode():
