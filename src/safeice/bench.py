@@ -14,7 +14,6 @@ from .core import RunConfig, RunResult, run
 __all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "persist"]
 
 _RUN_FIELDS = ("run", "seed", "pf", "iterations", "final_k", "lsf_evals", "converged")
-_SUMMARY_FIELDS = ("summary", "p_ref", "rel_error", "cv", "mean_t", "mean_k", "n_runs")
 
 
 @dataclass
@@ -55,15 +54,14 @@ def run_repetitions(
         raise ValueError("need at least two runs for spread statistics")
     if p_ref <= 0.0:
         raise ValueError("p_ref must be positive")
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
 
     def one(i: int) -> RunResult:
         return run(problem, replace(config, seed=config.seed + i))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(one, range(n_runs)))
-    else:
-        runs = [one(i) for i in range(n_runs)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        runs = list(pool.map(one, range(n_runs)))
 
     pf = np.array([r.pf for r in runs])
     mean = pf.mean()
@@ -122,16 +120,11 @@ def persist(stats: BenchmarkStats, path: str, fmt: str = "jsonl") -> None:
                 fh.write(json.dumps(rec) + "\n")
             fh.write(json.dumps(summary) + "\n")
     elif fmt == "csv":
-        header = list(_RUN_FIELDS) + list(_SUMMARY_FIELDS)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(header)
+            writer.writerow(list(_RUN_FIELDS) + list(summary))
             for rec in records:
-                row = [_fmt(rec[f]) for f in _RUN_FIELDS]
-                row += [""] * len(_SUMMARY_FIELDS)
-                writer.writerow(row)
-            row = [""] * len(_RUN_FIELDS)
-            row += [_fmt(summary[f]) for f in _SUMMARY_FIELDS]
-            writer.writerow(row)
+                writer.writerow([_fmt(rec[f]) for f in _RUN_FIELDS] + [""] * len(summary))
+            writer.writerow([""] * len(_RUN_FIELDS) + [_fmt(x) for x in summary.values()])
     else:
         raise ValueError("format must be 'jsonl' or 'csv'")

@@ -25,6 +25,7 @@ from .mixtures import (
     safe_logpdf,
     safe_sample,
 )
+from .problems import evaluate_lsf
 from .special import log_normal_cdf, normal_cdf
 
 __all__ = [
@@ -311,8 +312,6 @@ def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> R
 
     v = init_light_params(rng, d, config.k_init)
     sigma = config.sigma0
-    lam = lambda_schedule(sigma, horizon) if use_heavy else 1.0
-    phi = SafeMixtureParams.from_light(v, lam)
 
     sigma_trace: list = []
     lambda_trace: list = []
@@ -320,11 +319,12 @@ def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> R
     lsf_evals = 0
     converged = False
     stagnant = 0
-    samples = None
 
+    # on every exit, phi is the proposal that drew the final batch
     for t in range(config.max_outer + 1):
+        phi = SafeMixtureParams(v, lambda_schedule(sigma, horizon) if use_heavy else 1.0)
         samples = safe_sample(rng, phi, n)
-        samples.g = np.asarray(problem.evaluate(samples.cartesian()), dtype=float)
+        samples.g = evaluate_lsf(problem, samples.cartesian())
         lsf_evals += n
         sigma_trace.append(sigma)
         lambda_trace.append(phi.lam)
@@ -359,8 +359,6 @@ def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> R
         )
         v = result.v
         sigma = sigma_new
-        lam = lambda_schedule(sigma, horizon) if use_heavy else 1.0
-        phi = SafeMixtureParams.from_light(v, lam)
 
     pf = estimate_pf(samples, phi)
     return RunResult(

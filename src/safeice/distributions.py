@@ -29,7 +29,6 @@ __all__ = [
     "inv_nakagami_logpdf",
     "inv_nakagami_sample",
     "vmf_log_normalizer",
-    "vmf_logpdf",
     "vmf_sample",
     "uniform_sphere_logpdf",
     "prior_radial_logpdf",
@@ -148,26 +147,6 @@ def _check_unit(vec, name: str, tol: float = 1e-8):
     norms = np.linalg.norm(vec, axis=-1)
     if np.any(np.abs(norms - 1.0) > tol):
         raise ValueError(f"{name} must have unit norm (deviation > {tol})")
-
-
-def vmf_logpdf(a, mu, kappa: float):
-    """Log density of the von Mises-Fisher law at unit directions ``a``.
-
-    ``a`` may be a single direction (d,) or a batch (n, d); ``mu`` is the
-    unit mean direction and kappa >= 0 the concentration. kappa = 0 is the
-    uniform distribution on the sphere regardless of ``mu``.
-    """
-    a = np.asarray(a, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    d = mu.shape[-1]
-    _check_unit(mu, "mu", tol=1e-12)
-    _check_unit(a, "a")
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative")
-    if kappa == 0.0:
-        base = uniform_sphere_logpdf(d)
-        return base if a.ndim == 1 else np.full(a.shape[0], base)
-    return vmf_log_normalizer(d, kappa) + kappa * (a @ mu)
 
 
 def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):

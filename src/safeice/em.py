@@ -144,16 +144,17 @@ def beta_update(
 
 
 def m_step_params(
-    samples: PolarSamples, gamma: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    samples: PolarSamples, gamma: np.ndarray, weights: np.ndarray, v: VmfnmParams
+) -> VmfnmParams:
     """Closed-form component parameter updates from weighted responsibilities.
 
     Radial: omega_k is the weighted mean of r^2 and m_k the inverse relative
     variance of r^2 (clamped to [0.5 + 1e-6, 1e4]). Angular: mu_k is the
     normalized weighted resultant and kappa_k the standard concentration
     approximation kappa = rbar (d - rbar^2) / (1 - rbar^2), clamped to
-    [0, 1e4]. Components with no responsibility mass return NaN rows for the
-    caller to handle.
+    [0, 1e4]. The returned mixture keeps the weights ``v.pi``; a component
+    with no responsibility mass, a zero resultant or a degenerate radial
+    moment also keeps its parameters from ``v``.
     """
     d = samples.dim
     c = gamma * weights[:, None]
@@ -184,11 +185,11 @@ def m_step_params(
 
     bad = dead | (res_norm <= 0.0) | ~np.isfinite(omega) | (omega <= 0.0)
     if np.any(bad):
-        m[bad] = np.nan
-        omega[bad] = np.nan
-        mu[bad] = np.nan
-        kappa[bad] = np.nan
-    return m, omega, mu, kappa
+        m[bad] = v.m[bad]
+        omega[bad] = v.omega[bad]
+        mu[bad] = v.mu[bad]
+        kappa[bad] = v.kappa[bad]
+    return VmfnmParams(v.pi, m, omega, mu, kappa)
 
 
 def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) -> float:
@@ -203,9 +204,7 @@ def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) 
 @dataclass
 class FitResult:
     v: VmfnmParams
-    k_final: int
     n_iterations: int
-    converged: bool
     loglik_trace: list
 
 
@@ -235,10 +234,7 @@ def fit(
     beta = 1.0
     l_prev = np.inf
     trace: list = []
-    converged = False
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         gamma = e_step(samples, v)
         if penalized:
             pi_em = em_weight_update(gamma, weights)
@@ -249,28 +245,13 @@ def fit(
         else:
             pi = np.maximum(em_weight_update(gamma, weights), 1e-300)
             v = VmfnmParams(pi / pi.sum(), v.m, v.omega, v.mu, v.kappa)
-
-        m, omega, mu, kappa = m_step_params(samples, gamma, weights)
-        stale = ~np.isfinite(omega)
-        if np.any(stale):
-            m[stale] = v.m[stale]
-            omega[stale] = v.omega[stale]
-            mu[stale] = v.mu[stale]
-            kappa[stale] = v.kappa[stale]
-        v = VmfnmParams(v.pi, m, omega, mu, kappa)
+        v = m_step_params(samples, gamma, weights, v)
 
         l_cur = weighted_loglik(samples, weights, v)
         trace.append(l_cur)
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < em_tol * abs(l_cur):
-            converged = True
             break
         l_prev = l_cur
-    if not converged:
+    else:
         logger.debug("fit: EM stopped at max_iter=%d without convergence", max_iter)
-    return FitResult(
-        v=v,
-        k_final=v.k,
-        n_iterations=iterations,
-        converged=converged,
-        loglik_trace=trace,
-    )
+    return FitResult(v=v, n_iterations=len(trace), loglik_trace=trace)

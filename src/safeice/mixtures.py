@@ -17,7 +17,7 @@ m_h = ceil(sqrt(d)) pinning the polynomial tail order to the dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -54,15 +54,12 @@ class PolarSamples:
     a : (n, d) unit directions
     g : (n,) cached limit-state values, or None before evaluation
     heavy : (n,) bool, True where the radius came from the heavy kernel
-    component : (n,) int, index of the mixture component that produced
-        each sample
     """
 
     r: np.ndarray
     a: np.ndarray
     g: np.ndarray | None = None
     heavy: np.ndarray | None = None
-    component: np.ndarray | None = None
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -71,8 +68,6 @@ class PolarSamples:
             raise ValueError("r must be (n,) and a must be (n, d)")
         if self.heavy is None:
             self.heavy = np.zeros(len(self), dtype=bool)
-        if self.component is None:
-            self.component = np.zeros(len(self), dtype=int)
 
     def __len__(self) -> int:
         return self.r.shape[0]
@@ -86,9 +81,7 @@ class PolarSamples:
 
     def subset(self, mask) -> "PolarSamples":
         g = None if self.g is None else self.g[mask]
-        return PolarSamples(
-            self.r[mask], self.a[mask], g, self.heavy[mask], self.component[mask]
-        )
+        return PolarSamples(self.r[mask], self.a[mask], g, self.heavy[mask])
 
 
 @dataclass
@@ -168,31 +161,22 @@ def heavy_params_from_light(v: VmfnmParams) -> tuple[int, np.ndarray]:
 
 @dataclass
 class SafeMixtureParams:
-    """Light vMFNM mixture plus its derived heavy radial tail and the
-    annealing weight lambda in [0, 1] (1 = light only)."""
+    """Light vMFNM mixture and the annealing weight lambda in [0, 1]
+    (1 = light only); the heavy radial tail is derived from the light
+    mixture by ``heavy_params_from_light``."""
 
     light: VmfnmParams
-    heavy_m: int
-    heavy_omega: np.ndarray
     lam: float
+    heavy_m: int = field(init=False)
+    heavy_omega: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.heavy_omega = np.asarray(self.heavy_omega, dtype=float)
-        if self.heavy_omega.shape != (self.light.k,):
-            raise ValueError("heavy_omega must have one entry per component")
-        if np.any(self.heavy_omega <= 0.0) or self.heavy_m < 1:
-            raise ValueError("invalid heavy radial parameters")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-
-    @classmethod
-    def from_light(cls, light: VmfnmParams, lam: float) -> "SafeMixtureParams":
-        m_h, omega_h = heavy_params_from_light(light)
-        return cls(light=light, heavy_m=m_h, heavy_omega=omega_h, lam=lam)
-
-    @property
-    def dim(self) -> int:
-        return self.light.dim
+        self.heavy_m, self.heavy_omega = heavy_params_from_light(self.light)
+        # VmfnmParams admits omega = inf, from which the spread derives as 0
+        if np.any(self.heavy_omega <= 0.0):
+            raise ValueError("invalid heavy radial parameters")
 
 
 def _safe_radial_logpdfs(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
@@ -248,7 +232,7 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
         if idx.size:
             a[idx] = vmf_sample(rng, v.mu[k], float(v.kappa[k]), idx.size)
 
-    return PolarSamples(r=r, a=a, heavy=heavy, component=comp.astype(int))
+    return PolarSamples(r=r, a=a, heavy=heavy)
 
 
 def prior_logpdf(samples: PolarSamples) -> np.ndarray:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import rng_from_seed
+from .problems import evaluate_lsf
 
 __all__ = ["McEstimate", "mc_estimate"]
 
@@ -45,7 +46,7 @@ def mc_estimate(
     while done < n_total:
         b = min(batch_size, n_total - done)
         u = rng.standard_normal((b, d))
-        g = np.asarray(problem.evaluate(u))
+        g = evaluate_lsf(problem, u)
         n_failures += int(np.sum(g <= 0.0))
         done += b
     pf = n_failures / n_total

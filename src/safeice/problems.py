@@ -22,6 +22,7 @@ __all__ = [
     "oscillator_response",
     "oscillator_lsf",
     "Problem",
+    "evaluate_lsf",
     "problem_registry",
     "PROBLEMS",
     "PROBLEM_NAMES",
@@ -180,7 +181,20 @@ class Problem:
     evaluate: Callable[[np.ndarray], np.ndarray]
 
 
-# name -> (fixed dimension, or None where any d >= 1 is allowed; g(u, z))
+def evaluate_lsf(problem: Problem, u: np.ndarray) -> np.ndarray:
+    """``problem.evaluate(u)`` as a float array, checked to hold one
+    non-NaN value per row of ``u``."""
+    g = np.asarray(problem.evaluate(u), dtype=float)
+    where = f"problem '{problem.name}': evaluate returned"
+    if g.shape != (u.shape[0],):
+        raise ValueError(f"{where} shape {g.shape}, expected {(u.shape[0],)}")
+    n_nan = int(np.count_nonzero(np.isnan(g)))
+    if n_nan:
+        raise ValueError(f"{where} {n_nan} NaN values")
+    return g
+
+
+# name -> (fixed dimension, or None where any d >= 2 is allowed; g(u, z))
 PROBLEMS = {
     "four-branch": (2, four_branch),
     "three-mode": (2, three_mode),
@@ -193,14 +207,14 @@ PROBLEM_NAMES = tuple(PROBLEMS)
 def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
     """Build a benchmark problem by name, validating the dimension against
     ``PROBLEMS``: a fixed-dimension problem accepts only its own d, a free
-    one any d >= 1 (default 2)."""
+    one any d >= 2 (default 2)."""
     if name not in PROBLEMS:
         raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEM_NAMES)}")
     fixed, lsf = PROBLEMS[name]
     if fixed is None:
         dim = 2 if d is None else int(d)
-        if dim < 1:
-            raise ValueError(f"{name} requires d >= 1")
+        if dim < 2:
+            raise ValueError(f"{name} requires d >= 2")
     elif d not in (None, fixed):
         raise ValueError(f"{name} requires d = {fixed}")
     else:

@@ -1,9 +1,8 @@
 """Scalar special functions used by the radial and angular densities.
 
 Everything here is a thin, well-tested numerical kernel: log-gamma, the
-standard normal CDF, the exponentially scaled modified Bessel function of
-the first kind in log space, and the Bessel ratio A_d(kappa) that gives the
-mean resultant length of a von Mises-Fisher distribution.
+standard normal CDF and the exponentially scaled modified Bessel function
+of the first kind in log space.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ __all__ = [
     "normal_cdf",
     "log_normal_cdf",
     "log_bessel_i_scaled",
-    "bessel_ratio",
 ]
 
 
@@ -88,38 +86,3 @@ def log_bessel_i_scaled(order: float, x):
         out[pos] = vals
     return float(out[0]) if scalar else out
 
-
-def bessel_ratio(d: int, kappa: float) -> float:
-    """Ratio A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa) in [0, 1).
-
-    Evaluated with the Gauss continued fraction from the three-term
-    recurrence of I, using the modified Lentz algorithm. This avoids
-    forming the two Bessel values (which overflow for large kappa) and
-    converges in O(sqrt(kappa)) iterations.
-    """
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    if kappa == 0.0:
-        return 0.0
-    nu = d / 2.0
-    tiny = 1e-300
-    f = tiny
-    c = tiny
-    dd = 0.0
-    max_iter = 400 + int(8.0 * np.sqrt(kappa))
-    for j in range(1, max_iter):
-        b = 2.0 * (nu + j - 1.0) / kappa
-        dd = b + dd
-        if dd == 0.0:
-            dd = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        dd = 1.0 / dd
-        delta = c * dd
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return f

@@ -21,7 +21,9 @@ from safeice.em import em_weight_update, m_step_params, penalized_weight_update
 from safeice.mixtures import PolarSamples, VmfnmParams, heavy_params_from_light
 from safeice.oracle import mc_estimate
 from safeice.problems import problem_registry
-from safeice.special import bessel_ratio, log_gamma
+from safeice.special import log_gamma
+
+from oracles import bessel_ratio
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -201,10 +203,12 @@ def test_em_algebra():
         u = rng.standard_normal((n, d))
         r = np.linalg.norm(u, axis=1)
         samples = PolarSamples(r=r, a=u / r[:, None])
-        params = m_step_params(samples, gamma, w)
-        params7 = m_step_params(samples, gamma, 7.0 * w)
-        for a, b in zip(params, params7):
-            worst_scale = max(worst_scale, float(np.max(np.abs(a - b))))
+        v = VmfnmParams(pi_old, np.ones(k), np.ones(k), np.tile(np.eye(d)[0], (k, 1)), np.ones(k))
+        params = m_step_params(samples, gamma, w, v)
+        params7 = m_step_params(samples, gamma, 7.0 * w, v)
+        for name in ("m", "omega", "mu", "kappa"):
+            diff = getattr(params, name) - getattr(params7, name)
+            worst_scale = max(worst_scale, float(np.max(np.abs(diff))))
     hand = penalized_weight_update(np.eye(2), np.ones(2), np.array([0.9, 0.1]), 1.0)
     hand_ok = abs(hand[0] - 0.697750) <= 1e-6 and abs(hand[1] - 0.302249) <= 1e-6
     ok = worst_sum <= 1e-12 and worst_plain <= 1e-12 and worst_scale <= 1e-10 and hand_ok

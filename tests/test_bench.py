@@ -114,6 +114,9 @@ def test_run_repetitions_validation():
         run_repetitions(PROB, RunConfig(), 1, p_ref=1e-4)
     with pytest.raises(ValueError):
         run_repetitions(PROB, RunConfig(), 2, p_ref=0.0)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_repetitions(PROB, RunConfig(), 2, p_ref=1e-4, threads=threads)
 
 
 # ------------------------------------------------------------------ real runs

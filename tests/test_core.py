@@ -36,7 +36,7 @@ def prior_samples(rng, problem, n):
 def prior_proposal(d):
     """The safe mixture that coincides with the prior (K=1, kappa=0, lam=1)."""
     light = init_light_params(rng_from_seed(0), d, 1)
-    return SafeMixtureParams.from_light(light, 1.0)
+    return SafeMixtureParams(light, 1.0)
 
 
 # ------------------------------------------------------- smoothed indicator
@@ -447,6 +447,20 @@ def test_run_hits_outer_limit(caplog):
     assert res.iterations == 1
     assert res.lsf_evals == 2000
     assert any("iteration limit" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "evaluate, match",
+    [
+        (lambda u: (2.5 - u[:, 0])[:, None], r"'bad'.*shape \(1000, 1\), expected \(1000,\)"),
+        # NaN on one half-plane only, as a user LSF might return off its domain
+        (lambda u: np.where(u[:, 1] > 0.0, np.nan, 2.5 - u[:, 0]), r"'bad'.*returned \d+ NaN"),
+    ],
+    ids=["column", "nan"],
+)
+def test_run_rejects_bad_lsf_output(evaluate, match):
+    with pytest.raises(ValueError, match=match):
+        run(Problem("bad", 2, 2.5, evaluate), RunConfig(seed=3))
 
 
 def test_run_rejects_dimension_one():

@@ -16,10 +16,10 @@ from safeice.distributions import (
     rng_from_seed,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
-    vmf_logpdf,
     vmf_sample,
 )
-from safeice.special import bessel_ratio
+
+from oracles import bessel_ratio, vmf_logpdf
 
 
 def nakagami_cdf(r, m, omega):

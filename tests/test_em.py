@@ -6,8 +6,11 @@ synthetic recovery experiment that exercises component collapse."""
 import logging
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from safeice.distributions import nakagami_sample, rng_from_seed, vmf_sample
 from safeice.em import (
@@ -34,6 +37,13 @@ def make_params(pi, m, omega, mu, kappa):
         mu=np.asarray(mu, dtype=float),
         kappa=np.asarray(kappa, dtype=float),
     )
+
+
+def start_params(k, d):
+    """Valid K-component starting mixture for an M-step: equal weights,
+    m = omega = 1, every direction e_1, kappa = 1."""
+    ones = np.ones(k)
+    return make_params(ones / k, ones, ones, np.tile(np.eye(d)[0], (k, 1)), ones)
 
 
 def random_samples(rng, n, d):
@@ -218,6 +228,47 @@ def test_prune_rows_sum_to_one():
     assert np.allclose(gamma2.sum(axis=1), 1.0, atol=1e-12)
 
 
+@st.composite
+def responsibilities(draw, min_entry):
+    """(gamma, k): an (n, k) responsibility matrix with rows summing to 1,
+    or to 0 where a row drew only zeros."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    raw = draw(hnp.arrays(float, (n, k), elements=st.floats(min_entry, 1.0, allow_subnormal=False)))
+    rows = raw.sum(axis=1, keepdims=True)
+    return raw / np.where(rows > 0.0, rows, 1.0), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    resp=responsibilities(min_entry=1e-3),
+    data=st.data(),
+    beta=st.floats(0.0, 2.0),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_property_penalized_update_normalized_and_scale_invariant(resp, data, beta, scale):
+    gamma, k = resp
+    w = data.draw(hnp.arrays(float, gamma.shape[0], elements=st.floats(1e-3, 1e3)))
+    pi_old = data.draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1.0)))
+    pi_old /= pi_old.sum()
+    out = penalized_weight_update(gamma, w, pi_old, beta)
+    assert abs(out.sum() - 1.0) <= 1e-12
+    scaled = penalized_weight_update(gamma, scale * w, pi_old, beta)
+    assert np.allclose(scaled, out, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(resp=responsibilities(min_entry=0.0), data=st.data())
+def test_property_prune_normalizes_survivors(resp, data):
+    gamma, k = resp
+    pi_new = data.draw(hnp.arrays(float, k, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    assume(np.any(pi_new > 0.0))
+    v2, gamma2 = prune(pi_new, gamma, start_params(k, 2))
+    assert v2.k == np.count_nonzero(pi_new > 0.0) == gamma2.shape[1]
+    assert abs(v2.pi.sum() - 1.0) <= 1e-12
+    assert np.allclose(gamma2.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
 # ------------------------------------------------------------------- beta
 
 
@@ -278,25 +329,25 @@ def test_beta_weight_free():
 def test_m_step_zero_radial_variance_clamps_m():
     s = PolarSamples(np.full(10, 2.0), np.tile([1.0, 0.0], (10, 1)))
     gamma = np.ones((10, 1))
-    m, omega, mu, kappa = m_step_params(s, gamma, np.ones(10))
-    assert omega[0] == pytest.approx(4.0, abs=1e-12)
-    assert m[0] == M_MAX
+    out = m_step_params(s, gamma, np.ones(10), start_params(1, 2))
+    assert out.omega[0] == pytest.approx(4.0, abs=1e-12)
+    assert out.m[0] == M_MAX
 
 
 def test_m_step_two_radii_moment_arithmetic():
     # radii {1, sqrt(3)}: E[r^2] = 2, E[r^4] = 5, var = 1 -> m = 4
     r = np.array([1.0, np.sqrt(3.0)])
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    m, omega, mu, kappa = m_step_params(PolarSamples(r, a), np.ones((2, 1)), np.ones(2))
-    assert omega[0] == pytest.approx(2.0, abs=1e-12)
-    assert m[0] == pytest.approx(4.0, rel=1e-12)
+    out = m_step_params(PolarSamples(r, a), np.ones((2, 1)), np.ones(2), start_params(1, 2))
+    assert out.omega[0] == pytest.approx(2.0, abs=1e-12)
+    assert out.m[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_m_step_concentrated_directions_clamp_kappa():
     s = PolarSamples(np.array([1.0, 2.0, 0.5]), np.tile([0.0, 1.0], (3, 1)))
-    m, omega, mu, kappa = m_step_params(s, np.ones((3, 1)), np.ones(3))
-    assert np.allclose(mu[0], [0.0, 1.0], atol=1e-12)
-    assert kappa[0] == KAPPA_MAX
+    out = m_step_params(s, np.ones((3, 1)), np.ones(3), start_params(1, 2))
+    assert np.allclose(out.mu[0], [0.0, 1.0], atol=1e-12)
+    assert out.kappa[0] == KAPPA_MAX
 
 
 def test_m_step_recovers_moderate_concentration():
@@ -305,20 +356,25 @@ def test_m_step_recovers_moderate_concentration():
     center = np.array([0.0, 0.0, 1.0])
     a = vmf_sample(rng, center, 5.0, 20_000)
     r = nakagami_sample(rng, 2.0, 3.0, size=20_000)
-    m, omega, mu, kappa = m_step_params(PolarSamples(r, a), np.ones((20_000, 1)), np.ones(20_000))
-    assert omega[0] == pytest.approx(3.0, rel=0.03)
-    assert m[0] == pytest.approx(2.0, rel=0.05)
-    assert mu[0] @ center > 0.999
-    assert kappa[0] == pytest.approx(5.0, rel=0.05)
+    s = PolarSamples(r, a)
+    out = m_step_params(s, np.ones((20_000, 1)), np.ones(20_000), start_params(1, d))
+    assert out.omega[0] == pytest.approx(3.0, rel=0.03)
+    assert out.m[0] == pytest.approx(2.0, rel=0.05)
+    assert out.mu[0] @ center > 0.999
+    assert out.kappa[0] == pytest.approx(5.0, rel=0.05)
 
 
 def test_m_step_dead_component_flagged(caplog):
     s = PolarSamples(np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     gamma = np.array([[1.0, 0.0], [1.0, 0.0]])
+    v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
     with caplog.at_level(logging.WARNING):
-        m, omega, mu, kappa = m_step_params(s, gamma, np.ones(2))
-    assert np.isnan(m[1]) and np.isnan(omega[1]) and np.isnan(kappa[1])
-    assert np.all(np.isnan(mu[1]))
+        out = m_step_params(s, gamma, np.ones(2), v)
+    # the dead component keeps its row; the live one is refitted
+    assert (out.m[1], out.omega[1], out.kappa[1]) == (3.0, 5.0, 7.0)
+    assert np.array_equal(out.mu[1], [0.0, -1.0])
+    assert out.omega[0] == pytest.approx(2.5, abs=1e-12)
+    assert np.array_equal(out.pi, v.pi)
     assert "zero responsibility" in caplog.text
 
 
@@ -327,10 +383,11 @@ def test_m_step_weight_scale_invariance():
     rng = rng_from_seed(10)
     gamma = rng.dirichlet(np.ones(2), size=100)
     w = rng.random(100) + 0.1
-    out1 = m_step_params(s, gamma, w)
-    out7 = m_step_params(s, gamma, 7.0 * w)
-    for a, b in zip(out1, out7):
-        assert np.allclose(a, b, rtol=1e-10)
+    v = start_params(2, 3)
+    out1 = m_step_params(s, gamma, w, v)
+    out7 = m_step_params(s, gamma, 7.0 * w, v)
+    for name in ("m", "omega", "mu", "kappa"):
+        assert np.allclose(getattr(out1, name), getattr(out7, name), rtol=1e-10)
 
 
 # ------------------------------------------------------------ log-likelihood
@@ -390,7 +447,7 @@ def test_fit_plain_keeps_component_count():
     )
     res = fit(s, np.ones(500), v0, penalized=False, max_iter=50)
     assert isinstance(res, FitResult)
-    assert res.k_final == 2
+    assert res.v.k == 2
     assert len(res.loglik_trace) == res.n_iterations
 
 
@@ -419,7 +476,7 @@ def test_fit_weight_scale_invariance():
     )
     r1 = fit(s, w, v0, penalized=True)
     r7 = fit(s, 7.0 * w, v0, penalized=True)
-    assert r1.k_final == r7.k_final
+    assert r1.v.k == r7.v.k
     assert np.allclose(r1.v.pi, r7.v.pi, atol=1e-10)
     assert np.allclose(r1.v.m, r7.v.m, rtol=1e-10)
     assert np.allclose(r1.v.omega, r7.v.omega, rtol=1e-10)
@@ -440,7 +497,7 @@ def test_fit_penalized_weights_stay_normalized():
     )
     res = fit(s, w, v0, penalized=True)
     assert abs(res.v.pi.sum() - 1.0) <= 1e-12
-    assert res.k_final <= 4
+    assert res.v.k <= 4
 
 
 def test_fit_one_hot_weights_center_on_the_sample():
@@ -454,7 +511,7 @@ def test_fit_one_hot_weights_center_on_the_sample():
         [0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
     )
     res = fit(s, w, v0, penalized=True, max_iter=40)
-    for k in range(res.k_final):
+    for k in range(res.v.k):
         assert res.v.omega[k] == pytest.approx(s.r[17] ** 2, rel=1e-9)
         assert res.v.m[k] == M_MAX
         assert res.v.mu[k] @ s.a[17] == pytest.approx(1.0, abs=1e-12)
@@ -480,7 +537,7 @@ def test_fit_synthetic_recovery_prunes_to_truth():
         v0 = make_params(pi0, np.full(5, 2.0), np.full(5, float(np.mean(r * r))), a[idx],
                          np.full(5, 5.0))
         res = fit(s, np.ones(n), v0, penalized=True, em_tol=1e-6, max_iter=100)
-        if res.k_final > 2:
+        if res.v.k > 2:
             continue
         top = int(np.argmax(res.v.pi))
         assert res.v.m[top] == pytest.approx(true_m, rel=0.10)

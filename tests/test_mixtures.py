@@ -5,10 +5,13 @@ probability."""
 
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import gammainc, iv
+from scipy.special import gammainc, gammaln, iv
 
 from safeice.distributions import rng_from_seed
 from safeice.mixtures import (
@@ -80,19 +83,16 @@ def test_polar_samples_basicproperties():
     assert s.dim == 2
     assert np.allclose(s.cartesian(), np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert not s.heavy.any()
-    assert np.array_equal(s.component, np.zeros(2, dtype=int))
 
 
 def test_polar_samples_subset_keeps_fields_aligned():
     r = np.array([1.0, 2.0, 3.0])
     a = np.eye(3)
-    s = PolarSamples(r, a, g=np.array([-1.0, 0.5, 2.0]), heavy=np.array([True, False, True]),
-                     component=np.array([0, 1, 2]))
+    s = PolarSamples(r, a, g=np.array([-1.0, 0.5, 2.0]), heavy=np.array([True, False, True]))
     sub = s.subset(s.g <= 0.0)
     assert len(sub) == 1
     assert sub.r[0] == 1.0
     assert sub.heavy[0]
-    assert sub.component[0] == 0
 
 
 def test_polar_samples_shape_validation():
@@ -194,22 +194,44 @@ def test_heavy_mode_matches_light_mean():
         assert mode == pytest.approx(mean, rel=1e-12)
 
 
+@st.composite
+def light_mixtures(draw):
+    """Valid light mixtures over a range of K, d, shapes and spreads."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 12))
+    m = draw(hnp.arrays(float, k, elements=st.floats(0.5, 50.0)))
+    omega = draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1e3)))
+    mu = np.tile(np.eye(d)[0], (k, 1))
+    return VmfnmParams(np.full(k, 1.0 / k), m, omega, mu, np.zeros(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=light_mixtures(), lam=st.floats(0.0, 1.0))
+def test_property_safe_params_heavy_mode_at_light_mean(v, lam):
+    phi = SafeMixtureParams(v, lam)
+    assert phi.heavy_m == math.ceil(math.sqrt(v.dim))
+    mode = np.sqrt(2.0 * phi.heavy_m / ((2.0 * phi.heavy_m + 1.0) * phi.heavy_omega))
+    mean = np.exp(gammaln(v.m + 0.5) - gammaln(v.m)) * np.sqrt(v.omega / v.m)
+    assert np.allclose(mode, mean, rtol=1e-10, atol=0.0)
+
+
 # --------------------------------------------------------------- safe mixture
 
 
 def test_safe_params_validation():
     v = one_component()
     with pytest.raises(ValueError):
-        SafeMixtureParams(v, 2, np.array([1.0]), 1.5)
+        SafeMixtureParams(v, 1.5)
     with pytest.raises(ValueError):
-        SafeMixtureParams(v, 2, np.array([-1.0]), 0.5)
+        SafeMixtureParams(v, -0.1)
+    # an infinite light spread derives a zero heavy spread
     with pytest.raises(ValueError):
-        SafeMixtureParams(v, 2, np.array([1.0, 1.0]), 0.5)
+        SafeMixtureParams(one_component(omega=np.inf), 0.5)
 
 
 def test_safe_logpdf_light_limit():
     v = two_component_2d()
-    phi = SafeMixtureParams.from_light(v, 1.0)
+    phi = SafeMixtureParams(v, 1.0)
     rng = rng_from_seed(2)
     a = rng.standard_normal((30, 2))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -219,7 +241,7 @@ def test_safe_logpdf_light_limit():
 
 def test_safe_logpdf_heavy_limit_scalar_oracle():
     v = one_component(m=1.0, omega=1.0, kappa=2.0)
-    phi = SafeMixtureParams.from_light(v, 0.0)
+    phi = SafeMixtureParams(v, 0.0)
     a = np.array([1.0, 0.0])
     s = PolarSamples(np.array([1.3]), a[None, :])
     expected = math.log(
@@ -230,7 +252,7 @@ def test_safe_logpdf_heavy_limit_scalar_oracle():
 
 def test_safe_logpdf_half_mix_scalar_oracle():
     v = one_component(m=1.0, omega=1.0, kappa=0.0)
-    phi = SafeMixtureParams.from_light(v, 0.5)
+    phi = SafeMixtureParams(v, 0.5)
     s = PolarSamples(np.array([1.0]), np.array([[0.0, 1.0]]))
     radial = 0.5 * nak_pdf(1.0, 1.0, 1.0) + 0.5 * inv_nak_pdf(1.0, 2.0, phi.heavy_omega[0])
     expected = math.log(radial / (2.0 * math.pi))
@@ -240,9 +262,9 @@ def test_safe_logpdf_half_mix_scalar_oracle():
 def test_safe_logpdf_is_convex_combination():
     v = two_component_2d()
     lam = 0.3
-    phi = SafeMixtureParams.from_light(v, lam)
-    light = SafeMixtureParams.from_light(v, 1.0)
-    heavy = SafeMixtureParams.from_light(v, 0.0)
+    phi = SafeMixtureParams(v, lam)
+    light = SafeMixtureParams(v, 1.0)
+    heavy = SafeMixtureParams(v, 0.0)
     rng = rng_from_seed(3)
     a = rng.standard_normal((50, 2))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -254,11 +276,11 @@ def test_safe_logpdf_is_convex_combination():
 def test_safe_logpdf_continuous_at_lambda_edges():
     v = two_component_2d()
     s = PolarSamples(np.array([0.5, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    near_zero = safe_logpdf(s, SafeMixtureParams.from_light(v, 1e-13))
-    at_zero = safe_logpdf(s, SafeMixtureParams.from_light(v, 0.0))
+    near_zero = safe_logpdf(s, SafeMixtureParams(v, 1e-13))
+    at_zero = safe_logpdf(s, SafeMixtureParams(v, 0.0))
     assert np.allclose(near_zero, at_zero, atol=1e-10)
-    near_one = safe_logpdf(s, SafeMixtureParams.from_light(v, 1.0 - 1e-13))
-    at_one = safe_logpdf(s, SafeMixtureParams.from_light(v, 1.0))
+    near_one = safe_logpdf(s, SafeMixtureParams(v, 1.0 - 1e-13))
+    at_one = safe_logpdf(s, SafeMixtureParams(v, 1.0))
     assert np.allclose(near_one, at_one, atol=1e-10)
 
 
@@ -268,29 +290,35 @@ def test_safe_logpdf_continuous_at_lambda_edges():
 def test_safe_sample_stratification_counts():
     v = two_component_2d()
     for lam, expect in [(0.5, 500), (0.0, 0), (1.0, 1000), (0.2505, 250)]:
-        s = safe_sample(rng_from_seed(0), SafeMixtureParams.from_light(v, lam), 1000)
+        s = safe_sample(rng_from_seed(0), SafeMixtureParams(v, lam), 1000)
         assert int((~s.heavy).sum()) == expect
     with pytest.raises(ValueError):
-        safe_sample(rng_from_seed(0), SafeMixtureParams.from_light(v, 0.5), 0)
+        safe_sample(rng_from_seed(0), SafeMixtureParams(v, 0.5), 0)
 
 
 def test_safe_sample_fields_and_determinism():
     v = two_component_2d()
-    phi = SafeMixtureParams.from_light(v, 0.6)
+    phi = SafeMixtureParams(v, 0.6)
     s1 = safe_sample(rng_from_seed(8), phi, 400)
     s2 = safe_sample(rng_from_seed(8), phi, 400)
     assert np.array_equal(s1.r, s2.r)
     assert np.array_equal(s1.a, s2.a)
     assert np.all(s1.r > 0)
     assert np.allclose(np.linalg.norm(s1.a, axis=1), 1.0, atol=1e-12)
-    assert set(np.unique(s1.component)) <= {0, 1}
 
 
 def test_safe_sample_component_frequencies():
-    v = two_component_2d()
-    phi = SafeMixtureParams.from_light(v, 0.5)
-    s = safe_sample(rng_from_seed(14), phi, 100_000)
-    frac = (s.component == 0).mean()
+    # opposite, tightly concentrated directions: the side of a sample
+    # tells its component apart with probability 1 - O(exp(-2 kappa))
+    v = VmfnmParams(
+        pi=np.array([0.3, 0.7]),
+        m=np.array([1.0, 2.0]),
+        omega=np.array([1.0, 3.0]),
+        mu=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+        kappa=np.array([50.0, 50.0]),
+    )
+    s = safe_sample(rng_from_seed(14), SafeMixtureParams(v, 0.5), 100_000)
+    frac = (s.a[:, 0] > 0.0).mean()
     assert frac == pytest.approx(0.3, abs=0.006)
 
 
@@ -299,7 +327,7 @@ def test_safe_sample_prior_case_reproduces_gaussian_radii():
     mu = np.zeros((1, d))
     mu[0, 0] = 1.0
     v = VmfnmParams(np.array([1.0]), np.array([d / 2.0]), np.array([float(d)]), mu, np.array([0.0]))
-    phi = SafeMixtureParams.from_light(v, 1.0)
+    phi = SafeMixtureParams(v, 1.0)
     s = safe_sample(rng_from_seed(6), phi, 100_000)
     stat = stats.kstest(s.r, lambda x: gammainc(d / 2.0, x * x / 2.0)).statistic
     assert stat < 0.006
@@ -309,7 +337,7 @@ def test_importance_weights_recover_analytic_probability():
     # E_q[f p/q] = E_p[f] with f = 1{|u| <= 1} in d = 2, where
     # E_p[f] = P(chi2_2 <= 1) = 1 - exp(-1/2)
     v = two_component_2d()
-    phi = SafeMixtureParams.from_light(v, 0.4)
+    phi = SafeMixtureParams(v, 0.4)
     rng = rng_from_seed(10)
     s = safe_sample(rng, phi, 200_000)
     w = np.exp(prior_logpdf(s) - safe_logpdf(s, phi))

@@ -79,3 +79,17 @@ def test_mc_validates_arguments():
 def test_mc_estimate_fields():
     est = McEstimate(pf=0.5, n_total=10, n_failures=5, cv=0.1)
     assert (est.pf, est.n_total, est.n_failures, est.cv) == (0.5, 10, 5, 0.1)
+
+
+
+@pytest.mark.parametrize(
+    "evaluate, match",
+    [
+        (lambda u: np.ones((u.shape[0], 1)), r"'bad'.*shape \(100, 1\), expected \(100,\)"),
+        (lambda u: np.where(u[:, 0] > 0.0, np.nan, 1.0), r"'bad'.*returned \d+ NaN"),
+    ],
+    ids=["column", "nan"],
+)
+def test_mc_rejects_bad_lsf_output(evaluate, match):
+    with pytest.raises(ValueError, match=match):
+        mc_estimate(Problem("bad", 2, 0.0, evaluate), 100, seed=0)

@@ -248,8 +248,9 @@ def test_registry_two_mode():
 def test_registry_two_mode_dims():
     assert problem_registry("two-mode", 3.5).dim == 2
     assert problem_registry("two-mode", 3.5, 7).dim == 7
-    with pytest.raises(ValueError):
-        problem_registry("two-mode", 3.5, 0)
+    for d in (0, 1):  # adaptive runs need a sphere of directions, d >= 2
+        with pytest.raises(ValueError, match="requires d >= 2"):
+            problem_registry("two-mode", 3.5, d)
 
 
 def test_registry_four_branch():
