@@ -13,22 +13,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, fields
+from types import NoneType
+from typing import get_args, get_type_hints
 
 from .bench import persist, run_repetitions, summary_record
 from .core import RunConfig, run
 from .oracle import mc_estimate
 from .problems import PROBLEM_NAMES, PROBLEMS, problem_registry
 
-_DEFAULTS = {
-    **{f.name: f.default for f in fields(RunConfig)},
-    "d": None,
-    "threads": None,
-    "n_total": 1_000_000,
-    "batch_size": 100_000,
-    "format": "jsonl",
+_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+# per subcommand, the options a config file may set and their defaults;
+# the required flags are absent because they always override the file
+_OPTIONS = {
+    "estimate": {**_RUN_DEFAULTS, "d": None},
+    "bench": {**_RUN_DEFAULTS, "d": None, "threads": 1, "format": "jsonl"},
+    "oracle": {"d": None, "seed": 0, "n_total": 1_000_000, "batch_size": 100_000},
 }
 
 
@@ -40,18 +42,11 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("safe-ice", "ice"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-per-iter", type=int, dest="n_per_iter")
-    p.add_argument("--k-init", type=int, dest="k_init")
-    p.add_argument("--delta-star", type=float, dest="delta_star")
-    p.add_argument("--delta-target", type=float, dest="delta_target")
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--anneal-horizon", type=float, dest="anneal_horizon")
-    p.add_argument("--max-outer", type=int, dest="max_outer")
-    p.add_argument("--max-em", type=int, dest="max_em")
-    p.add_argument("--em-tol", type=float, dest="em_tol")
-    p.add_argument("--threads", type=int, help="worker threads (bench); env SAFE_ICE_THREADS")
+    """One flag per RunConfig field; a ``T | None`` field takes a T."""
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        kind = next((t for t in get_args(hints[f.name]) if t is not NoneType), hints[f.name])
+        p.add_argument("--" + f.name.replace("_", "-"), type=kind, dest=f.name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--p-ref", type=float, dest="p_ref", required=True)
     ben.add_argument("--out", required=True, help="output file path")
     ben.add_argument("--format", choices=("jsonl", "csv"))
+    ben.add_argument("--threads", type=int, help="worker threads, at least 1")
 
     ora = sub.add_parser("oracle", help="crude Monte Carlo reference")
     _add_problem_args(ora)
@@ -81,14 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
-        with open(path) as fh:
+    merged = dict(_OPTIONS[args.command])
+    if args.config:
+        with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(_DEFAULTS) - {"problem", "z", "reps", "p_ref", "out"}
+        unknown = set(file_cfg) - set(merged)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_cfg)
@@ -97,8 +92,6 @@ def _merge_options(args: argparse.Namespace) -> dict:
             continue
         if value is not None:
             merged[key] = value
-    if merged.get("threads") is None:
-        merged["threads"] = int(os.environ.get("SAFE_ICE_THREADS", "1"))
     return merged
 
 
@@ -117,7 +110,7 @@ def main(argv=None) -> int:
 
     try:
         opts = _merge_options(args)
-        problem = problem_registry(opts["problem"], float(opts["z"]), opts.get("d"))
+        problem = problem_registry(opts["problem"], float(opts["z"]), opts["d"])
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

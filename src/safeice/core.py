@@ -294,8 +294,8 @@ def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
     )
 
 
-def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> RunResult:
-    """Adaptive run of ``config.method``.
+def run(problem, config: RunConfig) -> RunResult:
+    """Adaptive run of ``config.method``, drawing from ``config.seed``'s stream.
 
     "safe-ice" mixes the heavy inverse-Nakagami kernel into the proposal
     and prunes components through the penalized EM; "ice" keeps the light
@@ -304,8 +304,7 @@ def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> R
     if problem.dim < 2:
         raise ValueError("adaptive sampling requires dimension >= 2")
     use_heavy = config.method == "safe-ice"
-    if rng is None:
-        rng = rng_from_seed(config.seed)
+    rng = rng_from_seed(config.seed)
     d = problem.dim
     n = config.n_per_iter
     horizon = config.horizon
@@ -375,11 +374,11 @@ def run(problem, config: RunConfig, rng: np.random.Generator | None = None) -> R
     )
 
 
-def run_safe_ice(problem, config: RunConfig, rng: np.random.Generator | None = None) -> RunResult:
+def run_safe_ice(problem, config: RunConfig) -> RunResult:
     """Heavy-tail-guarded adaptive run with component pruning."""
-    return run(problem, replace(config, method="safe-ice"), rng)
+    return run(problem, replace(config, method="safe-ice"))
 
 
-def run_ice(problem, config: RunConfig, rng: np.random.Generator | None = None) -> RunResult:
+def run_ice(problem, config: RunConfig) -> RunResult:
     """Baseline adaptive run: light mixture only, fixed K, plain EM."""
-    return run(problem, replace(config, method="ice"), rng)
+    return run(problem, replace(config, method="ice"))

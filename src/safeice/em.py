@@ -228,8 +228,8 @@ def fit(
     the weights.
     """
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0.0) or not np.any(weights > 0.0):
-        raise ValueError("weights must be nonnegative with positive total")
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(weights > 0.0):
+        raise ValueError("weights must be finite and nonnegative with positive total")
     v = v_init
     beta = 1.0
     l_prev = np.inf

@@ -105,6 +105,9 @@ class VmfnmParams:
             raise ValueError("component parameter arrays must share length K")
         if self.mu.ndim != 2 or self.mu.shape[0] != k:
             raise ValueError("mu must be (K, d)")
+        flat = np.concatenate((self.pi, self.m, self.omega, self.kappa, self.mu.ravel()))
+        if not np.isfinite(flat).all():
+            raise ValueError("mixture parameters must be finite")
         if np.any(self.pi <= 0.0) or abs(self.pi.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be positive and sum to 1")
         if np.any(self.m < 0.5) or np.any(self.omega <= 0.0) or np.any(self.kappa < 0.0):
@@ -174,8 +177,8 @@ class SafeMixtureParams:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
         self.heavy_m, self.heavy_omega = heavy_params_from_light(self.light)
-        # VmfnmParams admits omega = inf, from which the spread derives as 0
-        if np.any(self.heavy_omega <= 0.0):
+        # a light m >= ~3e305 or an overflowing m / omega derives NaN or inf
+        if not np.all(np.isfinite(self.heavy_omega) & (self.heavy_omega > 0.0)):
             raise ValueError("invalid heavy radial parameters")
 
 

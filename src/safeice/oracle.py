@@ -24,7 +24,6 @@ def mc_estimate(
     problem,
     n_total: int,
     batch_size: int = 100_000,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> McEstimate:
     """Estimate the failure probability by direct standard normal sampling.
@@ -38,8 +37,7 @@ def mc_estimate(
         raise ValueError("n_total must be positive")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    if rng is None:
-        rng = rng_from_seed(seed)
+    rng = rng_from_seed(seed)
     d = problem.dim
     n_failures = 0
     done = 0

@@ -135,35 +135,31 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
     alpha, xy = cfg.alpha, cfg.yield_disp
     a_bw, beta, gam, n_exp = cfg.bw_a, cfg.bw_beta, cfg.bw_gamma, cfg.bw_n
 
-    def deriv(x, vel, zb, f):
+    def deriv(s, f):
+        x, vel, zb = s
         abs_z = np.abs(zb)
         zn1 = abs_z ** (n_exp - 1) * zb
         zn = abs_z**n_exp
-        dx = vel
         dv = (f - c * vel - k * (alpha * x + (1.0 - alpha) * xy * zb)) / m
         dz = (a_bw * vel - beta * np.abs(vel) * zn1 - gam * vel * zn) / xy
-        return dx, dv, dz
+        return np.array((vel, dv, dz))
 
-    n = u.shape[0]
-    x = np.zeros(n)
-    vel = np.zeros(n)
-    zb = np.zeros(n)
+    # state rows: displacement x, velocity, Bouc-Wen hysteretic variable z
+    s = np.zeros((3, u.shape[0]))
     h = cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             f0 = force[:, 2 * i]
             fm = force[:, 2 * i + 1]
             f1 = force[:, 2 * i + 2]
-            k1x, k1v, k1z = deriv(x, vel, zb, f0)
-            k2x, k2v, k2z = deriv(x + 0.5 * h * k1x, vel + 0.5 * h * k1v, zb + 0.5 * h * k1z, fm)
-            k3x, k3v, k3z = deriv(x + 0.5 * h * k2x, vel + 0.5 * h * k2v, zb + 0.5 * h * k2z, fm)
-            k4x, k4v, k4z = deriv(x + h * k3x, vel + h * k3v, zb + h * k3z, f1)
-            x = x + h / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            vel = vel + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            zb = zb + h / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    if not np.all(np.isfinite(x)):
+            k1 = deriv(s, f0)
+            k2 = deriv(s + 0.5 * h * k1, fm)
+            k3 = deriv(s + 0.5 * h * k2, fm)
+            k4 = deriv(s + h * k3, f1)
+            s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(s[0])):
         raise ValueError("oscillator state became non-finite (load too extreme)")
-    return x
+    return s[0]
 
 
 def oscillator_lsf(u, z: float, cfg: OscillatorConfig | None = None):

@@ -276,8 +276,6 @@ def test_cli_byte_determinism():
         "2",
         "--seed",
         "42",
-        "--threads",
-        "1",
     ]
     first = subprocess.run(argv, capture_output=True, check=True)
     second = subprocess.run(argv, capture_output=True, check=True)

@@ -26,7 +26,7 @@ def make_result(seed, pf, iterations=2, final_k=3, converged=True):
 def stub_runner(table):
     """A runner that looks up pf by the seed the repetition loop assigns."""
 
-    def run(problem, config, rng=None):
+    def run(problem, config):
         return make_result(config.seed, table[config.seed])
 
     return run
@@ -81,7 +81,7 @@ def test_statistics_permutation_invariant(monkeypatch):
 
 
 def test_mean_iteration_and_k(monkeypatch):
-    def run(problem, config, rng=None):
+    def run(problem, config):
         i = config.seed
         return make_result(i, 2e-4, iterations=i + 1, final_k=i + 2)
 
@@ -94,7 +94,7 @@ def test_mean_iteration_and_k(monkeypatch):
 def test_doubling_runs_is_stable(monkeypatch):
     # fresh-seed doubling moves the relative error by less than the
     # sampling noise predicts, most of the time
-    def run(problem, config, rng=None):
+    def run(problem, config):
         noise = np.random.default_rng(config.seed).normal(scale=0.1)
         return make_result(config.seed, 2e-4 * (1.0 + noise))
 

@@ -1,10 +1,13 @@
 """Tests for the command line interface (all in-process via main(argv))."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from safeice.cli import main
+from safeice.cli import _OPTIONS, _merge_options, _run_config, build_parser, main
+from safeice.core import RunConfig
 from safeice.problems import problem_registry
 
 FAST = ["--n-per-iter", "200", "--k-init", "4"]
@@ -83,7 +86,6 @@ def test_estimate_deterministic_bytes(capsys):
     argv = (
         ["estimate", "--problem", "two-mode", "--z", "3.5", "--d", "2", "--seed", "42"]
         + FAST
-        + ["--threads", "1"]
     )
     rc1, out1, _ = run_cli(capsys, argv)
     rc2, out2, _ = run_cli(capsys, argv)
@@ -134,6 +136,21 @@ def test_dimension_mismatch_exits_2(capsys):
     assert rc == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_threads_is_a_bench_option_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--problem", "two-mode", "--z", "2.0", "--threads", "1"])
+    assert exc.value.code == 2
+
+
+def test_unknown_method_exits_2(capsys):
+    rc, out, err = run_cli(
+        capsys, ["estimate", "--problem", "two-mode", "--z", "2.0", "--method", "bogus"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert "method must be 'safe-ice' or 'ice'" in err
 
 
 def test_out_of_range_numeric_exits_2(capsys):
@@ -189,6 +206,86 @@ def test_config_unknown_key(tmp_path, capsys):
     )
     assert rc == 2
     assert "unknown config keys" in err
+
+
+SUBCOMMAND_ARGV = {
+    "estimate": ["estimate", "--problem", "two-mode", "--z", "2.0"],
+    "bench": ["bench", "--problem", "two-mode", "--z", "2.0", "--p-ref", "0.05", "--reps", "2",
+              "--out", "unused.jsonl"],
+    "oracle": ["oracle", "--problem", "two-mode", "--z", "2.0"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("estimate", "z"),
+        ("estimate", "problem"),
+        ("estimate", "n_total"),
+        ("estimate", "batch_size"),
+        ("estimate", "threads"),
+        ("estimate", "format"),
+        ("bench", "batch_size"),
+        ("bench", "n_total"),
+        ("bench", "out"),
+        ("bench", "reps"),
+        ("bench", "p_ref"),
+        ("oracle", "k_init"),
+        ("oracle", "method"),
+        ("oracle", "format"),
+        ("oracle", "threads"),
+    ],
+)
+def test_config_key_outside_subcommand_exits_2(tmp_path, capsys, command, key):
+    # a key the subcommand does not read, or one a required flag always overrides
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 1}))
+    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + ["--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "unknown config keys" in err
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_config_options_match_parser_flags():
+    subs = _subparsers()
+    with_config = {name for name, p in subs.items() if any(a.dest == "config" for a in p._actions)}
+    assert set(_OPTIONS) == with_config
+    for command, options in _OPTIONS.items():
+        optional = {a.dest for a in subs[command]._actions if a.option_strings and not a.required}
+        assert set(options) == optional - {"help", "config"}, command
+
+
+# spelt out so that renaming a RunConfig field cannot rename its flag unnoticed
+RUN_FLAGS = {
+    "--n-per-iter": 200,
+    "--k-init": 4,
+    "--delta-star": 2.0,
+    "--delta-target": 3.0,
+    "--sigma0": 5.0,
+    "--anneal-horizon": 3.0,
+    "--max-outer": 5,
+    "--max-em": 3,
+    "--em-tol": 1e-3,
+    "--seed": 7,
+    "--method": "ice",
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "bench"])
+def test_run_flags_reach_run_config(command):
+    expected = {flag[2:].replace("-", "_"): value for flag, value in RUN_FLAGS.items()}
+    assert set(expected) == {f.name for f in fields(RunConfig)}
+    assert all(getattr(RunConfig(), name) != value for name, value in expected.items())
+    argv = list(SUBCOMMAND_ARGV[command])
+    for flag, value in RUN_FLAGS.items():
+        argv += [flag, str(value)]
+    args = build_parser().parse_args(argv)
+    assert _run_config(_merge_options(args)) == RunConfig(**expected)
 
 
 def test_config_malformed_json(tmp_path, capsys):
@@ -282,11 +379,18 @@ def test_bench_unwritable_path_is_runtime_failure(capsys):
     assert "failure:" in err
 
 
-def test_bench_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    # the env variable supplies the thread count and must not change results
+def test_bench_threads_from_config_file(tmp_path, capsys):
+    # the file supplies the thread count, which must not change results
     serial = tmp_path / "serial.jsonl"
     run_cli(capsys, BENCH_BASE + ["--reps", "3", "--out", str(serial), "--threads", "1"])
+    cfg = tmp_path / "bench.json"
     threaded = tmp_path / "threaded.jsonl"
-    monkeypatch.setenv("SAFE_ICE_THREADS", "3")
-    run_cli(capsys, BENCH_BASE + ["--reps", "3", "--out", str(threaded)])
+    argv = BENCH_BASE + ["--reps", "3", "--out", str(threaded), "--config", str(cfg)]
+    cfg.write_text(json.dumps({"threads": 3}))
+    rc, _, _ = run_cli(capsys, argv)
+    assert rc == 0
     assert serial.read_text() == threaded.read_text()
+    cfg.write_text(json.dumps({"threads": 0}))
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert "threads must be at least 1" in err

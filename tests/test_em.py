@@ -437,6 +437,10 @@ def test_fit_validates_weights():
         fit(s, np.zeros(10), v)
     with pytest.raises(ValueError):
         fit(s, -np.ones(10), v)
+    nan_weight = np.ones(10)
+    nan_weight[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit(s, nan_weight, v)
 
 
 def test_fit_plain_keeps_component_count():

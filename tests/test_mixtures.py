@@ -117,6 +117,14 @@ def test_vmfnm_params_validation():
         VmfnmParams(good.pi, good.m, good.omega, 2.0 * good.mu, good.kappa)
     with pytest.raises(ValueError):
         VmfnmParams(good.pi, good.m, good.omega, good.mu, -good.kappa)
+    # NaN passes every comparison check, so finiteness is checked apart
+    fields = {"pi": good.pi, "m": good.m, "omega": good.omega, "mu": good.mu, "kappa": good.kappa}
+    for name, value in fields.items():
+        for bad in (np.nan, np.inf):
+            broken = value.copy()
+            broken.flat[0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                VmfnmParams(**{**fields, name: broken})
 
 
 # -------------------------------------------------------------- light mixture
@@ -224,9 +232,11 @@ def test_safe_params_validation():
         SafeMixtureParams(v, 1.5)
     with pytest.raises(ValueError):
         SafeMixtureParams(v, -0.1)
-    # an infinite light spread derives a zero heavy spread
-    with pytest.raises(ValueError):
-        SafeMixtureParams(one_component(omega=np.inf), 0.5)
+    # finite light shapes at the float limits derive a NaN or infinite spread
+    for m, omega in ((1e307, 1.0), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="heavy radial"):
+            with np.errstate(invalid="ignore", over="ignore"):
+                SafeMixtureParams(one_component(m=m, omega=omega), 0.5)
 
 
 def test_safe_logpdf_light_limit():

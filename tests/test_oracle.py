@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from safeice.distributions import rng_from_seed
 from safeice.oracle import McEstimate, mc_estimate
 from safeice.problems import Problem, problem_registry
 
@@ -46,13 +45,6 @@ def test_mc_certain_failure():
     assert est.pf == 1.0
     assert est.n_failures == 10**4
     assert est.cv == 0.0
-
-
-def test_mc_explicit_rng_matches_seed():
-    prob = problem_registry("two-mode", 1.5, 2)
-    a = mc_estimate(prob, 5000, seed=9)
-    b = mc_estimate(prob, 5000, rng=rng_from_seed(9))
-    assert a == b
 
 
 def test_mc_cv_formula_is_consistent():
