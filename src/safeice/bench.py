@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RunConfig, RunResult, run
+from .core import RunConfig, RunResult, cv, run
 
 __all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "persist"]
 
@@ -18,64 +17,53 @@ _RUN_FIELDS = ("run", "seed", "pf", "iterations", "final_k", "lsf_evals", "conve
 
 @dataclass
 class BenchmarkStats:
-    """Aggregate over repeated runs of one problem/configuration.
+    """Repeated runs of one problem/configuration and their aggregates.
 
     rel_error is |p_ref - mean(pf)| / p_ref and cv the sample coefficient
-    of variation of the per-run estimates.
+    of variation of the per-run estimates; every aggregate is derived from
+    ``runs``.
     """
 
     p_ref: float
-    rel_error: float
-    cv: float
-    mean_iterations: float
-    mean_final_k: float
-    n_runs: int
     runs: list
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.runs)
 
     @property
     def mean_pf(self) -> float:
         return float(np.mean([r.pf for r in self.runs]))
 
+    @property
+    def rel_error(self) -> float:
+        return abs(self.p_ref - self.mean_pf) / self.p_ref
 
-def run_repetitions(
-    problem,
-    config: RunConfig,
-    n_runs: int,
-    p_ref: float,
-    threads: int = 1,
-) -> BenchmarkStats:
-    """Run the configured method ``n_runs`` times and aggregate.
+    @property
+    def cv(self) -> float:
+        return cv([r.pf for r in self.runs])
+
+    @property
+    def mean_iterations(self) -> float:
+        return float(np.mean([r.iterations for r in self.runs]))
+
+    @property
+    def mean_final_k(self) -> float:
+        return float(np.mean([r.final_k for r in self.runs]))
+
+
+def run_repetitions(problem, config: RunConfig, n_runs: int, p_ref: float) -> BenchmarkStats:
+    """Run the configured method ``n_runs`` times, one after another.
 
     Repetition i runs with seed config.seed + i, so results are
-    reproducible for any thread count; threads only parallelize the
-    independent repetitions.
+    reproducible.
     """
     if n_runs < 2:
         raise ValueError("need at least two runs for spread statistics")
     if p_ref <= 0.0:
         raise ValueError("p_ref must be positive")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-
-    def one(i: int) -> RunResult:
-        return run(problem, replace(config, seed=config.seed + i))
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        runs = list(pool.map(one, range(n_runs)))
-
-    pf = np.array([r.pf for r in runs])
-    mean = pf.mean()
-    rel_error = abs(p_ref - mean) / p_ref
-    spread = float(pf.std(ddof=1) / mean) if mean > 0.0 else np.inf
-    return BenchmarkStats(
-        p_ref=p_ref,
-        rel_error=float(rel_error),
-        cv=spread,
-        mean_iterations=float(np.mean([r.iterations for r in runs])),
-        mean_final_k=float(np.mean([r.final_k for r in runs])),
-        n_runs=n_runs,
-        runs=runs,
-    )
+    runs = [run(problem, replace(config, seed=config.seed + i)) for i in range(n_runs)]
+    return BenchmarkStats(p_ref=p_ref, runs=runs)
 
 
 def _run_record(i: int, r: RunResult) -> dict:

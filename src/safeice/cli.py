@@ -23,80 +23,92 @@ from .core import RunConfig, run
 from .oracle import mc_estimate
 from .problems import PROBLEM_NAMES, PROBLEMS, problem_registry
 
-_RUN_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
-# per subcommand, the options a config file may set and their defaults;
-# the required flags are absent because they always override the file
-_OPTIONS = {
-    "estimate": {**_RUN_DEFAULTS, "d": None},
-    "bench": {**_RUN_DEFAULTS, "d": None, "threads": 1, "format": "jsonl"},
-    "oracle": {"d": None, "seed": 0, "n_total": 1_000_000, "batch_size": 100_000},
+_HINTS = get_type_hints(RunConfig)
+# one option per RunConfig field; a ``T | None`` field takes a T
+_RUN_OPTIONS = {
+    f.name: next((t for t in get_args(_HINTS[f.name]) if t is not NoneType), _HINTS[f.name])
+    for f in fields(RunConfig)
 }
 
+# per subcommand, the options a config file may set and the type of each;
+# the optional flags are built from it. An option neither flagged nor in
+# the file is not passed on, so its default lives only in the callee. The
+# required flags are absent because they always override the file.
+_OPTIONS = {
+    "estimate": {"d": int, **_RUN_OPTIONS},
+    "bench": {"d": int, **_RUN_OPTIONS, "format": str},
+    "oracle": {"d": int, "seed": int, "n_total": int, "batch_size": int},
+}
+_CHOICES = {"format": ("jsonl", "csv")}
+_HELP = {"d": "problem dimension where variable"}
 
-def _add_problem_args(p: argparse.ArgumentParser) -> None:
+
+def _add_options(p: argparse.ArgumentParser, command: str) -> None:
+    """The required problem flags, then one flag per option of ``command``,
+    spelt with - for _."""
     p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
     p.add_argument("--z", type=float, required=True, help="failure threshold")
-    p.add_argument("--d", type=int, help="problem dimension where variable")
     p.add_argument("--config", help="JSON file with option defaults")
-
-
-def _add_run_args(p: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field; a ``T | None`` field takes a T."""
-    hints = get_type_hints(RunConfig)
-    for f in fields(RunConfig):
-        kind = next((t for t in get_args(hints[f.name]) if t is not NoneType), hints[f.name])
-        p.add_argument("--" + f.name.replace("_", "-"), type=kind, dest=f.name)
+    for name, kind in _OPTIONS[command].items():
+        flag = "--" + name.replace("_", "-")
+        p.add_argument(flag, type=kind, dest=name, choices=_CHOICES.get(name), help=_HELP.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="safeice")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="single estimation run")
-    _add_problem_args(est)
-    _add_run_args(est)
+    _add_options(sub.add_parser("estimate", help="single estimation run"), "estimate")
 
     ben = sub.add_parser("bench", help="repeated runs with summary statistics")
-    _add_problem_args(ben)
-    _add_run_args(ben)
+    _add_options(ben, "bench")
     ben.add_argument("--reps", type=int, required=True, help="number of repetitions")
     ben.add_argument("--p-ref", type=float, dest="p_ref", required=True)
     ben.add_argument("--out", required=True, help="output file path")
-    ben.add_argument("--format", choices=("jsonl", "csv"))
-    ben.add_argument("--threads", type=int, help="worker threads, at least 1")
 
-    ora = sub.add_parser("oracle", help="crude Monte Carlo reference")
-    _add_problem_args(ora)
-    ora.add_argument("--seed", type=int)
-    ora.add_argument("--n-total", type=int, dest="n_total")
-    ora.add_argument("--batch-size", type=int, dest="batch_size")
+    _add_options(sub.add_parser("oracle", help="crude Monte Carlo reference"), "oracle")
 
     sub.add_parser("list-problems", help="list available problems")
     return parser
 
 
+def _typed(key: str, value, kind: type):
+    """A config-file value as its flag parses it: of the flag's type (an
+    int also passes for a float) and among its choices, if it has any."""
+    accepted = (int, float) if kind is float else kind
+    valid = isinstance(value, accepted) and not isinstance(value, bool)
+    if not valid or value not in _CHOICES.get(key, [value]):
+        raise ValueError(f"config key {key!r}: invalid {kind.__name__} value {value!r}")
+    return kind(value)
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
-    merged = dict(_OPTIONS[args.command])
+    """The options set by the config file, overridden by explicit flags."""
+    types = _OPTIONS[args.command]
+    merged = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(merged)
+        unknown = set(file_cfg) - set(types)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
+        merged = {key: _typed(key, value, types[key]) for key, value in file_cfg.items()}
     for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
+        if key not in ("command", "config") and value is not None:
             merged[key] = value
     return merged
 
 
+def _given(opts: dict, names) -> dict:
+    """The options among ``names`` that a flag or the config file set."""
+    return {name: opts[name] for name in names if name in opts}
+
+
 def _run_config(opts: dict) -> RunConfig:
-    return RunConfig(**{f.name: opts[f.name] for f in fields(RunConfig)})
+    return RunConfig(**_given(opts, _RUN_OPTIONS))
 
 
 def main(argv=None) -> int:
@@ -110,7 +122,7 @@ def main(argv=None) -> int:
 
     try:
         opts = _merge_options(args)
-        problem = problem_registry(opts["problem"], float(opts["z"]), opts["d"])
+        problem = problem_registry(opts["problem"], opts["z"], **_given(opts, ["d"]))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -120,23 +132,12 @@ def main(argv=None) -> int:
             print(json.dumps(asdict(run(problem, _run_config(opts)))))
             return 0
         if args.command == "oracle":
-            est = mc_estimate(
-                problem,
-                n_total=int(opts["n_total"]),
-                batch_size=int(opts["batch_size"]),
-                seed=int(opts["seed"]),
-            )
+            est = mc_estimate(problem, **_given(opts, ["n_total", "batch_size", "seed"]))
             print(json.dumps(asdict(est)))
             return 0
         if args.command == "bench":
-            stats = run_repetitions(
-                problem,
-                _run_config(opts),
-                n_runs=int(opts["reps"]),
-                p_ref=float(opts["p_ref"]),
-                threads=int(opts["threads"]),
-            )
-            persist(stats, opts["out"], fmt=opts["format"])
+            stats = run_repetitions(problem, _run_config(opts), opts["reps"], opts["p_ref"])
+            persist(stats, opts["out"], **({"fmt": opts["format"]} if "format" in opts else {}))
             print(json.dumps(summary_record(stats)))
             return 0
     except ValueError as exc:

@@ -38,6 +38,9 @@ logger = logging.getLogger(__name__)
 M_MIN = 0.5 + 1e-6
 M_MAX = 1e4
 KAPPA_MAX = 1e4
+# below this norm the squares of a resultant's entries underflow, so
+# dividing by np.linalg.norm no longer yields a unit vector
+RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
 
 
 def e_step(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
@@ -153,8 +156,8 @@ def m_step_params(
     normalized weighted resultant and kappa_k the standard concentration
     approximation kappa = rbar (d - rbar^2) / (1 - rbar^2), clamped to
     [0, 1e4]. The returned mixture keeps the weights ``v.pi``; a component
-    with no responsibility mass, a zero resultant or a degenerate radial
-    moment also keeps its parameters from ``v``.
+    with no responsibility mass, a resultant too small to normalize or a
+    degenerate radial moment also keeps its parameters from ``v``.
     """
     d = samples.dim
     c = gamma * weights[:, None]
@@ -183,7 +186,7 @@ def m_step_params(
         )
     kappa = np.clip(kappa, 0.0, KAPPA_MAX)
 
-    bad = dead | (res_norm <= 0.0) | ~np.isfinite(omega) | (omega <= 0.0)
+    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | (omega <= 0.0)
     if np.any(bad):
         m[bad] = v.m[bad]
         omega[bad] = v.omega[bad]

@@ -22,7 +22,7 @@ class McEstimate:
 
 def mc_estimate(
     problem,
-    n_total: int,
+    n_total: int = 1_000_000,
     batch_size: int = 100_000,
     seed: int = 0,
 ) -> McEstimate:

@@ -2,13 +2,14 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import safeice.bench as bench
 from safeice.bench import BenchmarkStats, persist, run_repetitions
-from safeice.core import RunConfig, RunResult
+from safeice.core import RunConfig, RunResult, run
 from safeice.problems import problem_registry
 
 
@@ -114,23 +115,18 @@ def test_run_repetitions_validation():
         run_repetitions(PROB, RunConfig(), 1, p_ref=1e-4)
     with pytest.raises(ValueError):
         run_repetitions(PROB, RunConfig(), 2, p_ref=0.0)
-    for threads in (0, -1):
-        with pytest.raises(ValueError, match="threads must be at least 1"):
-            run_repetitions(PROB, RunConfig(), 2, p_ref=1e-4, threads=threads)
 
 
 # ------------------------------------------------------------------ real runs
 
 
-def test_real_repetitions_seed_and_threads():
+def test_real_repetitions_seed_plus_i():
     cfg = RunConfig(seed=100, n_per_iter=200, k_init=4)
-    p_ref = 0.0455
-    serial = run_repetitions(PROB, cfg, 3, p_ref, threads=1)
-    threaded = run_repetitions(PROB, cfg, 3, p_ref, threads=3)
-    assert [r.seed for r in serial.runs] == [100, 101, 102]
-    assert [r.pf for r in serial.runs] == [r.pf for r in threaded.runs]
-    assert serial.rel_error == threaded.rel_error
-    assert all(r.pf > 0.0 for r in serial.runs)
+    stats = run_repetitions(PROB, cfg, 3, 0.0455)
+    assert [r.seed for r in stats.runs] == [100, 101, 102]
+    for i, r in enumerate(stats.runs):
+        assert r == run(PROB, replace(cfg, seed=100 + i))
+    assert all(r.pf > 0.0 for r in stats.runs)
 
 
 # ---------------------------------------------------------------- persistence
@@ -141,16 +137,7 @@ def make_stats(n=3):
         make_result(i, (i + 1) / 3.0e4, iterations=i + 1, final_k=i + 2, converged=i != 1)
         for i in range(n)
     ]
-    pf = np.array([r.pf for r in runs])
-    return BenchmarkStats(
-        p_ref=1.0 / 9.0e3,
-        rel_error=float(abs(1.0 / 9.0e3 - pf.mean()) * 9.0e3),
-        cv=float(pf.std(ddof=1) / pf.mean()),
-        mean_iterations=float(np.mean([r.iterations for r in runs])),
-        mean_final_k=float(np.mean([r.final_k for r in runs])),
-        n_runs=n,
-        runs=runs,
-    )
+    return BenchmarkStats(p_ref=1.0 / 9.0e3, runs=runs)
 
 
 def test_persist_jsonl_round_trip(tmp_path):
@@ -214,9 +201,7 @@ def test_persist_csv_round_trip(tmp_path):
 
 def test_persist_rejects_empty_and_bad_format(tmp_path):
     stats = make_stats()
-    empty = BenchmarkStats(
-        p_ref=1e-4, rel_error=0.0, cv=0.0, mean_iterations=0.0, mean_final_k=0.0, n_runs=0, runs=[]
-    )
+    empty = BenchmarkStats(p_ref=1e-4, runs=[])
     with pytest.raises(ValueError):
         persist(empty, str(tmp_path / "x.jsonl"))
     with pytest.raises(ValueError):
@@ -232,3 +217,16 @@ def test_persist_propagates_io_error(tmp_path):
 def test_mean_pf_property():
     stats = make_stats()
     assert stats.mean_pf == pytest.approx(np.mean([r.pf for r in stats.runs]), rel=1e-15)
+
+
+def test_aggregates_follow_runs():
+    # every aggregate is the formula over the current run list, bit for bit
+    stats = make_stats(4)
+    for n in (4, 2):
+        stats.runs = stats.runs[:n]
+        pf = np.array([r.pf for r in stats.runs])
+        assert stats.n_runs == n
+        assert stats.rel_error == float(abs(stats.p_ref - pf.mean()) / stats.p_ref)
+        assert stats.cv == float(pf.std(ddof=1) / pf.mean())
+        assert stats.mean_iterations == float(np.mean([r.iterations for r in stats.runs]))
+        assert stats.mean_final_k == float(np.mean([r.final_k for r in stats.runs]))

@@ -139,6 +139,7 @@ def test_dimension_mismatch_exits_2(capsys):
 
 
 def test_threads_is_a_bench_option_only(capsys):
+    # bench no longer takes --threads either; estimate never did
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--problem", "two-mode", "--z", "2.0", "--threads", "1"])
     assert exc.value.code == 2
@@ -226,6 +227,7 @@ SUBCOMMAND_ARGV = {
         ("estimate", "threads"),
         ("estimate", "format"),
         ("bench", "batch_size"),
+        ("bench", "threads"),
         ("bench", "n_total"),
         ("bench", "out"),
         ("bench", "reps"),
@@ -286,6 +288,51 @@ def test_run_flags_reach_run_config(command):
         argv += [flag, str(value)]
     args = build_parser().parse_args(argv)
     assert _run_config(_merge_options(args)) == RunConfig(**expected)
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("estimate", "n_per_iter", "200"),
+        ("estimate", "n_per_iter", 200.5),
+        ("estimate", "seed", "abc"),
+        ("estimate", "k_init", True),
+        ("estimate", "sigma0", "10"),
+        ("estimate", "anneal_horizon", None),
+        ("estimate", "method", 3),
+        ("estimate", "d", 2.0),
+        ("bench", "format", "xml"),
+        ("bench", "format", 1),
+        ("oracle", "n_total", "1000"),
+        ("oracle", "batch_size", 1e3),
+    ],
+)
+def test_config_value_the_flag_rejects_exits_2(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + ["--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: config key '{key}'")
+
+
+def test_config_int_for_float_flag_matches_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sigma0": 8, "delta_target": 3}))
+    argv = SUBCOMMAND_ARGV["estimate"] + FAST
+    rc, from_file, _ = run_cli(capsys, argv + ["--config", str(cfg)])
+    assert rc == 0
+    _, from_flags, _ = run_cli(capsys, argv + ["--sigma0", "8", "--delta-target", "3"])
+    assert from_file == from_flags
+
+
+def test_unset_options_are_left_to_the_callee():
+    # no default lives in the CLI: an option neither flagged nor in a file
+    # is absent, so RunConfig, mc_estimate and persist apply their own
+    for command, argv in SUBCOMMAND_ARGV.items():
+        opts = _merge_options(build_parser().parse_args(argv))
+        assert set(opts).isdisjoint(_OPTIONS[command]), command
+    assert _run_config({}) == RunConfig()
 
 
 def test_config_malformed_json(tmp_path, capsys):
@@ -380,17 +427,14 @@ def test_bench_unwritable_path_is_runtime_failure(capsys):
 
 
 def test_bench_threads_from_config_file(tmp_path, capsys):
-    # the file supplies the thread count, which must not change results
-    serial = tmp_path / "serial.jsonl"
-    run_cli(capsys, BENCH_BASE + ["--reps", "3", "--out", str(serial), "--threads", "1"])
+    # bench runs its repetitions one after another: a thread count is
+    # rejected both as a flag and as a config key
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMAND_ARGV["bench"] + ["--threads", "1"])
+    assert exc.value.code == 2
     cfg = tmp_path / "bench.json"
-    threaded = tmp_path / "threaded.jsonl"
-    argv = BENCH_BASE + ["--reps", "3", "--out", str(threaded), "--config", str(cfg)]
-    cfg.write_text(json.dumps({"threads": 3}))
-    rc, _, _ = run_cli(capsys, argv)
-    assert rc == 0
-    assert serial.read_text() == threaded.read_text()
-    cfg.write_text(json.dumps({"threads": 0}))
-    rc, _, err = run_cli(capsys, argv)
+    cfg.write_text(json.dumps({"threads": 1}))
+    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV["bench"] + ["--config", str(cfg)])
     assert rc == 2
-    assert "threads must be at least 1" in err
+    assert out == ""
+    assert "unknown config keys" in err

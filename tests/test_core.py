@@ -439,6 +439,15 @@ def test_run_ice_single_component_unimodal():
     assert res.pf == pytest.approx(ref, rel=0.25)
 
 
+def test_run_ice_survives_a_floored_component():
+    # on this seed plain EM kept a component at its 1e-300 weight floor
+    # whose direction could not be normalized, and the run raised
+    res = run_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1023))
+    assert res.converged
+    assert res.final_k == 20
+    assert res.pf > 0.0
+
+
 def test_run_hits_outer_limit(caplog):
     prob = problem_registry("two-mode", 5.5, 2)
     with caplog.at_level("WARNING"):

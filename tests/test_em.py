@@ -378,6 +378,19 @@ def test_m_step_dead_component_flagged(caplog):
     assert "zero responsibility" in caplog.text
 
 
+def test_m_step_underflowing_resultant_keeps_row():
+    # plain EM floors weights at 1e-300, so a component can keep a
+    # responsibility mass near 1e-160; the squares of its resultant's
+    # entries underflow and the norm is too inexact to normalize by
+    s = random_samples(rng_from_seed(11), 50, 2)
+    gamma = np.column_stack([np.ones(50), np.full(50, 1e-160 / 50)])
+    v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
+    out = m_step_params(s, gamma, np.ones(50), v)
+    assert (out.m[1], out.omega[1], out.kappa[1]) == (3.0, 5.0, 7.0)
+    assert np.array_equal(out.mu[1], [0.0, -1.0])
+    assert np.linalg.norm(out.mu[0]) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_m_step_weight_scale_invariance():
     s = random_samples(rng_from_seed(9), 100, 3)
     rng = rng_from_seed(10)

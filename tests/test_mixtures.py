@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import gammainc, gammaln, iv
 
 from safeice.distributions import rng_from_seed
@@ -292,6 +292,49 @@ def test_safe_logpdf_continuous_at_lambda_edges():
     near_one = safe_logpdf(s, SafeMixtureParams(v, 1.0 - 1e-13))
     at_one = safe_logpdf(s, SafeMixtureParams(v, 1.0))
     assert np.allclose(near_one, at_one, atol=1e-10)
+
+
+# -------------------------------------------------------------- normalization
+
+
+@st.composite
+def plane_mixtures(draw):
+    """Valid d=2 mixtures: random weights, directions and concentrations."""
+    k = draw(st.integers(1, 3))
+    pi = draw(hnp.arrays(float, k, elements=st.floats(0.1, 1.0)))
+    m = draw(hnp.arrays(float, k, elements=st.floats(0.5, 8.0)))
+    omega = draw(hnp.arrays(float, k, elements=st.floats(0.2, 5.0)))
+    theta = draw(hnp.arrays(float, k, elements=st.floats(0.0, 2.0 * np.pi)))
+    kappa = draw(hnp.arrays(float, k, elements=st.floats(0.0, 30.0)))
+    mu = np.column_stack([np.cos(theta), np.sin(theta)])
+    return VmfnmParams(pi / pi.sum(), m, omega, mu, kappa)
+
+
+def plane_integral(logpdf, v):
+    """Integral of exp(logpdf) over r > 0 and the angle: the periodic
+    trapezoid rule (spectrally accurate) on the circle, adaptive
+    quadrature in r, split at the largest radial scale times 10."""
+    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    a = np.column_stack([np.cos(theta), np.sin(theta)])
+
+    def ring(r):
+        return 2.0 * np.pi * np.exp(logpdf(PolarSamples(np.full(theta.size, r), a))).mean()
+
+    scales = np.sqrt(v.omega)
+    cut = 10.0 * scales.max()
+    inner, _ = integrate.quad(ring, 0.0, cut, points=scales, limit=200)
+    outer, _ = integrate.quad(ring, cut, np.inf, limit=200)
+    return inner + outer
+
+
+@settings(max_examples=10, deadline=None)
+@given(v=plane_mixtures())
+def test_property_mixture_densities_normalize_over_the_plane(v):
+    assert plane_integral(lambda s: vmfnm_logpdf(s, v), v) == pytest.approx(1.0, abs=1e-6)
+    for lam in (0.0, 0.5, 1.0):
+        phi = SafeMixtureParams(v, lam)
+        total = plane_integral(lambda s: safe_logpdf(s, phi), v)
+        assert total == pytest.approx(1.0, abs=1e-6), lam
 
 
 # ------------------------------------------------------------------- sampling
