@@ -47,8 +47,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass
 class RunConfig:
@@ -156,26 +154,6 @@ def _weight_cv(log_w: np.ndarray) -> float:
     return cv(np.exp(log_w - shift))
 
 
-def _golden_refine(objective, a: float, b: float) -> tuple[float, float]:
-    x1 = b - _INV_GOLD * (b - a)
-    x2 = a + _INV_GOLD * (b - a)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(80):
-        if b - a < 1e-10:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLD * (b - a)
-            f1 = objective(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLD * (b - a)
-            f2 = objective(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
-
-
 def select_sigma(
     samples: PolarSamples,
     q_log: np.ndarray,
@@ -184,41 +162,40 @@ def select_sigma(
 ) -> float:
     """Choose the next smoothing level on (0, sigma_prev].
 
-    Minimizes (cv(W(sigma)) - delta_target)^2 over ln sigma with a 50-point
-    log-spaced coarse grid followed by golden-section refinement around each
-    local minimum of the grid. Refining every basin matters: the objective
-    drops to near zero wherever cv crosses the target, and such a valley can
-    be narrower than the grid spacing, leaving both bracketing grid values
-    worse than some far-away point. The result never exceeds sigma_prev.
+    Solves cv(W(sigma)) = delta_target for x = ln sigma, the root that
+    Papaioannou et al. (2016, 2019) pose. The excess e(x) = cv(W(e^x))
+    - delta_target is evaluated on a 50-point grid over
+    [ln(1e-8 sigma_prev), ln sigma_prev]. If e changes sign between two
+    neighbouring finite grid points, the cell with the smallest sigma is
+    bisected in ln sigma until it is narrower than 1e-10 and its midpoint
+    is taken. Otherwise the first grid point with the smallest |e| is
+    taken, which is the first one when no e is finite. The result never
+    exceeds sigma_prev.
     """
     if sigma_prev <= 0.0:
         raise ValueError("sigma_prev must be positive")
     rest = prior_logpdf(samples) - q_log
     g = samples.g
 
-    def objective(log_sigma: float) -> float:
-        w_cv = _weight_cv(log_normal_cdf(-g / np.exp(log_sigma)) + rest)
-        if not np.isfinite(w_cv):
-            return np.inf
-        return (w_cv - delta_target) ** 2
+    def excess(log_sigma: float) -> float:
+        return _weight_cv(log_normal_cdf(-g / np.exp(log_sigma)) + rest) - delta_target
 
-    lo = np.log(1e-8 * sigma_prev)
-    hi = np.log(sigma_prev)
-    grid = np.linspace(lo, hi, 50)
-    vals = np.array([objective(x) for x in grid])
-    i_best = int(np.argmin(vals))
-    best_x, best_f = grid[i_best], vals[i_best]
-
-    last = len(grid) - 1
-    for k in range(len(grid)):
-        left = vals[k - 1] if k > 0 else np.inf
-        right = vals[k + 1] if k < last else np.inf
-        # strict test on the left keeps one candidate per flat plateau
-        if not (vals[k] < left and vals[k] <= right):
-            continue
-        x, f = _golden_refine(objective, grid[max(k - 1, 0)], grid[min(k + 1, last)])
-        if f < best_f:
-            best_x, best_f = x, f
+    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
+    e = np.array([excess(x) for x in grid])
+    finite = np.isfinite(e)
+    cells = np.flatnonzero(finite[:-1] & finite[1:] & (e[:-1] * e[1:] < 0.0))
+    if cells.size:
+        i = cells[0]
+        a, b, a_low = grid[i], grid[i + 1], e[i] < 0.0
+        while b - a >= 1e-10:
+            mid = 0.5 * (a + b)
+            if (excess(mid) < 0.0) == a_low:
+                a = mid
+            else:
+                b = mid
+        best_x = 0.5 * (a + b)
+    else:
+        best_x = grid[np.argmin(np.where(finite, np.abs(e), np.inf))]
     return float(min(np.exp(best_x), sigma_prev))
 
 

@@ -37,6 +37,11 @@ __all__ = [
 _LOG_2 = float(np.log(2.0))
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# Largest | |mu| - 1 | a mean direction may have. Mixture parameters and
+# the vMF sampler check against the same value, so any mixture that
+# constructs can be sampled.
+UNIT_NORM_TOL = 1e-8
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Deterministic generator for a 64-bit seed."""
@@ -143,10 +148,10 @@ def vmf_log_normalizer(d: int, kappa):
     return float(out[0]) if scalar else out
 
 
-def _check_unit(vec, name: str, tol: float = 1e-8):
+def _check_unit(vec, name: str):
     norms = np.linalg.norm(vec, axis=-1)
-    if np.any(np.abs(norms - 1.0) > tol):
-        raise ValueError(f"{name} must have unit norm (deviation > {tol})")
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        raise ValueError(f"{name} must have unit norm (deviation > {UNIT_NORM_TOL})")
 
 
 def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
@@ -160,7 +165,7 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
     d = mu.size
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    _check_unit(mu, "mu", tol=1e-12)
+    _check_unit(mu, "mu")
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .distributions import (
+    _check_unit,
     inv_nakagami_logpdf,
     inv_nakagami_sample,
     nakagami_logpdf,
@@ -112,9 +113,7 @@ class VmfnmParams:
             raise ValueError("weights must be positive and sum to 1")
         if np.any(self.m < 0.5) or np.any(self.omega <= 0.0) or np.any(self.kappa < 0.0):
             raise ValueError("invalid component shape parameters")
-        norms = np.linalg.norm(self.mu, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-8):
-            raise ValueError("mean directions must be unit vectors")
+        _check_unit(self.mu, "mean directions")
 
     @property
     def k(self) -> int:

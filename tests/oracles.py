@@ -56,7 +56,7 @@ def vmf_logpdf(a, mu, kappa: float):
     a = np.asarray(a, dtype=float)
     mu = np.asarray(mu, dtype=float)
     d = mu.shape[-1]
-    _check_unit(mu, "mu", tol=1e-12)
+    _check_unit(mu, "mu")
     _check_unit(a, "a")
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")

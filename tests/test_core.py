@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+from safeice import core
 from safeice.core import (
     RunConfig,
     cv,
@@ -24,6 +25,7 @@ from safeice.core import (
 from safeice.distributions import rng_from_seed
 from safeice.mixtures import PolarSamples, SafeMixtureParams, prior_logpdf
 from safeice.problems import Problem, problem_registry
+from safeice.special import log_normal_cdf
 
 
 def prior_samples(rng, problem, n):
@@ -191,6 +193,76 @@ def test_select_sigma_beats_coarse_grid():
     got = select_sigma(s, q_log, 10.0, delta)
     grid = np.exp(np.linspace(np.log(1e-8 * 10.0), np.log(10.0), 50))
     assert objective(got) <= min(objective(x) for x in grid) + 1e-12
+
+
+class _Captured(Exception):
+    pass
+
+
+def first_level_inputs(seed):
+    """The arguments of the first select_sigma call of a four-branch run."""
+    captured = []
+
+    def capture(*args):
+        captured.append(args)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "select_sigma", capture)
+        with pytest.raises(_Captured):
+            run_safe_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=seed))
+    return captured[0]
+
+
+def excess_on_grid(s, q_log, sigma_prev, delta):
+    """select_sigma's log grid and cv(W) - delta at each of its points."""
+    rest = prior_logpdf(s) - q_log
+    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
+    excess = []
+    for x in grid:
+        log_w = log_smooth_indicator(s.g, np.exp(x)) + rest
+        excess.append(cv(np.exp(log_w - log_w.max())) - delta)
+    return grid, np.array(excess)
+
+
+@pytest.mark.parametrize("seed", [1024, 1083, 1097])
+def test_select_sigma_takes_the_smallest_crossing(seed):
+    # cv crosses delta in two grid cells at these first levels; the rule
+    # takes the crossing with the smaller sigma
+    s, q_log, sigma_prev, delta = first_level_inputs(seed)
+    grid, e = excess_on_grid(s, q_log, sigma_prev, delta)
+    assert np.isfinite(e).all()
+    crossing = e[:-1] * e[1:] < 0.0
+    assert crossing.sum() >= 2
+    got = select_sigma(s, q_log, sigma_prev, delta)
+    log_w = intermediate_log_weights(s, got, q_log)
+    assert abs(cv(np.exp(log_w - log_w.max())) - delta) < 1e-6
+    assert not np.any(crossing[grid[1:] < np.log(got)])
+
+
+def test_select_sigma_evaluates_cv_at_most_82_times(monkeypatch):
+    # 50 grid points, then 32 halvings take a grid cell below 1e-10
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return log_normal_cdf(x)
+
+    args = first_level_inputs(1024)
+    monkeypatch.setattr(core, "log_normal_cdf", counted)
+    select_sigma(*args)
+    assert 50 < len(calls) <= 50 + 32
+
+
+def test_select_sigma_without_crossing_takes_the_closest_grid_point():
+    # 800 weights cannot reach a cv of 1000, so no grid cell changes sign
+    rng = rng_from_seed(9)
+    s = prior_samples(rng, problem_registry("two-mode", 3.0, 2), 800)
+    q_log = prior_logpdf(s)
+    grid, e = excess_on_grid(s, q_log, 10.0, 1000.0)
+    assert np.all(e < 0.0)
+    got = select_sigma(s, q_log, 10.0, 1000.0)
+    assert got == min(np.exp(grid[np.argmin(np.abs(e))]), 10.0)
 
 
 def test_select_sigma_rejects_bad_previous():

@@ -8,12 +8,12 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaln, iv
 
-from safeice.distributions import rng_from_seed
+from safeice.distributions import UNIT_NORM_TOL, rng_from_seed
 from safeice.mixtures import (
     PolarSamples,
     SafeMixtureParams,
@@ -358,6 +358,25 @@ def test_safe_sample_fields_and_determinism():
     assert np.array_equal(s1.a, s2.a)
     assert np.all(s1.r > 0)
     assert np.allclose(np.linalg.norm(s1.a, axis=1), 1.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    kappa=st.floats(0.0, 50.0),
+    lam=st.floats(0.0, 1.0),
+    stretch=st.floats(-UNIT_NORM_TOL, UNIT_NORM_TOL),
+)
+@example(d=2, kappa=3.0, lam=1.0, stretch=1e-10)
+def test_property_accepted_mixture_can_be_sampled(d, kappa, lam, stretch):
+    # the mean direction sits anywhere inside the accepted norm band
+    mu = np.full((1, d), (1.0 + stretch) / math.sqrt(d))
+    try:
+        v = VmfnmParams(np.ones(1), np.ones(1), np.ones(1), mu, np.array([kappa]))
+    except ValueError:
+        assume(False)
+    s = safe_sample(rng_from_seed(0), SafeMixtureParams(v, lam), 20)
+    assert s.r.shape == (20,)
 
 
 def test_safe_sample_component_frequencies():
