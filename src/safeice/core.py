@@ -137,12 +137,16 @@ def cv(values) -> float:
     return float(values.std(ddof=1) / mean)
 
 
+def _limit_state(samples: PolarSamples) -> np.ndarray:
+    if samples.g is None:
+        raise ValueError("samples carry no limit-state values")
+    return samples.g
+
+
 def intermediate_log_weights(samples: PolarSamples, sigma: float, q_log: np.ndarray) -> np.ndarray:
     """Unnormalized log importance weights ln W_i = ln h_sigma(g_i)
     + ln p(u_i) - ln q(u_i) for the smoothed target at level sigma."""
-    if samples.g is None:
-        raise ValueError("samples carry no limit-state values")
-    return log_smooth_indicator(samples.g, sigma) + prior_logpdf(samples) - q_log
+    return log_smooth_indicator(_limit_state(samples), sigma) + prior_logpdf(samples) - q_log
 
 
 def _weight_cv(log_w: np.ndarray) -> float:
@@ -174,8 +178,8 @@ def select_sigma(
     """
     if sigma_prev <= 0.0:
         raise ValueError("sigma_prev must be positive")
+    g = _limit_state(samples)
     rest = prior_logpdf(samples) - q_log
-    g = samples.g
 
     def excess(log_sigma: float) -> float:
         return _weight_cv(log_normal_cdf(-g / np.exp(log_sigma)) + rest) - delta_target
@@ -206,10 +210,7 @@ def stop_cv(samples: PolarSamples, sigma: float) -> float:
     Returns +inf when no light samples exist (lambda = 0), when fewer than
     two are available, or when none of them fail.
     """
-    light = ~samples.heavy
-    if not np.any(light):
-        return np.inf
-    g = samples.g[light]
+    g = _limit_state(samples)[~samples.heavy]
     if g.size < 2:
         return np.inf
     fail = g <= 0.0
@@ -238,9 +239,7 @@ def lambda_schedule(sigma: float, horizon: float) -> float:
 def estimate_pf(samples: PolarSamples, phi: SafeMixtureParams) -> float:
     """Importance sampling estimate (1/N) sum_i I{g_i <= 0} p(u_i)/q(u_i)
     evaluated by shifted log-sum-exp over the failure samples."""
-    if samples.g is None:
-        raise ValueError("samples carry no limit-state values")
-    fail = samples.g <= 0.0
+    fail = _limit_state(samples) <= 0.0
     if not np.any(fail):
         logger.warning("estimate_pf: no failure samples; returning 0")
         return 0.0

@@ -43,23 +43,24 @@ KAPPA_MAX = 1e4
 RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
 
 
-def e_step(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
-    """Responsibilities gamma[i, k] = pi_k q_k(u_i) / sum_s pi_s q_s(u_i).
+def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities gamma[i, k] = pi_k q_k(u_i) / sum_s pi_s q_s(u_i)
+    and their row normaliser, the mixture log density ln q(u_i; v).
 
     Computed in log space. Samples with zero density under every component
     get uniform responsibilities (with a diagnostic warning) so the M-step
     stays defined.
     """
     comp_log = np.log(v.pi)[None, :] + _component_logpdfs(samples, v)
-    norm = logsumexp(comp_log, axis=1)
-    bad = ~np.isfinite(norm)
+    log_q = logsumexp(comp_log, axis=1)
+    bad = ~np.isfinite(log_q)
     gamma = np.empty_like(comp_log)
     ok = ~bad
-    gamma[ok] = np.exp(comp_log[ok] - norm[ok, None])
+    gamma[ok] = np.exp(comp_log[ok] - log_q[ok, None])
     if np.any(bad):
         logger.warning("e_step: %d samples with zero density under all components", bad.sum())
         gamma[bad] = 1.0 / v.k
-    return gamma
+    return gamma, log_q
 
 
 def em_weight_update(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -222,23 +223,27 @@ def fit(
 ) -> FitResult:
     """Run the weighted (penalized) EM loop to convergence.
 
-    Weights are held fixed throughout. Each iteration: E-step, weight update
-    with the current beta (beta starts at 1), pruning of nonpositive
-    weights, beta update from the pre-prune vectors, closed-form M-step,
+    Weights are held fixed throughout. Each iteration: weight update with
+    the current beta (beta starts at 1), pruning of nonpositive weights,
+    beta update from the pre-prune vectors, closed-form M-step, E-step,
     and the unpenalized weighted log-likelihood convergence check
-    |l_j - l_{j-1}| < em_tol * |l_j|. With ``penalized=False`` the loop is
+    |l_j - l_{j-1}| < em_tol * |l_j|. The E-step's row normaliser is
+    ln q(u_i; v), so l_j is ``weighted_loglik`` without a second density
+    evaluation, and its responsibilities feed the next iteration; one
+    E-step before the loop starts it. With ``penalized=False`` the loop is
     plain weighted EM at fixed K. All updates are invariant to rescaling
     the weights.
     """
     weights = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(weights > 0.0):
+    pos = weights > 0.0
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(pos):
         raise ValueError("weights must be finite and nonnegative with positive total")
     v = v_init
     beta = 1.0
     l_prev = np.inf
     trace: list = []
+    gamma, _ = e_step(samples, v)
     for _ in range(max_iter):
-        gamma = e_step(samples, v)
         if penalized:
             pi_em = em_weight_update(gamma, weights)
             pi_raw = penalized_weight_update(gamma, weights, v.pi, beta)
@@ -250,7 +255,9 @@ def fit(
             v = VmfnmParams(pi / pi.sum(), v.m, v.omega, v.mu, v.kappa)
         v = m_step_params(samples, gamma, weights, v)
 
-        l_cur = weighted_loglik(samples, weights, v)
+        gamma, log_q = e_step(samples, v)
+        # the rows weighted_loglik keeps, so 0 * (-inf) cannot poison the sum
+        l_cur = float(np.sum(weights[pos] * log_q[pos]))
         trace.append(l_cur)
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < em_tol * abs(l_cur):
             break

@@ -271,6 +271,12 @@ def test_select_sigma_rejects_bad_previous():
         select_sigma(s, np.zeros(3), 0.0, 4.0)
 
 
+def test_select_sigma_rejects_samples_without_limit_state():
+    s = PolarSamples(r=np.ones(3), a=np.tile([[1.0, 0.0]], (3, 1)))
+    with pytest.raises(ValueError, match="no limit-state values"):
+        select_sigma(s, np.zeros(3), 1.0, 1.5)
+
+
 # -------------------------------------------------------------------- stop_cv
 
 
@@ -306,6 +312,12 @@ def test_stop_cv_single_light_sample():
 def test_stop_cv_no_failures():
     s = _light_samples([0.5, 1.0, 2.0])
     assert stop_cv(s, 1.0) == np.inf
+
+
+def test_stop_cv_rejects_samples_without_limit_state():
+    s = PolarSamples(r=np.ones(3), a=np.tile([[1.0, 0.0]], (3, 1)))
+    with pytest.raises(ValueError, match="no limit-state values"):
+        stop_cv(s, 1.0)
 
 
 # ------------------------------------------------------------ lambda schedule
@@ -477,6 +489,13 @@ def test_run_safe_ice_smoke_and_traces():
     assert res.n_failures > 0
     ref = 2.0 * norm.cdf(-3.5)
     assert res.pf == pytest.approx(ref, rel=0.5)
+
+
+def test_run_pins_the_seeded_two_mode_estimate():
+    # `safeice estimate --problem two-mode --z 3.5 --d 2 --seed 0`; the
+    # tolerance admits libm rounding, not a change of the algorithm
+    res = run(problem_registry("two-mode", 3.5, 2), RunConfig(seed=0))
+    assert res.pf == pytest.approx(4.6329712255115915e-4, rel=1e-9)
 
 
 def test_run_safe_ice_deterministic():

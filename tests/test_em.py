@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from safeice import em
 from safeice.distributions import nakagami_sample, rng_from_seed, vmf_sample
 from safeice.em import (
     KAPPA_MAX,
@@ -26,7 +27,7 @@ from safeice.em import (
     prune,
     weighted_loglik,
 )
-from safeice.mixtures import PolarSamples, VmfnmParams, vmfnm_logpdf
+from safeice.mixtures import PolarSamples, VmfnmParams, _component_logpdfs, vmfnm_logpdf
 
 
 def make_params(pi, m, omega, mu, kappa):
@@ -58,7 +59,7 @@ def random_samples(rng, n, d):
 def test_e_step_single_component():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
     s = random_samples(rng_from_seed(0), 20, 2)
-    gamma = e_step(s, v)
+    gamma, _ = e_step(s, v)
     assert np.array_equal(gamma, np.ones((20, 1)))
 
 
@@ -71,7 +72,7 @@ def test_e_step_rows_sum_to_one():
         [2.0, 1.0, 0.0],
     )
     s = random_samples(rng_from_seed(1), 50, 2)
-    gamma = e_step(s, v)
+    gamma, _ = e_step(s, v)
     assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(gamma >= 0.0)
 
@@ -86,7 +87,7 @@ def test_e_step_separated_components():
         [50.0, 50.0],
     )
     s = PolarSamples(np.array([1.0]), np.array([[1.0, 0.0]]))
-    gamma = e_step(s, v)
+    gamma, _ = e_step(s, v)
     assert gamma[0, 0] >= 0.999
 
 
@@ -95,7 +96,7 @@ def test_e_step_symmetric_tie():
         [0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [[1.0, 0.0], [-1.0, 0.0]], [2.0, 2.0]
     )
     s = PolarSamples(np.array([1.0]), np.array([[0.0, 1.0]]))
-    gamma = e_step(s, v)
+    gamma, _ = e_step(s, v)
     assert np.allclose(gamma[0], [0.5, 0.5], atol=1e-12)
 
 
@@ -103,7 +104,7 @@ def test_e_step_zero_density_rows_get_uniform(caplog):
     v = make_params([0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     s = PolarSamples(np.array([1.0, 1e160]), np.array([[1.0, 0.0], [0.0, 1.0]]))
     with caplog.at_level(logging.WARNING):
-        gamma = e_step(s, v)
+        gamma, _ = e_step(s, v)
     assert np.allclose(gamma[1], [0.5, 0.5])
     assert "zero density" in caplog.text
 
@@ -466,6 +467,44 @@ def test_fit_plain_keeps_component_count():
     assert isinstance(res, FitResult)
     assert res.v.k == 2
     assert len(res.loglik_trace) == res.n_iterations
+
+
+@pytest.mark.parametrize("penalized", [True, False])
+def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
+    calls = []
+
+    def counting(samples, v):
+        calls.append(v.k)
+        return _component_logpdfs(samples, v)
+
+    monkeypatch.setattr(em, "_component_logpdfs", counting)
+    rng = rng_from_seed(20)
+    s = random_samples(rng, 300, 2)
+    v0 = make_params(
+        [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
+    )
+    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
+    assert res.n_iterations == 6
+    assert len(calls) == res.n_iterations + 1
+
+
+@pytest.mark.parametrize("penalized", [True, False])
+@pytest.mark.parametrize("zero_every", [0, 3])
+def test_fit_loglik_is_weighted_loglik_exactly(penalized, zero_every):
+    rng = rng_from_seed(21)
+    s = random_samples(rng, 300, 2)
+    w = rng.random(300) + 0.05
+    if zero_every:
+        w[::zero_every] = 0.0
+    v0 = make_params(
+        [0.25, 0.25, 0.5],
+        [1.0, 1.5, 2.0],
+        [1.0, 1.5, 2.0],
+        [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+        [1.0, 2.0, 1.0],
+    )
+    res = fit(s, w, v0, penalized=penalized)
+    assert res.loglik_trace[-1] == weighted_loglik(s, w, res.v)
 
 
 def test_fit_plain_loglik_nondecreasing():
