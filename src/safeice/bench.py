@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import RunConfig, RunResult, cv, run
 
-__all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "persist"]
+__all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "json_record", "persist"]
 
 _RUN_FIELDS = ("run", "seed", "pf", "iterations", "final_k", "lsf_evals", "converged")
 
@@ -83,6 +84,20 @@ def summary_record(stats: BenchmarkStats) -> dict:
     }
 
 
+def _strict(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, list):
+        return [_strict(x) for x in value]
+    return value
+
+
+def json_record(record: dict) -> str:
+    """``record`` as one line of strict JSON, which has no Infinity or NaN:
+    a non-finite float is written as null."""
+    return json.dumps({key: _strict(value) for key, value in record.items()}, allow_nan=False)
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -94,7 +109,7 @@ def _fmt(value) -> str:
 def persist(stats: BenchmarkStats, path: str, fmt: str = "jsonl") -> None:
     """Write per-run records followed by one summary record.
 
-    jsonl: one JSON object per line. csv: union header of run and summary
+    jsonl: one ``json_record`` per line. csv: union header of run and summary
     columns, floats with 17 significant digits; both round-trip float
     values bit-exactly.
     """
@@ -105,8 +120,8 @@ def persist(stats: BenchmarkStats, path: str, fmt: str = "jsonl") -> None:
     if fmt == "jsonl":
         with open(path, "w") as fh:
             for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-            fh.write(json.dumps(summary) + "\n")
+                fh.write(json_record(rec) + "\n")
+            fh.write(json_record(summary) + "\n")
     elif fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -4,7 +4,8 @@ Subcommands: estimate (one run, JSON record on stdout), bench (repeated
 runs persisted to a file, summary record on stdout), oracle (crude Monte
 Carlo), list-problems. Options may also come from a JSON config file via
 --config; explicit flags win over the file, which wins over defaults.
-stdout carries only machine-parsable records; diagnostics go to stderr.
+stdout carries only machine-parsable records, one strict JSON object per
+line (a non-finite float is null); diagnostics go to stderr.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -18,7 +19,7 @@ from dataclasses import asdict, fields
 from types import NoneType
 from typing import get_args, get_type_hints
 
-from .bench import persist, run_repetitions, summary_record
+from .bench import json_record, persist, run_repetitions, summary_record
 from .core import RunConfig, run
 from .oracle import mc_estimate
 from .problems import PROBLEM_NAMES, PROBLEMS, problem_registry
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
 
     if args.command == "list-problems":
         for name, (d, _) in PROBLEMS.items():
-            print(json.dumps({"name": name, "d": d}))
+            print(json_record({"name": name, "d": d}))
         return 0
 
     try:
@@ -129,16 +130,16 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "estimate":
-            print(json.dumps(asdict(run(problem, _run_config(opts)))))
+            print(json_record(asdict(run(problem, _run_config(opts)))))
             return 0
         if args.command == "oracle":
             est = mc_estimate(problem, **_given(opts, ["n_total", "batch_size", "seed"]))
-            print(json.dumps(asdict(est)))
+            print(json_record(asdict(est)))
             return 0
         if args.command == "bench":
             stats = run_repetitions(problem, _run_config(opts), opts["reps"], opts["p_ref"])
             persist(stats, opts["out"], **({"fmt": opts["format"]} if "format" in opts else {}))
-            print(json.dumps(summary_record(stats)))
+            print(json_record(summary_record(stats)))
             return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

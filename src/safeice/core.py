@@ -5,12 +5,13 @@ toward the sharp indicator, refitting the proposal each level from weighted
 samples. The safe variant mixes a heavy-tailed radial kernel into the
 proposal with weight 1 - lambda(sigma), where lambda follows a cosine
 schedule in sigma, and prunes mixture components through the penalized EM.
-The baseline keeps a fixed component count, plain EM, and no heavy kernel.
+The baseline has no heavy kernel and runs the same EM with zero penalty.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -70,6 +71,10 @@ class RunConfig:
     method: str = "safe-ice"
 
     def __post_init__(self):
+        for name in ("n_per_iter", "k_init", "max_outer", "max_em", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_per_iter < 10:
             raise ValueError("n_per_iter must be at least 10")
         if self.k_init < 1:
@@ -275,7 +280,7 @@ def run(problem, config: RunConfig) -> RunResult:
 
     "safe-ice" mixes the heavy inverse-Nakagami kernel into the proposal
     and prunes components through the penalized EM; "ice" keeps the light
-    mixture only, with a fixed K and plain EM.
+    mixture only, fitted by plain EM (the same loop at beta = 0).
     """
     if problem.dim < 2:
         raise ValueError("adaptive sampling requires dimension >= 2")
@@ -356,5 +361,5 @@ def run_safe_ice(problem, config: RunConfig) -> RunResult:
 
 
 def run_ice(problem, config: RunConfig) -> RunResult:
-    """Baseline adaptive run: light mixture only, fixed K, plain EM."""
+    """Baseline adaptive run: light mixture only, plain EM."""
     return run(problem, replace(config, method="ice"))

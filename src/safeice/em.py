@@ -7,7 +7,8 @@ pushes components whose weight sits below the mixture entropy toward zero.
 Components whose updated weight is nonpositive are pruned. The penalty
 strength beta adapts each iteration: it collapses while the weights are
 still moving (so plain EM progress is not disturbed) and recovers toward
-its cap as they stall, which is when the pruning pressure acts.
+its cap as they stall, which is when the pruning pressure acts. At beta
+fixed to 0 the loop is plain weighted EM, which prunes only zero EM weights.
 """
 
 from __future__ import annotations
@@ -74,20 +75,20 @@ def em_weight_update(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def penalized_weight_update(
     gamma: np.ndarray, weights: np.ndarray, pi_old: np.ndarray, beta: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """EM weight update plus the entropy penalty.
 
     pi_new_k = pi_em_k + beta * (sum_i W_i / sum_i sum_s gamma_is W_i)
                        * pi_old_k * (ln pi_old_k - E)
 
-    with E = sum_s pi_old_s ln pi_old_s. Entries may come out nonpositive;
-    prune() removes them. The update preserves sum(pi) = 1 because the
-    penalty terms sum to zero.
+    with E = sum_s pi_old_s ln pi_old_s; returns (pi_em, pi_new). Entries of
+    pi_new may come out nonpositive; prune() removes them. The update
+    preserves sum(pi) = 1 because the penalty terms sum to zero.
     """
     pi_em = em_weight_update(gamma, weights)
     entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
     ratio = float(weights.sum()) / float((gamma * weights[:, None]).sum())
-    return pi_em + beta * ratio * pi_old * (np.log(pi_old) - entropy_sum)
+    return pi_em, pi_em + beta * ratio * pi_old * (np.log(pi_old) - entropy_sum)
 
 
 def prune(
@@ -224,35 +225,31 @@ def fit(
     """Run the weighted (penalized) EM loop to convergence.
 
     Weights are held fixed throughout. Each iteration: weight update with
-    the current beta (beta starts at 1), pruning of nonpositive weights,
-    beta update from the pre-prune vectors, closed-form M-step, E-step,
-    and the unpenalized weighted log-likelihood convergence check
-    |l_j - l_{j-1}| < em_tol * |l_j|. The E-step's row normaliser is
-    ln q(u_i; v), so l_j is ``weighted_loglik`` without a second density
-    evaluation, and its responsibilities feed the next iteration; one
-    E-step before the loop starts it. With ``penalized=False`` the loop is
-    plain weighted EM at fixed K. All updates are invariant to rescaling
-    the weights.
+    the current beta, pruning of nonpositive weights, beta update from the
+    pre-prune vectors, closed-form M-step, E-step, and the unpenalized
+    weighted log-likelihood convergence check |l_j - l_{j-1}| < em_tol *
+    |l_j|. The E-step's row normaliser is ln q(u_i; v), so l_j is
+    ``weighted_loglik`` without a second density evaluation, and its
+    responsibilities feed the next iteration; one E-step before the loop
+    starts it. beta starts at 1; with ``penalized=False`` it stays 0, which
+    is plain weighted EM: only components of EM weight exactly 0 are
+    pruned. All updates are invariant to rescaling the weights.
     """
     weights = np.asarray(weights, dtype=float)
     pos = weights > 0.0
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(pos):
         raise ValueError("weights must be finite and nonnegative with positive total")
     v = v_init
-    beta = 1.0
+    beta = 1.0 if penalized else 0.0
     l_prev = np.inf
     trace: list = []
     gamma, _ = e_step(samples, v)
     for _ in range(max_iter):
+        pi_old = v.pi
+        pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta)
+        v, gamma = prune(pi_raw, gamma, v)
         if penalized:
-            pi_em = em_weight_update(gamma, weights)
-            pi_raw = penalized_weight_update(gamma, weights, v.pi, beta)
-            pi_old = v.pi
-            v, gamma = prune(pi_raw, gamma, v)
             beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, len(samples))
-        else:
-            pi = np.maximum(em_weight_update(gamma, weights), 1e-300)
-            v = VmfnmParams(pi / pi.sum(), v.m, v.omega, v.mu, v.kappa)
         v = m_step_params(samples, gamma, weights, v)
 
         gamma, log_q = e_step(samples, v)

@@ -193,11 +193,11 @@ def test_em_algebra():
         w = rng.lognormal(size=n)
         pi_old = rng.dirichlet(np.ones(k))
         beta = float(rng.uniform())
-        pi_new = penalized_weight_update(gamma, w, pi_old, beta)
+        _, pi_new = penalized_weight_update(gamma, w, pi_old, beta)
         worst_sum = max(worst_sum, abs(float(pi_new.sum()) - 1.0))
-        plain = penalized_weight_update(gamma, w, pi_old, 0.0)
+        _, plain = penalized_weight_update(gamma, w, pi_old, 0.0)
         worst_plain = max(worst_plain, float(np.max(np.abs(plain - em_weight_update(gamma, w)))))
-        scaled = penalized_weight_update(gamma, 7.0 * w, pi_old, beta)
+        _, scaled = penalized_weight_update(gamma, 7.0 * w, pi_old, beta)
         worst_scale = max(worst_scale, float(np.max(np.abs(scaled - pi_new))))
         d = int(rng.integers(2, 6))
         u = rng.standard_normal((n, d))
@@ -209,7 +209,7 @@ def test_em_algebra():
         for name in ("m", "omega", "mu", "kappa"):
             diff = getattr(params, name) - getattr(params7, name)
             worst_scale = max(worst_scale, float(np.max(np.abs(diff))))
-    hand = penalized_weight_update(np.eye(2), np.ones(2), np.array([0.9, 0.1]), 1.0)
+    _, hand = penalized_weight_update(np.eye(2), np.ones(2), np.array([0.9, 0.1]), 1.0)
     hand_ok = abs(hand[0] - 0.697750) <= 1e-6 and abs(hand[1] - 0.302249) <= 1e-6
     ok = worst_sum <= 1e-12 and worst_plain <= 1e-12 and worst_scale <= 1e-10 and hand_ok
     detail = (

@@ -381,6 +381,24 @@ def test_oracle_record(capsys):
     assert rec["pf"] == pytest.approx(0.3173, abs=0.02)
 
 
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_oracle_without_failures_prints_strict_json(capsys):
+    # no failure in 1000 draws makes the binomial cv infinite
+    rc, out, _ = run_cli(
+        capsys, ["oracle", "--problem", "two-mode", "--z", "8", "--d", "2", "--n-total", "1000"]
+    )
+    assert rc == 0
+    rec = _strict_json(out)
+    assert rec["n_failures"] == 0
+    assert rec["cv"] is None
+
+
 def test_oracle_deterministic(capsys):
     argv = ["oracle", "--problem", "two-mode", "--z", "2.5", "--n-total", "50000", "--seed", "7"]
     _, out1, _ = run_cli(capsys, argv)
@@ -405,6 +423,19 @@ def test_bench_writes_runs_and_summary(tmp_path, capsys):
     stdout_summary = json.loads(out)
     assert stdout_summary["n_runs"] == 2
     assert stdout_summary["summary"] is True
+
+
+def test_bench_without_failures_writes_strict_json(tmp_path, capsys):
+    # every pf is 0, so the cv across runs is infinite
+    out_path = tmp_path / "y.jsonl"
+    argv = ["bench", "--problem", "two-mode", "--z", "40", "--d", "2", "--reps", "2",
+            "--max-outer", "1", "--n-per-iter", "100", "--p-ref", "1e-15", "--out", str(out_path)]
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert _strict_json(out)["cv"] is None
+    lines = out_path.read_text().splitlines()
+    assert [_strict_json(line)["pf"] for line in lines[:2]] == [0.0, 0.0]
+    assert _strict_json(lines[2]) == _strict_json(out)
 
 
 def test_bench_csv_format(tmp_path, capsys):

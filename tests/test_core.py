@@ -470,6 +470,16 @@ def test_run_config_validation(kwargs):
         RunConfig(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("k_init", 2.5), ("n_per_iter", 100.5), ("max_em", 2.5), ("max_outer", 1.5), ("seed", 1.5)],
+)
+def test_run_config_rejects_non_integral_counts(name, value):
+    # a fractional seed would draw the stream of its integer part
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        RunConfig(**{name: value})
+
+
 # ------------------------------------------------------------------ run loops
 
 
@@ -531,12 +541,21 @@ def test_run_ice_single_component_unimodal():
 
 
 def test_run_ice_survives_a_floored_component():
-    # on this seed plain EM kept a component at its 1e-300 weight floor
+    # on this seed plain EM once kept a component of tiny positive weight
     # whose direction could not be normalized, and the run raised
     res = run_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1023))
     assert res.converged
     assert res.final_k == 20
     assert res.pf > 0.0
+
+
+def test_run_ice_drops_components_of_zero_em_weight(caplog):
+    # plain EM on this seed drives six components to an EM weight of
+    # exactly 0; they are pruned instead of kept as dead columns
+    with caplog.at_level("WARNING"):
+        res = run_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1020))
+    assert res.final_k < 20
+    assert not [r for r in caplog.records if r.name == "safeice.em"]
 
 
 def test_run_hits_outer_limit(caplog):

@@ -131,9 +131,9 @@ def test_penalized_update_beta_zero_is_plain_em():
     gamma = rng.dirichlet(np.ones(4), size=30)
     w = rng.random(30)
     pi_old = rng.dirichlet(np.ones(4))
-    assert np.array_equal(
-        penalized_weight_update(gamma, w, pi_old, 0.0), em_weight_update(gamma, w)
-    )
+    pi_em, pi_new = penalized_weight_update(gamma, w, pi_old, 0.0)
+    assert np.array_equal(pi_em, em_weight_update(gamma, w))
+    assert np.array_equal(pi_new, pi_em)
 
 
 def test_penalized_update_uniform_pi_has_zero_penalty():
@@ -142,14 +142,15 @@ def test_penalized_update_uniform_pi_has_zero_penalty():
         gamma = rng.dirichlet(np.ones(k), size=25)
         w = rng.random(25)
         pi_old = np.full(k, 1.0 / k)
-        out = penalized_weight_update(gamma, w, pi_old, 1.0)
+        _, out = penalized_weight_update(gamma, w, pi_old, 1.0)
         assert np.allclose(out, em_weight_update(gamma, w), atol=1e-15)
 
 
 def test_penalized_update_hand_example():
     # gamma = I, W = (1, 1), pi_old = (0.9, 0.1), beta = 1:
     # pi_em = (1/2, 1/2), ratio = 1, E = 0.9 ln 0.9 + 0.1 ln 0.1
-    out = penalized_weight_update(np.eye(2), np.array([1.0, 1.0]), np.array([0.9, 0.1]), 1.0)
+    pi_em, out = penalized_weight_update(np.eye(2), np.array([1.0, 1.0]), np.array([0.9, 0.1]), 1.0)
+    assert np.array_equal(pi_em, [0.5, 0.5])
     assert out[0] == pytest.approx(0.697750, abs=1e-6)
     assert out[1] == pytest.approx(0.302249, abs=1e-5)
     # full-precision values of the same arithmetic
@@ -166,7 +167,7 @@ def test_penalized_update_sums_to_one():
         w = rng.random(n) + 0.01
         pi_old = rng.dirichlet(np.ones(k))
         beta = 2.0 * rng.random()
-        out = penalized_weight_update(gamma, w, pi_old, beta)
+        _, out = penalized_weight_update(gamma, w, pi_old, beta)
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
@@ -175,8 +176,8 @@ def test_penalized_update_weight_scale_invariance():
     gamma = rng.dirichlet(np.ones(3), size=40)
     w = rng.random(40) + 0.1
     pi_old = rng.dirichlet(np.ones(3))
-    a = penalized_weight_update(gamma, w, pi_old, 0.7)
-    b = penalized_weight_update(gamma, 7.0 * w, pi_old, 0.7)
+    _, a = penalized_weight_update(gamma, w, pi_old, 0.7)
+    _, b = penalized_weight_update(gamma, 7.0 * w, pi_old, 0.7)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -252,9 +253,9 @@ def test_property_penalized_update_normalized_and_scale_invariant(resp, data, be
     w = data.draw(hnp.arrays(float, gamma.shape[0], elements=st.floats(1e-3, 1e3)))
     pi_old = data.draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1.0)))
     pi_old /= pi_old.sum()
-    out = penalized_weight_update(gamma, w, pi_old, beta)
+    _, out = penalized_weight_update(gamma, w, pi_old, beta)
     assert abs(out.sum() - 1.0) <= 1e-12
-    scaled = penalized_weight_update(gamma, scale * w, pi_old, beta)
+    _, scaled = penalized_weight_update(gamma, scale * w, pi_old, beta)
     assert np.allclose(scaled, out, rtol=0.0, atol=1e-12)
 
 
@@ -380,9 +381,9 @@ def test_m_step_dead_component_flagged(caplog):
 
 
 def test_m_step_underflowing_resultant_keeps_row():
-    # plain EM floors weights at 1e-300, so a component can keep a
-    # responsibility mass near 1e-160; the squares of its resultant's
-    # entries underflow and the norm is too inexact to normalize by
+    # a component can keep a tiny positive responsibility mass, here near
+    # 1e-160; the squares of its resultant's entries underflow and the
+    # norm is too inexact to normalize by
     s = random_samples(rng_from_seed(11), 50, 2)
     gamma = np.column_stack([np.ones(50), np.full(50, 1e-160 / 50)])
     v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
@@ -486,6 +487,47 @@ def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
     res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
     assert res.n_iterations == 6
     assert len(calls) == res.n_iterations + 1
+
+
+def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
+    # the third component points away from every sample with kappa 1e4,
+    # so its responsibilities underflow to exactly 0 and so does its EM
+    # weight; plain EM drops it rather than keep a dead column
+    rng = rng_from_seed(22)
+    theta = rng.uniform(-0.5, 0.5, 200)
+    a = np.column_stack([np.cos(theta), np.sin(theta)])
+    s = PolarSamples(np.exp(rng.uniform(-1, 1, 200)), a)
+    v0 = make_params(
+        [0.4, 0.4, 0.2],
+        [1.0, 2.0, 1.0],
+        [1.0, 2.0, 1.0],
+        [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+        [1.0, 1.0, KAPPA_MAX],
+    )
+    assert np.all(e_step(s, v0)[0][:, 2] == 0.0)
+    with caplog.at_level(logging.WARNING):
+        res = fit(s, np.ones(200), v0, penalized=False)
+    assert res.v.k == 2
+    assert "zero responsibility mass" not in caplog.text
+
+
+@pytest.mark.parametrize("penalized", [True, False])
+def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
+    calls = []
+
+    def counting(gamma, weights):
+        calls.append(gamma.shape[1])
+        return em_weight_update(gamma, weights)
+
+    monkeypatch.setattr(em, "em_weight_update", counting)
+    rng = rng_from_seed(20)
+    s = random_samples(rng, 300, 2)
+    v0 = make_params(
+        [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
+    )
+    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
+    assert res.n_iterations == 6
+    assert len(calls) == res.n_iterations
 
 
 @pytest.mark.parametrize("penalized", [True, False])
