@@ -61,8 +61,8 @@ def run_repetitions(problem, config: RunConfig, n_runs: int, p_ref: float) -> Be
     """
     if n_runs < 2:
         raise ValueError("need at least two runs for spread statistics")
-    if p_ref <= 0.0:
-        raise ValueError("p_ref must be positive")
+    if not p_ref > 0.0:  # NaN fails too
+        raise ValueError(f"p_ref must be positive, got {p_ref!r}")
     runs = [run(problem, replace(config, seed=config.seed + i)) for i in range(n_runs)]
     return BenchmarkStats(p_ref=p_ref, runs=runs)
 

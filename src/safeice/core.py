@@ -27,7 +27,7 @@ from .mixtures import (
     safe_sample,
 )
 from .problems import evaluate_lsf
-from .special import log_normal_cdf, normal_cdf
+from .special import log_normal_cdf, normal_cdf, shifted_exp
 
 __all__ = [
     "RunConfig",
@@ -71,24 +71,18 @@ class RunConfig:
     method: str = "safe-ice"
 
     def __post_init__(self):
-        for name in ("n_per_iter", "k_init", "max_outer", "max_em", "seed"):
+        least = {"n_per_iter": 10, "k_init": 1, "max_outer": 1, "max_em": 1, "seed": 0}
+        for name, low in least.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_per_iter < 10:
-            raise ValueError("n_per_iter must be at least 10")
-        if self.k_init < 1:
-            raise ValueError("k_init must be at least 1")
-        if self.delta_star <= 0.0 or self.delta_target <= 0.0:
-            raise ValueError("cv thresholds must be positive")
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
-        if self.anneal_horizon is not None and self.anneal_horizon <= 0.0:
-            raise ValueError("anneal_horizon must be positive")
-        if self.max_outer < 1 or self.max_em < 1:
-            raise ValueError("iteration limits must be at least 1")
-        if self.em_tol <= 0.0:
-            raise ValueError("em_tol must be positive")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}, got {value}")
+        horizon = () if self.anneal_horizon is None else ("anneal_horizon",)
+        for name in ("delta_star", "delta_target", "sigma0", "em_tol", *horizon):
+            value = getattr(self, name)
+            if not value > 0.0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {value!r}")
         if self.method not in ("safe-ice", "ice"):
             raise ValueError("method must be 'safe-ice' or 'ice'")
 
@@ -131,13 +125,13 @@ def log_smooth_indicator(g, sigma: float):
 def cv(values) -> float:
     """Coefficient of variation (sample std over mean, ddof=1).
 
-    Returns +inf when the mean is zero; requires at least two values.
+    Returns +inf when the mean is 0 or not finite; needs two or more values.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("cv needs at least two values")
     mean = values.mean()
-    if mean == 0.0:
+    if mean == 0.0 or not np.isfinite(mean):
         return np.inf
     return float(values.std(ddof=1) / mean)
 
@@ -157,10 +151,7 @@ def intermediate_log_weights(samples: PolarSamples, sigma: float, q_log: np.ndar
 def _weight_cv(log_w: np.ndarray) -> float:
     if log_w.size < 2:
         return np.inf
-    shift = log_w.max()
-    if not np.isfinite(shift):
-        return np.inf
-    return cv(np.exp(log_w - shift))
+    return cv(shifted_exp(log_w)[0])
 
 
 def select_sigma(
@@ -249,9 +240,8 @@ def estimate_pf(samples: PolarSamples, phi: SafeMixtureParams) -> float:
         logger.warning("estimate_pf: no failure samples; returning 0")
         return 0.0
     sub = samples.subset(fail)
-    log_w = prior_logpdf(sub) - safe_logpdf(sub, phi)
-    shift = log_w.max()
-    return float(np.exp(shift) * np.exp(log_w - shift).sum() / len(samples))
+    w, shift = shifted_exp(prior_logpdf(sub) - safe_logpdf(sub, phi))
+    return float(np.exp(shift) * w.sum() / len(samples))
 
 
 def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
@@ -327,8 +317,7 @@ def run(problem, config: RunConfig) -> RunResult:
         else:
             stagnant = 0
 
-        log_w = intermediate_log_weights(samples, sigma_new, q_log)
-        weights = np.exp(log_w - log_w.max())
+        weights, _ = shifted_exp(intermediate_log_weights(samples, sigma_new, q_log))
         result = fit(
             samples,
             weights,

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .mixtures import PolarSamples, VmfnmParams, _component_logpdfs, vmfnm_logpdf
+from .special import shifted_exp
 
 __all__ = [
     "e_step",
@@ -48,20 +49,19 @@ def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarra
     """Responsibilities gamma[i, k] = pi_k q_k(u_i) / sum_s pi_s q_s(u_i)
     and their row normaliser, the mixture log density ln q(u_i; v).
 
-    Computed in log space. Samples with zero density under every component
-    get uniform responsibilities (with a diagnostic warning) so the M-step
-    stays defined.
+    Both come from one shifted exponential of the joint log densities.
+    Samples with zero density under every component get uniform
+    responsibilities (with a diagnostic warning) so the M-step stays defined.
     """
-    comp_log = np.log(v.pi)[None, :] + _component_logpdfs(samples, v)
-    log_q = logsumexp(comp_log, axis=1)
+    e, shift = shifted_exp(_component_logpdfs(samples, v), axis=1)
+    total = e.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(total) + shift
     bad = ~np.isfinite(log_q)
-    gamma = np.empty_like(comp_log)
-    ok = ~bad
-    gamma[ok] = np.exp(comp_log[ok] - log_q[ok, None])
     if np.any(bad):
         logger.warning("e_step: %d samples with zero density under all components", bad.sum())
-        gamma[bad] = 1.0 / v.k
-    return gamma, log_q
+        e[bad], total[bad] = 1.0, v.k
+    return e / total[:, None], log_q
 
 
 def em_weight_update(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -198,12 +198,13 @@ def m_step_params(
 
 
 def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) -> float:
-    """Weighted mixture log likelihood sum_i W_i ln q(u_i; v), skipping
-    zero-weight samples so 0 * (-inf) cannot poison the sum."""
-    pos = weights > 0.0
-    if not np.any(pos):
-        return 0.0
-    return float(np.sum(weights[pos] * vmfnm_logpdf(samples.subset(pos), v)))
+    """Weighted mixture log likelihood sum_i W_i ln q(u_i; v)."""
+    return _loglik(weights, vmfnm_logpdf(samples, v))
+
+
+def _loglik(weights: np.ndarray, log_q: np.ndarray) -> float:
+    pos = weights > 0.0  # so 0 * (-inf) cannot poison the sum
+    return float(np.sum(weights[pos] * log_q[pos]))
 
 
 @dataclass
@@ -236,8 +237,7 @@ def fit(
     pruned. All updates are invariant to rescaling the weights.
     """
     weights = np.asarray(weights, dtype=float)
-    pos = weights > 0.0
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(pos):
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(weights > 0.0):
         raise ValueError("weights must be finite and nonnegative with positive total")
     v = v_init
     beta = 1.0 if penalized else 0.0
@@ -253,8 +253,7 @@ def fit(
         v = m_step_params(samples, gamma, weights, v)
 
         gamma, log_q = e_step(samples, v)
-        # the rows weighted_loglik keeps, so 0 * (-inf) cannot poison the sum
-        l_cur = float(np.sum(weights[pos] * log_q[pos]))
+        l_cur = _loglik(weights, log_q)
         trace.append(l_cur)
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < em_tol * abs(l_cur):
             break

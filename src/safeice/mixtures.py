@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     _check_unit,
@@ -33,7 +32,7 @@ from .distributions import (
     vmf_log_normalizer,
     vmf_sample,
 )
-from .special import log_gamma
+from .special import log_gamma, log_sum_exp
 
 __all__ = [
     "PolarSamples",
@@ -129,21 +128,18 @@ def _nakagami_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
     return nakagami_logpdf(samples.r[:, None], v.m[None, :], v.omega[None, :])
 
 
-def _vmf_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
-    """(n, K) vMF angular log densities, one column per component."""
-    return vmf_log_normalizer(v.dim, v.kappa)[None, :] + (samples.a @ v.mu.T) * v.kappa[None, :]
-
-
-def _component_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
-    """(n, K) matrix of per-component vMFN log densities (no mixture weights)."""
-    radial = _nakagami_logpdfs(samples, v)
-    angular = _vmf_logpdfs(samples, v)
-    return radial + angular
+def _component_logpdfs(samples: PolarSamples, v: VmfnmParams, radial=None) -> np.ndarray:
+    """(n, K) joint ln pi_k + radial_k + ln vMF_k of each sample and component;
+    ``radial`` holds the (n, K) radial log densities, Nakagami by default."""
+    if radial is None:
+        radial = _nakagami_logpdfs(samples, v)
+    angular = vmf_log_normalizer(v.dim, v.kappa)[None, :] + (samples.a @ v.mu.T) * v.kappa[None, :]
+    return np.log(v.pi)[None, :] + radial + angular
 
 
 def vmfnm_logpdf(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
     """Log density of the light vMFNM mixture at each sample."""
-    return logsumexp(np.log(v.pi)[None, :] + _component_logpdfs(samples, v), axis=1)
+    return log_sum_exp(_component_logpdfs(samples, v), axis=1)
 
 
 def heavy_params_from_light(v: VmfnmParams) -> tuple[int, np.ndarray]:
@@ -198,10 +194,8 @@ def _safe_radial_logpdfs(samples: PolarSamples, phi: SafeMixtureParams) -> np.nd
 
 def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
     """Log density of the safe mixture at each sample."""
-    v = phi.light
-    radial = _safe_radial_logpdfs(samples, phi)
-    angular = _vmf_logpdfs(samples, v)
-    return logsumexp(np.log(v.pi)[None, :] + radial + angular, axis=1)
+    joint = _component_logpdfs(samples, phi.light, _safe_radial_logpdfs(samples, phi))
+    return log_sum_exp(joint, axis=1)
 
 
 def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> PolarSamples:

@@ -1,8 +1,8 @@
 """Scalar special functions used by the radial and angular densities.
 
 Everything here is a thin, well-tested numerical kernel: log-gamma, the
-standard normal CDF and the exponentially scaled modified Bessel function
-of the first kind in log space.
+standard normal CDF, the scaled modified Bessel function of the first
+kind in log space, and the max-shifted exponential of log weights.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ __all__ = [
     "normal_cdf",
     "log_normal_cdf",
     "log_bessel_i_scaled",
+    "shifted_exp",
+    "log_sum_exp",
 ]
 
 
@@ -86,3 +88,18 @@ def log_bessel_i_scaled(order: float, x):
         out[pos] = vals
     return float(out[0]) if scalar else out
 
+
+def shifted_exp(x, axis=-1):
+    """exp(x - shift) and the shift, the max of ``x`` along ``axis`` or 0
+    where that max is not finite; the shift comes back with ``axis``
+    removed. A sum of the exponentials is 0 only where x is all -inf."""
+    shift = np.max(x, axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    return np.exp(x - shift), np.squeeze(shift, axis=axis)
+
+
+def log_sum_exp(x, axis=-1):
+    """ln sum exp(x) along ``axis``; -inf where every entry is -inf."""
+    e, shift = shifted_exp(x, axis)
+    with np.errstate(divide="ignore"):
+        return np.log(e.sum(axis=axis)) + shift

@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +95,18 @@ def test_estimate_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+def test_readme_estimate_record_is_current(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command, block = re.search(
+        r"(safeice estimate [^\n]*--seed 42)\n.*?`estimate` prints one JSON record:\s*```json\n(.*?)```",
+        readme,
+        re.S,
+    ).groups()
+    rc, out, _ = run_cli(capsys, command.split()[1:])
+    assert rc == 0
+    assert json.loads(out) == json.loads(block)
+
+
 def test_estimate_ice_keeps_k(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -168,6 +182,24 @@ def test_out_of_range_numeric_exits_2(capsys):
     )
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        ("estimate", "--delta-star", "nan", "delta_star"),
+        ("estimate", "--em-tol", "nan", "em_tol"),
+        ("estimate", "--seed", "-1", "seed"),
+        ("bench", "--p-ref", "nan", "p_ref"),
+    ],
+)
+def test_nan_or_negative_seed_exits_2_naming_the_field(capsys, command, flag, value, field):
+    # a NaN fails every range check, and a negative seed is refused
+    # before numpy can reject it in its own words
+    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + [flag, value])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
 
 
 # ---------------------------------------------------------------- config file

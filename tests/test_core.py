@@ -472,6 +472,22 @@ def test_run_config_validation(kwargs):
 
 @pytest.mark.parametrize(
     "name, value",
+    [
+        ("delta_star", float("nan")),
+        ("delta_target", float("nan")),
+        ("sigma0", float("nan")),
+        ("anneal_horizon", float("nan")),
+        ("em_tol", float("nan")),
+        ("seed", -1),
+    ],
+)
+def test_run_config_rejects_nan_and_negative_seed_by_name(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
     [("k_init", 2.5), ("n_per_iter", 100.5), ("max_em", 2.5), ("max_outer", 1.5), ("seed", 1.5)],
 )
 def test_run_config_rejects_non_integral_counts(name, value):
@@ -505,7 +521,7 @@ def test_run_pins_the_seeded_two_mode_estimate():
     # `safeice estimate --problem two-mode --z 3.5 --d 2 --seed 0`; the
     # tolerance admits libm rounding, not a change of the algorithm
     res = run(problem_registry("two-mode", 3.5, 2), RunConfig(seed=0))
-    assert res.pf == pytest.approx(4.6329712255115915e-4, rel=1e-9)
+    assert res.pf == pytest.approx(4.632971225545504e-4, rel=1e-9)
 
 
 def test_run_safe_ice_deterministic():

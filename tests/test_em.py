@@ -5,6 +5,7 @@ synthetic recovery experiment that exercises component collapse."""
 
 import logging
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -103,9 +104,11 @@ def test_e_step_symmetric_tie():
 def test_e_step_zero_density_rows_get_uniform(caplog):
     v = make_params([0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     s = PolarSamples(np.array([1.0, 1e160]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with caplog.at_level(logging.WARNING):
-        gamma, _ = e_step(s, v)
+    with caplog.at_level(logging.WARNING), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma, log_q = e_step(s, v)
     assert np.allclose(gamma[1], [0.5, 0.5])
+    assert log_q[1] == -np.inf and np.isfinite(log_q[0])
     assert "zero density" in caplog.text
 
 

@@ -1,15 +1,21 @@
-"""Scalar special-function kernels: frozen high-precision values and
-cross-checks between the two Bessel evaluation routes."""
+"""Scalar special-function kernels: frozen high-precision values,
+cross-checks between the two Bessel evaluation routes, and the shifted
+exponential against scipy's log-sum-exp."""
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from safeice.special import (
     _log_bessel_i_series,
     log_bessel_i_scaled,
     log_gamma,
     log_normal_cdf,
+    log_sum_exp,
     normal_cdf,
+    shifted_exp,
 )
 
 from oracles import bessel_ratio
@@ -131,3 +137,39 @@ def test_bessel_ratio_domain():
         bessel_ratio(1, 1.0)
     with pytest.raises(ValueError):
         bessel_ratio(3, -0.5)
+
+
+# ------------------------------------------------------ shifted exponential
+
+
+def test_log_sum_exp_matches_scipy():
+    special_rows = [
+        [-np.inf, 2.0, -np.inf, -1.0],
+        [-np.inf, -np.inf, -np.inf, -np.inf],
+        [700.0, 699.5, -700.0, 0.0],
+        [-700.0, -701.5, -745.0, -np.inf],
+        [709.0, 709.0, 709.0, 709.0],
+    ]
+    x = np.vstack([np.random.default_rng(5).normal(0.0, 30.0, (40, 4)), special_rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_sum_exp(x, axis=1)
+        e, shift = shifted_exp(x, axis=1)
+    want = logsumexp(x, axis=1)
+    assert got[41] == want[41] == -np.inf
+    finite = np.isfinite(want)
+    assert finite.sum() == len(x) - 1
+    assert np.allclose(got[finite], want[finite], rtol=1e-13, atol=0.0)
+    # a row's largest entry maps to 1; an all -inf row to zeros with shift 0
+    assert np.all(e[finite].max(axis=1) == 1.0)
+    assert np.all(e[41] == 0.0) and shift[41] == 0.0
+    assert np.array_equal(log_sum_exp(x.T, axis=0), got)
+
+
+def test_shifted_exp_is_exp_of_the_max_difference_exactly():
+    # estimate_pf, the weight cv and the EM weights take their bits from
+    # this being exp(x - x.max()) exactly
+    x = np.random.default_rng(6).normal(-400.0, 50.0, 1000)
+    e, shift = shifted_exp(x)
+    assert shift == x.max()
+    assert np.array_equal(e, np.exp(x - x.max()))
