@@ -81,8 +81,8 @@ class RunConfig:
         horizon = () if self.anneal_horizon is None else ("anneal_horizon",)
         for name in ("delta_star", "delta_target", "sigma0", "em_tol", *horizon):
             value = getattr(self, name)
-            if not value > 0.0:  # NaN fails too
-                raise ValueError(f"{name} must be positive, got {value!r}")
+            if not 0.0 < value < np.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.method not in ("safe-ice", "ice"):
             raise ValueError("method must be 'safe-ice' or 'ice'")
 

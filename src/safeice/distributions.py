@@ -58,6 +58,29 @@ def _check_shape_params(m, omega):
     return m, omega
 
 
+def _radial_coefficients(m, omega, side: int):
+    """(ln C, 2 side m - 1, -m / omega) of the one form of the Nakagami
+    (side = +1) and inverse-Nakagami (side = -1) log densities,
+
+        ln pdf(r) = ln C + (2 side m - 1) ln r - (m / omega) r^(2 side),
+
+    with C = 2 m^m / (Gamma(m) omega^m); broadcasts over m and omega."""
+    m, omega = _check_shape_params(m, omega)
+    log_c = _LOG_2 + m * np.log(m) - log_gamma(m) - m * np.log(omega)
+    return log_c, 2.0 * side * m - 1.0, -m / omega
+
+
+def _radial_logpdf(r, m, omega, side: int):
+    log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("radius must be positive")
+    # r^(2 side) overflows for r past ~1e154 (side = +1) or below ~1e-154
+    # (side = -1); the log density then saturates to -inf, the right limit
+    with np.errstate(over="ignore"):
+        return log_c + b_log * np.log(r) + b_pow * r ** (2.0 * side)
+
+
 def nakagami_logpdf(r, m, omega):
     """Log density of the Nakagami(m, omega) law at radius r > 0.
 
@@ -65,21 +88,7 @@ def nakagami_logpdf(r, m, omega):
 
     Broadcasts over all arguments; raises on r <= 0.
     """
-    m, omega = _check_shape_params(m, omega)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be positive")
-    # radii far out in the tail overflow the quadratic term; the log density
-    # then saturates to -inf, which is the correct limit
-    with np.errstate(over="ignore"):
-        return (
-            _LOG_2
-            + m * np.log(m)
-            - log_gamma(m)
-            - m * np.log(omega)
-            + (2.0 * m - 1.0) * np.log(r)
-            - m * r * r / omega
-        )
+    return _radial_logpdf(r, m, omega, 1)
 
 
 def nakagami_sample(rng: np.random.Generator, m, omega, size=None):
@@ -98,21 +107,7 @@ def inv_nakagami_logpdf(r, m, omega):
 
     The polynomial tail r^-(2m+1) is what makes the safe proposal heavy.
     """
-    m, omega = _check_shape_params(m, omega)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be positive")
-    # r * r can underflow to zero for subnormal radii; the density saturates
-    # to -inf there, so silence the spurious divide warning
-    with np.errstate(divide="ignore", over="ignore"):
-        return (
-            _LOG_2
-            + m * np.log(m)
-            - log_gamma(m)
-            - m * np.log(omega)
-            - (2.0 * m + 1.0) * np.log(r)
-            - m / (omega * r * r)
-        )
+    return _radial_logpdf(r, m, omega, -1)
 
 
 def inv_nakagami_sample(rng: np.random.Generator, m, omega, size=None):

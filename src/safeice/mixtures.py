@@ -12,6 +12,8 @@ counterpart at a global annealing weight lambda:
 The heavy radial parameters are derived from the light ones so that the
 inverse-Nakagami mode sits exactly at the Nakagami mean, with shape
 m_h = ceil(sqrt(d)) pinning the polynomial tail order to the dimension.
+Its log density is that of a 2K-component mixture: K light columns of
+weight lambda pi_k and K heavy columns of weight (1 - lambda) pi_k.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import numpy as np
 
 from .distributions import (
     _check_unit,
-    inv_nakagami_logpdf,
+    _radial_coefficients,
     inv_nakagami_sample,
-    nakagami_logpdf,
     nakagami_sample,
     prior_radial_logpdf,
     uniform_sphere_logpdf,
@@ -123,18 +124,26 @@ class VmfnmParams:
         return self.mu.shape[1]
 
 
-def _nakagami_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
-    """(n, K) Nakagami radial log densities, one column per component."""
-    return nakagami_logpdf(samples.r[:, None], v.m[None, :], v.omega[None, :])
+def _mixture_columns(samples: PolarSamples, v: VmfnmParams, w, m, omega, side: int) -> np.ndarray:
+    """(n, K) joint ln w_k + radial_k + ln vMF_k of each sample and component,
+    the radial law Nakagami(m_k, omega_k) for side = +1 and its reciprocal
+    for side = -1: the (n, 2) statistics [ln r, r^(2 side)] times the (2, K)
+    radial coefficients, plus a @ (kappa mu)^T, plus one constant per column.
+    """
+    log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
+    coef = np.vstack(np.broadcast_arrays(b_log, b_pow))
+    # r^(2 side) overflows to inf in the tail the law decays in, where the
+    # product is -inf, the right limit; matmul flags an inf operand as invalid
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.stack((np.log(samples.r), samples.r ** (2.0 * side)), axis=1) @ coef
+    out += samples.a @ (v.kappa[:, None] * v.mu).T
+    out += np.log(w) + log_c + vmf_log_normalizer(v.dim, v.kappa)
+    return out
 
 
-def _component_logpdfs(samples: PolarSamples, v: VmfnmParams, radial=None) -> np.ndarray:
-    """(n, K) joint ln pi_k + radial_k + ln vMF_k of each sample and component;
-    ``radial`` holds the (n, K) radial log densities, Nakagami by default."""
-    if radial is None:
-        radial = _nakagami_logpdfs(samples, v)
-    angular = vmf_log_normalizer(v.dim, v.kappa)[None, :] + (samples.a @ v.mu.T) * v.kappa[None, :]
-    return np.log(v.pi)[None, :] + radial + angular
+def _component_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
+    """(n, K) joint ln pi_k + Nak_k + ln vMF_k of the light mixture."""
+    return _mixture_columns(samples, v, v.pi, v.m, v.omega, 1)
 
 
 def vmfnm_logpdf(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
@@ -177,25 +186,14 @@ class SafeMixtureParams:
             raise ValueError("invalid heavy radial parameters")
 
 
-def _safe_radial_logpdfs(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
-    """(n, K) log of lambda * Nak_k + (1 - lambda) * InvNak_k per component."""
-    v = phi.light
-    lam = phi.lam
-    if lam == 1.0:
-        return _nakagami_logpdfs(samples, v)
-    heavy = inv_nakagami_logpdf(
-        samples.r[:, None], float(phi.heavy_m), phi.heavy_omega[None, :]
-    )
-    if lam == 0.0:
-        return heavy
-    light = _nakagami_logpdfs(samples, v)
-    return np.logaddexp(np.log(lam) + light, np.log1p(-lam) + heavy)
-
-
 def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
-    """Log density of the safe mixture at each sample."""
-    joint = _component_logpdfs(samples, phi.light, _safe_radial_logpdfs(samples, phi))
-    return log_sum_exp(joint, axis=1)
+    """Log density of the safe mixture at each sample: the log-sum-exp over
+    K light columns of weight lambda pi_k and K heavy columns of weight
+    (1 - lambda) pi_k. A set of columns of weight 0 is left out."""
+    v, lam = phi.light, phi.lam
+    sides = ((lam, v.m, v.omega, 1), (1.0 - lam, phi.heavy_m, phi.heavy_omega, -1))
+    columns = [_mixture_columns(samples, v, w * v.pi, *radial) for w, *radial in sides if w > 0.0]
+    return log_sum_exp(np.concatenate(columns, axis=1), axis=1)
 
 
 def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> PolarSamples:

@@ -5,8 +5,15 @@ other way, so the tests can compare the two.
 """
 
 import numpy as np
+from scipy.special import logsumexp
 
-from safeice.distributions import _check_unit, uniform_sphere_logpdf, vmf_log_normalizer
+from safeice.distributions import (
+    _check_unit,
+    inv_nakagami_logpdf,
+    nakagami_logpdf,
+    uniform_sphere_logpdf,
+    vmf_log_normalizer,
+)
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
@@ -64,3 +71,22 @@ def vmf_logpdf(a, mu, kappa: float):
         base = uniform_sphere_logpdf(d)
         return base if a.ndim == 1 else np.full(a.shape[0], base)
     return vmf_log_normalizer(d, kappa) + kappa * (a @ mu)
+
+
+def safe_logpdf_per_component(samples, phi):
+    """Log density of the safe mixture component by component:
+
+        ln q = logsumexp_k [ln pi_k + ln(lambda Nak_k(r) + (1 - lambda) InvNak_k(r))
+                            + ln vMF_k(a)]
+
+    with the radial mixture joined by ``np.logaddexp`` for 0 < lambda < 1,
+    rather than as 2K separately weighted columns."""
+    v, lam = phi.light, phi.lam
+    r = samples.r[:, None]
+    light = nakagami_logpdf(r, v.m[None, :], v.omega[None, :])
+    heavy = inv_nakagami_logpdf(r, float(phi.heavy_m), phi.heavy_omega[None, :])
+    radial = np.logaddexp(np.log(lam) + light, np.log1p(-lam) + heavy)
+    angular = np.column_stack(
+        [vmf_logpdf(samples.a, mu, kappa) for mu, kappa in zip(v.mu, v.kappa)]
+    )
+    return logsumexp(np.log(v.pi)[None, :] + radial + angular, axis=1)

@@ -105,6 +105,13 @@ def test_readme_estimate_record_is_current(capsys):
     rc, out, _ = run_cli(capsys, command.split()[1:])
     assert rc == 0
     assert json.loads(out) == json.loads(block)
+    # the worked example names the pf of its first command
+    pf, command = re.search(
+        r"The z = 3\.5 run prints pf ([^:\s]+):\s*```sh\n([^\n]*)\n", readme
+    ).groups()
+    rc, out, _ = run_cli(capsys, command.split()[1:])
+    assert rc == 0
+    assert json.loads(out)["pf"] == float(pf)
 
 
 def test_estimate_ice_keeps_k(capsys):
@@ -191,11 +198,17 @@ def test_out_of_range_numeric_exits_2(capsys):
         ("estimate", "--em-tol", "nan", "em_tol"),
         ("estimate", "--seed", "-1", "seed"),
         ("bench", "--p-ref", "nan", "p_ref"),
+        ("estimate", "--sigma0", "inf", "sigma0"),
+        ("estimate", "--delta-target", "inf", "delta_target"),
+        ("estimate", "--delta-star", "inf", "delta_star"),
+        ("estimate", "--em-tol", "inf", "em_tol"),
+        ("estimate", "--anneal-horizon", "inf", "anneal_horizon"),
+        ("bench", "--p-ref", "inf", "p_ref"),
     ],
 )
 def test_nan_or_negative_seed_exits_2_naming_the_field(capsys, command, flag, value, field):
-    # a NaN fails every range check, and a negative seed is refused
-    # before numpy can reject it in its own words
+    # a NaN or an infinity fails every range check, and a negative seed is
+    # refused before numpy can reject it in its own words
     rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + [flag, value])
     assert rc == 2
     assert out == ""

@@ -479,6 +479,11 @@ def test_run_config_validation(kwargs):
         ("anneal_horizon", float("nan")),
         ("em_tol", float("nan")),
         ("seed", -1),
+        ("delta_star", float("inf")),
+        ("delta_target", float("inf")),
+        ("sigma0", float("inf")),
+        ("anneal_horizon", float("inf")),
+        ("em_tol", float("inf")),
     ],
 )
 def test_run_config_rejects_nan_and_negative_seed_by_name(name, value):

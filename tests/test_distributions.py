@@ -2,8 +2,12 @@
 quadrature, identity between reciprocal pairs, and sampler agreement with
 the analytic CDFs."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
 
@@ -102,6 +106,20 @@ def test_inv_nakagami_reciprocal_identity():
         lhs = inv_nakagami_logpdf(r, m, omega)
         rhs = nakagami_logpdf(1.0 / r, m, omega) - 2.0 * np.log(r)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_r=st.floats(-5.0, 5.0),
+    m=st.floats(0.5, 50.0),
+    omega=st.floats(0.05, 50.0),
+)
+def test_property_inv_nakagami_is_nakagami_of_the_reciprocal(log_r, m, omega):
+    # both laws are one formula at side +1 and -1
+    r = math.exp(log_r)
+    lhs = inv_nakagami_logpdf(r, m, omega)
+    rhs = nakagami_logpdf(1.0 / r, m, omega) - 2.0 * math.log(r)
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 def test_inv_nakagami_tail_order():

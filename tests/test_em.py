@@ -102,13 +102,16 @@ def test_e_step_symmetric_tie():
 
 
 def test_e_step_zero_density_rows_get_uniform(caplog):
+    # r^2 overflows past ~1.3e154, so 1e160 and 1e200 have zero density;
+    # at 1e-200 it underflows to 0 and the density stays finite
     v = make_params([0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
-    s = PolarSamples(np.array([1.0, 1e160]), np.array([[1.0, 0.0], [0.0, 1.0]]))
+    a = np.tile([[1.0, 0.0], [0.0, 1.0]], (2, 1))
+    s = PolarSamples(np.array([1.0, 1e160, 1e200, 1e-200]), a)
     with caplog.at_level(logging.WARNING), warnings.catch_warnings():
         warnings.simplefilter("error")
         gamma, log_q = e_step(s, v)
-    assert np.allclose(gamma[1], [0.5, 0.5])
-    assert log_q[1] == -np.inf and np.isfinite(log_q[0])
+    assert np.allclose(gamma[1:3], 0.5)
+    assert np.all(log_q[1:3] == -np.inf) and np.isfinite(log_q[[0, 3]]).all()
     assert "zero density" in caplog.text
 
 

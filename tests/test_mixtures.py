@@ -4,6 +4,7 @@ derivation, and the importance-weight identity against an analytic
 probability."""
 
 import math
+import warnings
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -24,6 +25,8 @@ from safeice.mixtures import (
     safe_sample,
     vmfnm_logpdf,
 )
+
+from oracles import safe_logpdf_per_component
 
 
 def nak_pdf(r, m, omega):
@@ -293,6 +296,45 @@ def test_safe_logpdf_continuous_at_lambda_edges():
     near_one = safe_logpdf(s, SafeMixtureParams(v, 1.0 - 1e-13))
     at_one = safe_logpdf(s, SafeMixtureParams(v, 1.0))
     assert np.allclose(near_one, at_one, atol=1e-10)
+
+
+def random_mixture(rng, d, k=4):
+    mu = rng.standard_normal((k, d))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    return VmfnmParams(
+        pi=rng.dirichlet(np.ones(k)),
+        m=rng.uniform(0.6, 4.0, k),
+        omega=rng.uniform(0.5, d + 3.0, k),
+        mu=mu,
+        kappa=rng.uniform(0.0, 20.0, k),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 5, 20])
+@pytest.mark.parametrize("lam", [0.3, 0.7])
+def test_safe_logpdf_matches_the_per_component_form(lam, d):
+    # 2K weighted columns and the per-component radial mixture are one density
+    rng = rng_from_seed(d)
+    phi = SafeMixtureParams(random_mixture(rng, d), lam)
+    s = safe_sample(rng, phi, 400)
+    want = safe_logpdf_per_component(s, phi)
+    np.testing.assert_allclose(safe_logpdf(s, phi), want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_safe_logpdf_at_extreme_radii_is_minus_inf_not_nan(lam):
+    # r^2 overflows above ~1.3e154 and r^-2 below ~7.5e-155, so the light
+    # columns are -inf at the two large radii and the heavy ones at the
+    # small radius; the density is -inf where every column in play is
+    v = two_component_2d()
+    s = PolarSamples(np.array([1e-200, 1e160, 1e200]), np.tile([1.0, 0.0], (3, 1)))
+    light_dead = np.array([False, True, True])
+    expected = {0.0: ~light_dead, 0.5: np.zeros(3, dtype=bool), 1.0: light_dead}[lam]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = safe_logpdf(s, SafeMixtureParams(v, lam))
+    assert not np.isnan(out).any()
+    assert np.array_equal(np.isneginf(out), expected)
 
 
 # -------------------------------------------------------------- normalization
