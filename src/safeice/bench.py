@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RunConfig, RunResult, cv, run
+from .core import RunConfig, RunResult, _check_integer, _check_positive, cv, run
 
 __all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "json_record", "persist"]
 
@@ -59,10 +59,8 @@ def run_repetitions(problem, config: RunConfig, n_runs: int, p_ref: float) -> Be
     Repetition i runs with seed config.seed + i, so results are
     reproducible.
     """
-    if n_runs < 2:
-        raise ValueError("need at least two runs for spread statistics")
-    if not 0.0 < p_ref < math.inf:  # NaN fails too
-        raise ValueError(f"p_ref must be positive and finite, got {p_ref!r}")
+    _check_integer("n_runs", n_runs, 2)  # the spread statistics need two
+    _check_positive("p_ref", p_ref)
     runs = [run(problem, replace(config, seed=config.seed + i)) for i in range(n_runs)]
     return BenchmarkStats(p_ref=p_ref, runs=runs)
 

@@ -49,6 +49,20 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Reject a bool, a non-integer or a value below ``least``, by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_positive(name: str, value) -> None:
+    """Reject a bool, a non-number or a value not in (0, inf), NaN too, by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Settings for one estimation run.
@@ -73,16 +87,10 @@ class RunConfig:
     def __post_init__(self):
         least = {"n_per_iter": 10, "k_init": 1, "max_outer": 1, "max_em": 1, "seed": 0}
         for name, low in least.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be at least {low}, got {value}")
+            _check_integer(name, getattr(self, name), low)
         horizon = () if self.anneal_horizon is None else ("anneal_horizon",)
         for name in ("delta_star", "delta_target", "sigma0", "em_tol", *horizon):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _check_positive(name, getattr(self, name))
         if self.method not in ("safe-ice", "ice"):
             raise ValueError("method must be 'safe-ice' or 'ice'")
 

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .mixtures import PolarSamples, VmfnmParams, _component_logpdfs, vmfnm_logpdf
+from .mixtures import PolarSamples, VmfnmParams, _mixture_columns, vmfnm_logpdf
 from .special import shifted_exp
 
 __all__ = [
     "e_step",
-    "em_weight_update",
+    "batch_statistics",
     "penalized_weight_update",
     "prune",
     "beta_update",
@@ -53,7 +53,7 @@ def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarra
     Samples with zero density under every component get uniform
     responsibilities (with a diagnostic warning) so the M-step stays defined.
     """
-    e, shift = shifted_exp(_component_logpdfs(samples, v), axis=1)
+    e, shift = shifted_exp(_mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=1)
     total = e.sum(axis=1)
     with np.errstate(divide="ignore"):
         log_q = np.log(total) + shift
@@ -64,31 +64,32 @@ def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarra
     return e / total[:, None], log_q
 
 
-def em_weight_update(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Unpenalized weight update pi_k = sum_i gamma_ik W_i / sum_i sum_s gamma_is W_i."""
-    num = gamma.T @ weights
-    denom = float((gamma * weights[:, None]).sum())
-    if denom <= 0.0:
-        raise ValueError("total responsibility mass is zero")
-    return num / denom
+def batch_statistics(samples: PolarSamples, weights: np.ndarray) -> np.ndarray:
+    """(n, d + 3) matrix S = W [1, r^2, r^4, a] of a weighted batch; gamma^T S
+    holds each component's mass, weighted r^2 and r^4 sums and resultant."""
+    r2 = samples.r**2
+    return weights[:, None] * np.column_stack((np.ones(len(samples)), r2, r2 * r2, samples.a))
 
 
 def penalized_weight_update(
     gamma: np.ndarray, weights: np.ndarray, pi_old: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """EM weight update plus the entropy penalty.
+    """EM weight update plus the entropy penalty, returned as (pi_em, pi_new):
 
-    pi_new_k = pi_em_k + beta * (sum_i W_i / sum_i sum_s gamma_is W_i)
-                       * pi_old_k * (ln pi_old_k - E)
+    pi_em = gamma^T W / sum(gamma^T W)
+    pi_new_k = pi_em_k + beta * pi_old_k * (ln pi_old_k - E),  E = sum_s pi_old_s ln pi_old_s
 
-    with E = sum_s pi_old_s ln pi_old_s; returns (pi_em, pi_new). Entries of
-    pi_new may come out nonpositive; prune() removes them. The update
-    preserves sum(pi) = 1 because the penalty terms sum to zero.
+    The penalty of Yang, Lai & Lin has a factor sum_i W_i / sum_i sum_s gamma_is
+    W_i, which is 1 as e_step and prune make every row of gamma sum to 1.
+    pi_new sums to 1; prune() removes its entries <= 0.
     """
-    pi_em = em_weight_update(gamma, weights)
+    mass = gamma.T @ weights
+    total = float(mass.sum())
+    if total <= 0.0:
+        raise ValueError("total responsibility mass is zero")
+    pi_em = mass / total
     entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
-    ratio = float(weights.sum()) / float((gamma * weights[:, None]).sum())
-    return pi_em, pi_em + beta * ratio * pi_old * (np.log(pi_old) - entropy_sum)
+    return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
 
 
 def prune(
@@ -148,10 +149,9 @@ def beta_update(
     return first
 
 
-def m_step_params(
-    samples: PolarSamples, gamma: np.ndarray, weights: np.ndarray, v: VmfnmParams
-) -> VmfnmParams:
-    """Closed-form component parameter updates from weighted responsibilities.
+def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> VmfnmParams:
+    """Closed-form component parameter updates, all read off the one product
+    gamma^T S of the responsibilities and the ``batch_statistics`` S.
 
     Radial: omega_k is the weighted mean of r^2 and m_k the inverse relative
     variance of r^2 (clamped to [0.5 + 1e-6, 1e4]). Angular: mu_k is the
@@ -161,39 +161,30 @@ def m_step_params(
     with no responsibility mass, a resultant too small to normalize or a
     degenerate radial moment also keeps its parameters from ``v``.
     """
-    d = samples.dim
-    c = gamma * weights[:, None]
-    s0 = c.sum(axis=0)
-    dead = s0 <= 0.0
+    sums = gamma.T @ stats
+    dead = sums[:, 0] <= 0.0
     if np.any(dead):
         logger.warning("m_step: %d components with zero responsibility mass", dead.sum())
-    s0_safe = np.where(dead, 1.0, s0)
+    s0_safe = np.where(dead, 1.0, sums[:, 0])
 
-    r2 = samples.r**2
-    mean_r2 = (c * r2[:, None]).sum(axis=0) / s0_safe
-    mean_r4 = (c * (r2 * r2)[:, None]).sum(axis=0) / s0_safe
-    var_r2 = mean_r4 - mean_r2**2
-    omega = mean_r2
+    omega, mean_r4 = sums[:, 1:3].T / s0_safe  # omega is the mean of r^2
+    var_r2 = mean_r4 - omega**2
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(var_r2 > 0.0, mean_r2**2 / var_r2, np.inf)
+        m = np.where(var_r2 > 0.0, omega**2 / var_r2, np.inf)
     m = np.clip(m, M_MIN, M_MAX)
 
-    resultant = c.T @ samples.a
-    res_norm = np.linalg.norm(resultant, axis=1)
+    res_norm = np.linalg.norm(sums[:, 3:], axis=1)  # of the resultant
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu = resultant / res_norm[:, None]
+        mu = sums[:, 3:] / res_norm[:, None]
         rbar = res_norm / s0_safe
-        kappa = np.where(
-            rbar < 1.0, rbar * (d - rbar**2) / (1.0 - rbar**2), np.inf
-        )
+        kappa = np.where(rbar < 1.0, rbar * (v.dim - rbar**2) / (1.0 - rbar**2), np.inf)
     kappa = np.clip(kappa, 0.0, KAPPA_MAX)
 
     bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | (omega <= 0.0)
-    if np.any(bad):
-        m[bad] = v.m[bad]
-        omega[bad] = v.omega[bad]
-        mu[bad] = v.mu[bad]
-        kappa[bad] = v.kappa[bad]
+    m[bad] = v.m[bad]
+    omega[bad] = v.omega[bad]
+    mu[bad] = v.mu[bad]
+    kappa[bad] = v.kappa[bad]
     return VmfnmParams(v.pi, m, omega, mu, kappa)
 
 
@@ -225,11 +216,11 @@ def fit(
 ) -> FitResult:
     """Run the weighted (penalized) EM loop to convergence.
 
-    Weights are held fixed throughout. Each iteration: weight update with
-    the current beta, pruning of nonpositive weights, beta update from the
-    pre-prune vectors, closed-form M-step, E-step, and the unpenalized
-    weighted log-likelihood convergence check |l_j - l_{j-1}| < em_tol *
-    |l_j|. The E-step's row normaliser is ln q(u_i; v), so l_j is
+    Samples and weights are held fixed, so ``batch_statistics`` S is built
+    once. Each iteration: weight update with the current beta, pruning of
+    nonpositive weights, beta update from the pre-prune vectors, M-step,
+    E-step, and the unpenalized weighted log-likelihood convergence check
+    |l_j - l_{j-1}| < em_tol * |l_j|. The E-step's row normaliser is ln q(u_i; v), so l_j is
     ``weighted_loglik`` without a second density evaluation, and its
     responsibilities feed the next iteration; one E-step before the loop
     starts it. beta starts at 1; with ``penalized=False`` it stays 0, which
@@ -243,6 +234,7 @@ def fit(
     beta = 1.0 if penalized else 0.0
     l_prev = np.inf
     trace: list = []
+    stats = batch_statistics(samples, weights)
     gamma, _ = e_step(samples, v)
     for _ in range(max_iter):
         pi_old = v.pi
@@ -250,7 +242,7 @@ def fit(
         v, gamma = prune(pi_raw, gamma, v)
         if penalized:
             beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, len(samples))
-        v = m_step_params(samples, gamma, weights, v)
+        v = m_step_params(gamma, stats, v)
 
         gamma, log_q = e_step(samples, v)
         l_cur = _loglik(weights, log_q)

@@ -124,31 +124,32 @@ class VmfnmParams:
         return self.mu.shape[1]
 
 
-def _mixture_columns(samples: PolarSamples, v: VmfnmParams, w, m, omega, side: int) -> np.ndarray:
-    """(n, K) joint ln w_k + radial_k + ln vMF_k of each sample and component,
-    the radial law Nakagami(m_k, omega_k) for side = +1 and its reciprocal
-    for side = -1: the (n, 2) statistics [ln r, r^(2 side)] times the (2, K)
-    radial coefficients, plus a @ (kappa mu)^T, plus one constant per column.
-    """
-    log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
-    coef = np.vstack(np.broadcast_arrays(b_log, b_pow))
-    # r^(2 side) overflows to inf in the tail the law decays in, where the
-    # product is -inf, the right limit; matmul flags an inf operand as invalid
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.stack((np.log(samples.r), samples.r ** (2.0 * side)), axis=1) @ coef
-    out += samples.a @ (v.kappa[:, None] * v.mu).T
-    out += np.log(w) + log_c + vmf_log_normalizer(v.dim, v.kappa)
-    return out
-
-
-def _component_logpdfs(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
-    """(n, K) joint ln pi_k + Nak_k + ln vMF_k of the light mixture."""
-    return _mixture_columns(samples, v, v.pi, v.m, v.omega, 1)
+def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.ndarray:
+    """(n, K) joints ln w_k + radial_k + ln vMF_k for each set (w, m, omega,
+    side) of ``column_sets``, side by side. The radial law, Nakagami(m_k,
+    omega_k) at side = +1 and its reciprocal at side = -1, is the (n, 2)
+    statistics [ln r, r^(2 side)] times (2, K) coefficients; ln r and the
+    vMF term a @ (kappa mu)^T + its normalizer are computed once per call."""
+    log_r = np.log(samples.r)
+    angular = samples.a @ (v.kappa[:, None] * v.mu).T
+    log_vmf = vmf_log_normalizer(v.dim, v.kappa)
+    blocks = []
+    for w, m, omega, side in column_sets:
+        log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
+        coef = np.vstack(np.broadcast_arrays(b_log, b_pow))
+        # r^(2 side) overflows to inf in the tail the law decays in, where the
+        # product is -inf, the right limit; matmul flags an inf operand as invalid
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.stack((log_r, samples.r ** (2.0 * side)), axis=1) @ coef
+        out += angular
+        out += np.log(w) + log_c + log_vmf
+        blocks.append(out)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def vmfnm_logpdf(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
     """Log density of the light vMFNM mixture at each sample."""
-    return log_sum_exp(_component_logpdfs(samples, v), axis=1)
+    return log_sum_exp(_mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=1)
 
 
 def heavy_params_from_light(v: VmfnmParams) -> tuple[int, np.ndarray]:
@@ -192,8 +193,8 @@ def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
     (1 - lambda) pi_k. A set of columns of weight 0 is left out."""
     v, lam = phi.light, phi.lam
     sides = ((lam, v.m, v.omega, 1), (1.0 - lam, phi.heavy_m, phi.heavy_omega, -1))
-    columns = [_mixture_columns(samples, v, w * v.pi, *radial) for w, *radial in sides if w > 0.0]
-    return log_sum_exp(np.concatenate(columns, axis=1), axis=1)
+    columns = [(w * v.pi, *radial) for w, *radial in sides if w > 0.0]
+    return log_sum_exp(_mixture_columns(samples, v, columns), axis=1)
 
 
 def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> PolarSamples:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_integer
 from .distributions import rng_from_seed
 from .problems import evaluate_lsf
 
@@ -33,10 +34,9 @@ def mc_estimate(
     merely slice the same sequence). cv is the binomial coefficient of
     variation sqrt((1 - pf) / (n pf)).
     """
-    if n_total < 1:
-        raise ValueError("n_total must be positive")
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
+    _check_integer("n_total", n_total, 1)
+    _check_integer("batch_size", batch_size, 1)
+    _check_integer("seed", seed, 0)
     rng = rng_from_seed(seed)
     d = problem.dim
     n_failures = 0

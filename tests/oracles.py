@@ -5,7 +5,7 @@ other way, so the tests can compare the two.
 """
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from safeice.distributions import (
     _check_unit,
@@ -14,6 +14,8 @@ from safeice.distributions import (
     uniform_sphere_logpdf,
     vmf_log_normalizer,
 )
+from safeice.em import KAPPA_MAX, M_MAX, M_MIN, RESULTANT_MIN
+from safeice.mixtures import VmfnmParams
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
@@ -90,3 +92,58 @@ def safe_logpdf_per_component(samples, phi):
         [vmf_logpdf(samples.a, mu, kappa) for mu, kappa in zip(v.mu, v.kappa)]
     )
     return logsumexp(np.log(v.pi)[None, :] + radial + angular, axis=1)
+
+
+def penalized_weight_update(gamma, weights, pi_old, beta):
+    """EM weight update plus the entropy penalty with the factor of Yang,
+    Lai & Lin written out and every sum taken over the (n, K) product
+    gamma W:
+
+        pi_em_k = sum_i gamma_ik W_i / sum_i sum_s gamma_is W_i
+        pi_new_k = pi_em_k + beta * (sum_i W_i / sum_i sum_s gamma_is W_i)
+                           * pi_old_k * (ln pi_old_k - E)
+
+    with E = sum_s pi_old_s ln pi_old_s; returns (pi_em, pi_new)."""
+    mass = float((gamma * weights[:, None]).sum())
+    if mass <= 0.0:
+        raise ValueError("total responsibility mass is zero")
+    pi_em = gamma.T @ weights / mass
+    entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
+    ratio = float(weights.sum()) / mass
+    return pi_em, pi_em + beta * ratio * pi_old * (np.log(pi_old) - entropy_sum)
+
+
+def m_step_params(samples, gamma, weights, v):
+    """Closed-form M-step from the (n, K) products c = gamma W, c r^2 and
+    c r^4, reduced column by column, and the resultant c^T a; a component
+    with no mass, a resultant too small to normalize or a degenerate radial
+    moment keeps its parameters from ``v``."""
+    d = samples.dim
+    c = gamma * weights[:, None]
+    s0 = c.sum(axis=0)
+    dead = s0 <= 0.0
+    s0_safe = np.where(dead, 1.0, s0)
+
+    r2 = samples.r**2
+    mean_r2 = (c * r2[:, None]).sum(axis=0) / s0_safe
+    mean_r4 = (c * (r2 * r2)[:, None]).sum(axis=0) / s0_safe
+    var_r2 = mean_r4 - mean_r2**2
+    omega = mean_r2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.where(var_r2 > 0.0, mean_r2**2 / var_r2, np.inf)
+    m = np.clip(m, M_MIN, M_MAX)
+
+    resultant = c.T @ samples.a
+    res_norm = np.linalg.norm(resultant, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = resultant / res_norm[:, None]
+        rbar = res_norm / s0_safe
+        kappa = np.where(rbar < 1.0, rbar * (d - rbar**2) / (1.0 - rbar**2), np.inf)
+    kappa = np.clip(kappa, 0.0, KAPPA_MAX)
+
+    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | (omega <= 0.0)
+    m[bad] = v.m[bad]
+    omega[bad] = v.omega[bad]
+    mu[bad] = v.mu[bad]
+    kappa[bad] = v.kappa[bad]
+    return VmfnmParams(v.pi, m, omega, mu, kappa)

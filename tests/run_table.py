@@ -1,0 +1,134 @@
+"""Run-structure table of seeded estimator runs, for changes that move
+the digests in the last bits.
+
+    PYTHONPATH=src python tests/run_table.py run OUT.jsonl
+    python tests/run_table.py compare BEFORE.jsonl AFTER.jsonl
+
+``run`` makes every run of SETS with the ``safeice`` on PYTHONPATH, one
+after another, and writes one JSON line per run: set, seed, pf as hex,
+iterations, final_k, lsf_evals and converged. Point PYTHONPATH at a
+checkout of the parent commit's ``src`` to make the "before" table.
+
+``compare`` prints the runs whose structure (iterations, final_k,
+lsf_evals, converged) changed, the largest relative pf difference in each
+set with its seed, and for each four-branch 600-seed set the relative RMSE
+against the reference pf of perfbench/references.json, the RMSE without
+the 6 largest errors, the runs above twice the reference and the largest
+ratio pf / reference.
+
+pytest does not collect this file; a full ``run`` takes a few minutes on
+one core.
+"""
+
+from __future__ import annotations
+
+import os
+
+# BLAS threading can change the last bits of a product; pin it as
+# perfbench/run.py does, before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import logging
+import math
+from pathlib import Path
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+STRUCTURE = ("iterations", "final_k", "lsf_evals", "converged")
+N_TRIMMED = 6
+
+# name: (problem, z, d, method, n_per_iter, seeds)
+SETS = {
+    "four-branch safe-ice 10000-10599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(10000, 10600)),
+    "four-branch safe-ice 0-599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(600)),
+    "four-branch ice 1000-1099": ("four-branch", 0.0, 2, "ice", 1000, range(1000, 1100)),
+    "two-mode z=3.5 d=2 ice 0-59": ("two-mode", 3.5, 2, "ice", 1000, range(60)),
+    "two-mode-rare 1000-1009": ("two-mode", 5.5, 20, "safe-ice", 10_000, range(1000, 1010)),
+    "oscillator 1000-1009": ("oscillator", 0.05, 10, "safe-ice", 1000, range(1000, 1010)),
+}
+# the sets whose accuracy against the reference pf is reported
+ACCURACY_SETS = ("four-branch safe-ice 10000-10599", "four-branch safe-ice 0-599")
+
+
+def make_table(path: str) -> None:
+    from safeice.core import RunConfig, run
+    from safeice.problems import problem_registry
+
+    logging.getLogger("safeice").setLevel(logging.ERROR)
+    with open(path, "w") as fh:
+        for name, (problem, z, d, method, n, seeds) in SETS.items():
+            prob = problem_registry(problem, z, d)
+            for seed in seeds:
+                r = run(prob, RunConfig(seed=seed, method=method, n_per_iter=n))
+                row = {"set": name, "seed": seed, "pf": float(r.pf).hex()}
+                row.update({f: getattr(r, f) for f in STRUCTURE})
+                fh.write(json.dumps(row) + "\n")
+            print(f"{name}: {len(seeds)} runs", flush=True)
+
+
+def load(path: str) -> dict:
+    with open(path) as fh:
+        rows = [json.loads(line) for line in fh]
+    return {(row["set"], row["seed"]): row for row in rows}
+
+
+def relative_change(before: float, after: float) -> float:
+    if before == after:
+        return 0.0
+    return abs(after - before) / abs(before) if before else math.inf
+
+
+def accuracy(pfs: list, ref: float) -> tuple:
+    """(relative RMSE, the same without the N_TRIMMED largest errors,
+    runs above 2x, largest ratio) of ``pfs`` against ``ref``."""
+    errors = sorted((pf / ref - 1.0) ** 2 for pf in pfs)
+    rmse = math.sqrt(sum(errors) / len(errors))
+    trimmed = math.sqrt(sum(errors[:-N_TRIMMED]) / (len(errors) - N_TRIMMED))
+    return rmse, trimmed, sum(pf > 2.0 * ref for pf in pfs), max(pfs) / ref
+
+
+def compare(path_a: str, path_b: str) -> None:
+    a, b = load(path_a), load(path_b)
+    if a.keys() != b.keys():
+        raise SystemExit("the two tables hold different runs")
+    ref = json.loads(REFERENCES.read_text())["four-branch"]["pf"]
+    changed = [key for key in a if any(a[key][f] != b[key][f] for f in STRUCTURE)]
+    print(f"structure changed in {len(changed)} of {len(a)} runs")
+    for key in changed:
+        diff = ", ".join(f"{f} {a[key][f]} -> {b[key][f]}" for f in STRUCTURE if a[key][f] != b[key][f])
+        print(f"  {key[0]} seed {key[1]}: {diff}")
+    for name in dict.fromkeys(s for s, _ in a):
+        keys = [key for key in a if key[0] == name]
+        pf_a = {key: float.fromhex(a[key]["pf"]) for key in keys}
+        pf_b = {key: float.fromhex(b[key]["pf"]) for key in keys}
+        rel = {key: relative_change(pf_a[key], pf_b[key]) for key in keys}
+        worst = max(keys, key=lambda key: rel[key])
+        n_same = sum(pf_a[key] == pf_b[key] for key in keys)
+        print(f"{name}: pf bit-equal in {n_same} of {len(keys)}; largest rel pf diff {rel[worst]:.3g} (seed {worst[1]})")
+        if name in ACCURACY_SETS:
+            for label, pfs in (("before", pf_a), ("after", pf_b)):
+                rmse, trimmed, above, ratio = accuracy(list(pfs.values()), ref)
+                print(
+                    f"  {label}: rel RMSE {rmse:.4f}, without {N_TRIMMED} largest {trimmed:.4f},"
+                    f" runs > 2x {above}, largest ratio {ratio:.2f}"
+                )
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("run").add_argument("out")
+    cmp = sub.add_parser("compare")
+    cmp.add_argument("before")
+    cmp.add_argument("after")
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        make_table(args.out)
+    else:
+        compare(args.before, args.after)
+
+
+if __name__ == "__main__":
+    main()

@@ -17,13 +17,14 @@ from scipy.stats import kstest, norm
 from safeice.bench import run_repetitions
 from safeice.core import RunConfig, lambda_schedule
 from safeice.distributions import inv_nakagami_sample, rng_from_seed, vmf_sample
-from safeice.em import em_weight_update, m_step_params, penalized_weight_update
+from safeice.em import batch_statistics, m_step_params, penalized_weight_update
 from safeice.mixtures import PolarSamples, VmfnmParams, heavy_params_from_light
 from safeice.oracle import mc_estimate
 from safeice.problems import problem_registry
 from safeice.special import log_gamma
 
 from oracles import bessel_ratio
+from oracles import penalized_weight_update as reference_weight_update
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> bool:
@@ -196,7 +197,8 @@ def test_em_algebra():
         _, pi_new = penalized_weight_update(gamma, w, pi_old, beta)
         worst_sum = max(worst_sum, abs(float(pi_new.sum()) - 1.0))
         _, plain = penalized_weight_update(gamma, w, pi_old, 0.0)
-        worst_plain = max(worst_plain, float(np.max(np.abs(plain - em_weight_update(gamma, w)))))
+        reference_em, _ = reference_weight_update(gamma, w, pi_old, beta)
+        worst_plain = max(worst_plain, float(np.max(np.abs(plain - reference_em))))
         _, scaled = penalized_weight_update(gamma, 7.0 * w, pi_old, beta)
         worst_scale = max(worst_scale, float(np.max(np.abs(scaled - pi_new))))
         d = int(rng.integers(2, 6))
@@ -204,8 +206,8 @@ def test_em_algebra():
         r = np.linalg.norm(u, axis=1)
         samples = PolarSamples(r=r, a=u / r[:, None])
         v = VmfnmParams(pi_old, np.ones(k), np.ones(k), np.tile(np.eye(d)[0], (k, 1)), np.ones(k))
-        params = m_step_params(samples, gamma, w, v)
-        params7 = m_step_params(samples, gamma, 7.0 * w, v)
+        params = m_step_params(gamma, batch_statistics(samples, w), v)
+        params7 = m_step_params(gamma, batch_statistics(samples, 7.0 * w), v)
         for name in ("m", "omega", "mu", "kappa"):
             diff = getattr(params, name) - getattr(params7, name)
             worst_scale = max(worst_scale, float(np.max(np.abs(diff))))

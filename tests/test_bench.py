@@ -117,6 +117,21 @@ def test_run_repetitions_validation():
         run_repetitions(PROB, RunConfig(), 2, p_ref=0.0)
 
 
+@pytest.mark.parametrize(
+    "n_runs, p_ref, match",
+    [
+        (2, True, "p_ref must be a positive finite number"),
+        (2, "1e-4", "p_ref must be a positive finite number"),
+        (2.5, 1e-4, "n_runs must be an integer"),
+        (True, 1e-4, "n_runs must be an integer"),
+        (1, 1e-4, "n_runs must be at least 2"),
+    ],
+)
+def test_run_repetitions_names_a_bad_argument(n_runs, p_ref, match):
+    with pytest.raises(ValueError, match=match):
+        run_repetitions(PROB, RunConfig(), n_runs, p_ref)
+
+
 # ------------------------------------------------------------------ real runs
 
 

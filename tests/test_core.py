@@ -501,6 +501,21 @@ def test_run_config_rejects_non_integral_counts(name, value):
         RunConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("delta_star", True),
+        ("delta_target", False),
+        ("sigma0", "10"),
+        ("anneal_horizon", "1.0"),
+        ("em_tol", None),
+    ],
+)
+def test_run_config_rejects_bools_and_non_numbers_by_name(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
+        RunConfig(**{name: value})
+
+
 # ------------------------------------------------------------------ run loops
 
 

@@ -19,16 +19,19 @@ from safeice.em import (
     KAPPA_MAX,
     M_MAX,
     FitResult,
+    batch_statistics,
     beta_update,
     e_step,
-    em_weight_update,
     fit,
     m_step_params,
     penalized_weight_update,
     prune,
     weighted_loglik,
 )
-from safeice.mixtures import PolarSamples, VmfnmParams, _component_logpdfs, vmfnm_logpdf
+from safeice.mixtures import PolarSamples, VmfnmParams, _mixture_columns, vmfnm_logpdf
+
+from oracles import m_step_params as reference_m_step
+from oracles import penalized_weight_update as reference_weight_update
 
 
 def make_params(pi, m, omega, mu, kappa):
@@ -118,18 +121,24 @@ def test_e_step_zero_density_rows_get_uniform(caplog):
 # ------------------------------------------------------------ weight updates
 
 
+def em_weights(gamma, weights):
+    """pi_em of ``penalized_weight_update``, which does not depend on pi_old."""
+    k = gamma.shape[1]
+    return penalized_weight_update(gamma, weights, np.full(k, 1.0 / k), 0.0)[0]
+
+
 def test_em_weight_update_examples():
     gamma = np.eye(2)
-    assert np.allclose(em_weight_update(gamma, np.array([1.0, 1.0])), [0.5, 0.5], atol=1e-15)
-    assert np.allclose(em_weight_update(gamma, np.array([3.0, 1.0])), [0.75, 0.25], atol=1e-15)
+    assert np.allclose(em_weights(gamma, np.array([1.0, 1.0])), [0.5, 0.5], atol=1e-15)
+    assert np.allclose(em_weights(gamma, np.array([3.0, 1.0])), [0.75, 0.25], atol=1e-15)
     uniform = np.full((6, 3), 1.0 / 3.0)
-    out = em_weight_update(uniform, np.arange(1.0, 7.0))
+    out = em_weights(uniform, np.arange(1.0, 7.0))
     assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
 
 def test_em_weight_update_zero_mass_raises():
-    with pytest.raises(ValueError):
-        em_weight_update(np.eye(2), np.zeros(2))
+    with pytest.raises(ValueError, match="mass is zero"):
+        em_weights(np.eye(2), np.zeros(2))
 
 
 def test_penalized_update_beta_zero_is_plain_em():
@@ -138,7 +147,7 @@ def test_penalized_update_beta_zero_is_plain_em():
     w = rng.random(30)
     pi_old = rng.dirichlet(np.ones(4))
     pi_em, pi_new = penalized_weight_update(gamma, w, pi_old, 0.0)
-    assert np.array_equal(pi_em, em_weight_update(gamma, w))
+    assert np.array_equal(pi_em, gamma.T @ w / (gamma.T @ w).sum())
     assert np.array_equal(pi_new, pi_em)
 
 
@@ -148,8 +157,8 @@ def test_penalized_update_uniform_pi_has_zero_penalty():
         gamma = rng.dirichlet(np.ones(k), size=25)
         w = rng.random(25)
         pi_old = np.full(k, 1.0 / k)
-        _, out = penalized_weight_update(gamma, w, pi_old, 1.0)
-        assert np.allclose(out, em_weight_update(gamma, w), atol=1e-15)
+        pi_em, out = penalized_weight_update(gamma, w, pi_old, 1.0)
+        assert np.allclose(out, pi_em, atol=1e-15)
 
 
 def test_penalized_update_hand_example():
@@ -337,7 +346,7 @@ def test_beta_weight_free():
 def test_m_step_zero_radial_variance_clamps_m():
     s = PolarSamples(np.full(10, 2.0), np.tile([1.0, 0.0], (10, 1)))
     gamma = np.ones((10, 1))
-    out = m_step_params(s, gamma, np.ones(10), start_params(1, 2))
+    out = m_step_params(gamma, batch_statistics(s, np.ones(10)), start_params(1, 2))
     assert out.omega[0] == pytest.approx(4.0, abs=1e-12)
     assert out.m[0] == M_MAX
 
@@ -346,14 +355,14 @@ def test_m_step_two_radii_moment_arithmetic():
     # radii {1, sqrt(3)}: E[r^2] = 2, E[r^4] = 5, var = 1 -> m = 4
     r = np.array([1.0, np.sqrt(3.0)])
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = m_step_params(PolarSamples(r, a), np.ones((2, 1)), np.ones(2), start_params(1, 2))
+    out = m_step_params(np.ones((2, 1)), batch_statistics(PolarSamples(r, a), np.ones(2)), start_params(1, 2))
     assert out.omega[0] == pytest.approx(2.0, abs=1e-12)
     assert out.m[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_m_step_concentrated_directions_clamp_kappa():
     s = PolarSamples(np.array([1.0, 2.0, 0.5]), np.tile([0.0, 1.0], (3, 1)))
-    out = m_step_params(s, np.ones((3, 1)), np.ones(3), start_params(1, 2))
+    out = m_step_params(np.ones((3, 1)), batch_statistics(s, np.ones(3)), start_params(1, 2))
     assert np.allclose(out.mu[0], [0.0, 1.0], atol=1e-12)
     assert out.kappa[0] == KAPPA_MAX
 
@@ -365,7 +374,7 @@ def test_m_step_recovers_moderate_concentration():
     a = vmf_sample(rng, center, 5.0, 20_000)
     r = nakagami_sample(rng, 2.0, 3.0, size=20_000)
     s = PolarSamples(r, a)
-    out = m_step_params(s, np.ones((20_000, 1)), np.ones(20_000), start_params(1, d))
+    out = m_step_params(np.ones((20_000, 1)), batch_statistics(s, np.ones(20_000)), start_params(1, d))
     assert out.omega[0] == pytest.approx(3.0, rel=0.03)
     assert out.m[0] == pytest.approx(2.0, rel=0.05)
     assert out.mu[0] @ center > 0.999
@@ -377,7 +386,7 @@ def test_m_step_dead_component_flagged(caplog):
     gamma = np.array([[1.0, 0.0], [1.0, 0.0]])
     v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
     with caplog.at_level(logging.WARNING):
-        out = m_step_params(s, gamma, np.ones(2), v)
+        out = m_step_params(gamma, batch_statistics(s, np.ones(2)), v)
     # the dead component keeps its row; the live one is refitted
     assert (out.m[1], out.omega[1], out.kappa[1]) == (3.0, 5.0, 7.0)
     assert np.array_equal(out.mu[1], [0.0, -1.0])
@@ -393,7 +402,7 @@ def test_m_step_underflowing_resultant_keeps_row():
     s = random_samples(rng_from_seed(11), 50, 2)
     gamma = np.column_stack([np.ones(50), np.full(50, 1e-160 / 50)])
     v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
-    out = m_step_params(s, gamma, np.ones(50), v)
+    out = m_step_params(gamma, batch_statistics(s, np.ones(50)), v)
     assert (out.m[1], out.omega[1], out.kappa[1]) == (3.0, 5.0, 7.0)
     assert np.array_equal(out.mu[1], [0.0, -1.0])
     assert np.linalg.norm(out.mu[0]) == pytest.approx(1.0, abs=1e-12)
@@ -405,10 +414,59 @@ def test_m_step_weight_scale_invariance():
     gamma = rng.dirichlet(np.ones(2), size=100)
     w = rng.random(100) + 0.1
     v = start_params(2, 3)
-    out1 = m_step_params(s, gamma, w, v)
-    out7 = m_step_params(s, gamma, 7.0 * w, v)
+    out1 = m_step_params(gamma, batch_statistics(s, w), v)
+    out7 = m_step_params(gamma, batch_statistics(s, 7.0 * w), v)
     for name in ("m", "omega", "mu", "kappa"):
         assert np.allclose(getattr(out1, name), getattr(out7, name), rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([2, 5, 20]),
+    k=st.sampled_from([1, 3, 20]),
+    n=st.integers(5, 200),
+    seed=st.integers(0, 2**32 - 1),
+    dead_column=st.booleans(),
+)
+def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
+    # gamma comes from e_step and from prune, with about 30% zero-weight
+    # rows; with dead_column the last component points away from every
+    # sample at kappa 1e4, so its responsibilities underflow to exactly 0.
+    # m = E[r^2]^2 / var(r^2) and kappa take their last steps from
+    # differences of nearly equal numbers, and both routes lose about
+    # log10(m) and log10(kappa) digits there, so their relative bound
+    # scales with max(1, value).
+    rng = rng_from_seed(seed)
+    center = np.eye(d)[0]
+    s = PolarSamples(np.exp(rng.uniform(-1.0, 1.0, n)), vmf_sample(rng, center, 20.0, n))
+    mu = rng.standard_normal((k, d))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    kappa = rng.uniform(0.0, 20.0, k)
+    dead_column = dead_column and k > 1
+    if dead_column:
+        mu[-1], kappa[-1] = -center, KAPPA_MAX
+    v = make_params(rng.dirichlet(np.ones(k)), rng.uniform(0.6, 3.0, k), rng.uniform(0.5, 3.0, k), mu, kappa)
+    w = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
+    w[0] = 1.0
+    gamma, _ = e_step(s, v)
+    assert not dead_column or np.all(gamma[:, -1] == 0.0)
+    cases = [(gamma, v)]
+    if k > 1:
+        v_pruned, gamma_pruned = prune(np.concatenate(([-1.0], v.pi[1:])), gamma, v)
+        cases.append((gamma_pruned, v_pruned))
+    stats = batch_statistics(s, w)
+    for gamma, v in cases:
+        beta = float(rng.uniform(0.0, 2.0))
+        for new, ref in zip(
+            penalized_weight_update(gamma, w, v.pi, beta), reference_weight_update(gamma, w, v.pi, beta)
+        ):
+            assert np.allclose(new, ref, rtol=0.0, atol=1e-15)
+        new, ref = m_step_params(gamma, stats, v), reference_m_step(s, gamma, w, v)
+        assert np.allclose(new.omega, ref.omega, rtol=1e-12, atol=0.0)
+        assert np.allclose(new.mu, ref.mu, rtol=0.0, atol=1e-12)  # unit rows
+        for name in ("m", "kappa"):
+            a, b = getattr(new, name), getattr(ref, name)
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b) * np.maximum(1.0, b))
 
 
 # ------------------------------------------------------------ log-likelihood
@@ -480,11 +538,11 @@ def test_fit_plain_keeps_component_count():
 def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
     calls = []
 
-    def counting(samples, v):
+    def counting(samples, v, column_sets):
         calls.append(v.k)
-        return _component_logpdfs(samples, v)
+        return _mixture_columns(samples, v, column_sets)
 
-    monkeypatch.setattr(em, "_component_logpdfs", counting)
+    monkeypatch.setattr(em, "_mixture_columns", counting)
     rng = rng_from_seed(20)
     s = random_samples(rng, 300, 2)
     v0 = make_params(
@@ -521,11 +579,11 @@ def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
 def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
     calls = []
 
-    def counting(gamma, weights):
+    def counting(gamma, weights, pi_old, beta):
         calls.append(gamma.shape[1])
-        return em_weight_update(gamma, weights)
+        return penalized_weight_update(gamma, weights, pi_old, beta)
 
-    monkeypatch.setattr(em, "em_weight_update", counting)
+    monkeypatch.setattr(em, "penalized_weight_update", counting)
     rng = rng_from_seed(20)
     s = random_samples(rng, 300, 2)
     v0 = make_params(
@@ -534,6 +592,25 @@ def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
     res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
     assert res.n_iterations == 6
     assert len(calls) == res.n_iterations
+
+
+@pytest.mark.parametrize("penalized", [True, False])
+def test_fit_builds_the_batch_statistics_once(monkeypatch, penalized):
+    calls = []
+
+    def counting(samples, weights):
+        calls.append(len(samples))
+        return batch_statistics(samples, weights)
+
+    monkeypatch.setattr(em, "batch_statistics", counting)
+    rng = rng_from_seed(20)
+    s = random_samples(rng, 300, 2)
+    v0 = make_params(
+        [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
+    )
+    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
+    assert res.n_iterations == 6
+    assert calls == [300]
 
 
 @pytest.mark.parametrize("penalized", [True, False])

@@ -68,6 +68,22 @@ def test_mc_validates_arguments():
         mc_estimate(ALWAYS_SAFE, 100, batch_size=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"n_total": True}, "n_total must be an integer"),
+        ({"n_total": "100"}, "n_total must be an integer"),
+        ({"batch_size": 2.5}, "batch_size must be an integer"),
+        ({"seed": -1}, "seed must be at least 0"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
+    ],
+)
+def test_mc_names_a_bad_argument(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        mc_estimate(ALWAYS_SAFE, **{"n_total": 100, **kwargs})
+
+
 def test_mc_estimate_fields():
     est = McEstimate(pf=0.5, n_total=10, n_failures=5, cv=0.1)
     assert (est.pf, est.n_total, est.n_failures, est.cv) == (0.5, 10, 5, 0.1)
