@@ -19,7 +19,6 @@ import numpy as np
 from .distributions import rng_from_seed, vmf_sample
 from .em import fit
 from .mixtures import (
-    PolarSamples,
     SafeMixtureParams,
     VmfnmParams,
     prior_logpdf,
@@ -144,16 +143,10 @@ def cv(values) -> float:
     return float(values.std(ddof=1) / mean)
 
 
-def _limit_state(samples: PolarSamples) -> np.ndarray:
-    if samples.g is None:
-        raise ValueError("samples carry no limit-state values")
-    return samples.g
-
-
-def intermediate_log_weights(samples: PolarSamples, sigma: float, q_log: np.ndarray) -> np.ndarray:
+def intermediate_log_weights(g: np.ndarray, sigma: float, log_ratio: np.ndarray) -> np.ndarray:
     """Unnormalized log importance weights ln W_i = ln h_sigma(g_i)
-    + ln p(u_i) - ln q(u_i) for the smoothed target at level sigma."""
-    return log_smooth_indicator(_limit_state(samples), sigma) + prior_logpdf(samples) - q_log
+    + (ln p(u_i) - ln q(u_i)) for the smoothed target at level sigma."""
+    return log_smooth_indicator(g, sigma) + log_ratio
 
 
 def _weight_cv(log_w: np.ndarray) -> float:
@@ -163,8 +156,8 @@ def _weight_cv(log_w: np.ndarray) -> float:
 
 
 def select_sigma(
-    samples: PolarSamples,
-    q_log: np.ndarray,
+    g: np.ndarray,
+    log_ratio: np.ndarray,
     sigma_prev: float,
     delta_target: float,
 ) -> float:
@@ -182,11 +175,9 @@ def select_sigma(
     """
     if sigma_prev <= 0.0:
         raise ValueError("sigma_prev must be positive")
-    g = _limit_state(samples)
-    rest = prior_logpdf(samples) - q_log
 
     def excess(log_sigma: float) -> float:
-        return _weight_cv(log_normal_cdf(-g / np.exp(log_sigma)) + rest) - delta_target
+        return _weight_cv(intermediate_log_weights(g, np.exp(log_sigma), log_ratio)) - delta_target
 
     grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
     e = np.array([excess(x) for x in grid])
@@ -207,14 +198,13 @@ def select_sigma(
     return float(min(np.exp(best_x), sigma_prev))
 
 
-def stop_cv(samples: PolarSamples, sigma: float) -> float:
-    """Coefficient of variation of the indicator-over-smoothed-indicator
-    weights on the light-origin samples.
+def stop_cv(g: np.ndarray, sigma: float) -> float:
+    """Coefficient of variation of the weights I{g <= 0} / h_sigma(g) over
+    the light-origin samples' limit-state values ``g``.
 
-    Returns +inf when no light samples exist (lambda = 0), when fewer than
-    two are available, or when none of them fail.
+    Returns +inf when fewer than two values are given (none when
+    lambda = 0) or when none of them fail.
     """
-    g = _limit_state(samples)[~samples.heavy]
     if g.size < 2:
         return np.inf
     fail = g <= 0.0
@@ -240,16 +230,15 @@ def lambda_schedule(sigma: float, horizon: float) -> float:
     return float(0.5 * (1.0 + np.cos(np.pi * sigma / horizon)))
 
 
-def estimate_pf(samples: PolarSamples, phi: SafeMixtureParams) -> float:
+def estimate_pf(g: np.ndarray, log_ratio: np.ndarray) -> float:
     """Importance sampling estimate (1/N) sum_i I{g_i <= 0} p(u_i)/q(u_i)
-    evaluated by shifted log-sum-exp over the failure samples."""
-    fail = _limit_state(samples) <= 0.0
+    from the batch's log ratio ln p - ln q, read at the failure samples."""
+    fail = g <= 0.0
     if not np.any(fail):
         logger.warning("estimate_pf: no failure samples; returning 0")
         return 0.0
-    sub = samples.subset(fail)
-    w, shift = shifted_exp(prior_logpdf(sub) - safe_logpdf(sub, phi))
-    return float(np.exp(shift) * w.sum() / len(samples))
+    w, shift = shifted_exp(log_ratio[fail])
+    return float(np.exp(shift) * w.sum() / g.size)
 
 
 def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
@@ -298,25 +287,25 @@ def run(problem, config: RunConfig) -> RunResult:
     converged = False
     stagnant = 0
 
-    # on every exit, phi is the proposal that drew the final batch
+    # on every exit, g and log_ratio belong to the final batch
     for t in range(config.max_outer + 1):
         phi = SafeMixtureParams(v, lambda_schedule(sigma, horizon) if use_heavy else 1.0)
         samples = safe_sample(rng, phi, n)
-        samples.g = evaluate_lsf(problem, samples.cartesian())
+        g = evaluate_lsf(problem, samples.cartesian())
+        log_ratio = prior_logpdf(samples) - safe_logpdf(samples, phi)
         lsf_evals += n
         sigma_trace.append(sigma)
         lambda_trace.append(phi.lam)
         k_trace.append(v.k)
 
-        if stop_cv(samples, sigma) <= config.delta_star:
+        if stop_cv(g[~samples.heavy], sigma) <= config.delta_star:
             converged = True
             break
         if t == config.max_outer:
             logger.warning("run: outer iteration limit reached without convergence")
             break
 
-        q_log = safe_logpdf(samples, phi)
-        sigma_new = select_sigma(samples, q_log, sigma, config.delta_target)
+        sigma_new = select_sigma(g, log_ratio, sigma, config.delta_target)
         if sigma_new >= sigma * (1.0 - 1e-12):
             stagnant += 1
             if stagnant >= 2:
@@ -325,7 +314,11 @@ def run(problem, config: RunConfig) -> RunResult:
         else:
             stagnant = 0
 
-        weights, _ = shifted_exp(intermediate_log_weights(samples, sigma_new, q_log))
+        weights, _ = shifted_exp(intermediate_log_weights(g, sigma_new, log_ratio))
+        if not weights.any():
+            where = f"problem '{problem.name}' at sigma {sigma_new:g}"
+            logger.warning(f"run: no smoothed weight is positive for {where}; stopping")
+            break
         result = fit(
             samples,
             weights,
@@ -337,7 +330,7 @@ def run(problem, config: RunConfig) -> RunResult:
         v = result.v
         sigma = sigma_new
 
-    pf = estimate_pf(samples, phi)
+    pf = estimate_pf(g, log_ratio)
     return RunResult(
         pf=pf,
         iterations=len(sigma_trace) - 1,
@@ -348,7 +341,7 @@ def run(problem, config: RunConfig) -> RunResult:
         sigma_trace=sigma_trace,
         lambda_trace=lambda_trace,
         k_trace=k_trace,
-        n_failures=int(np.sum(samples.g <= 0.0)),
+        n_failures=int(np.sum(g <= 0.0)),
     )
 
 

@@ -53,13 +53,11 @@ class PolarSamples:
 
     r : (n,) positive radii
     a : (n, d) unit directions
-    g : (n,) cached limit-state values, or None before evaluation
     heavy : (n,) bool, True where the radius came from the heavy kernel
     """
 
     r: np.ndarray
     a: np.ndarray
-    g: np.ndarray | None = None
     heavy: np.ndarray | None = None
 
     def __post_init__(self):
@@ -79,10 +77,6 @@ class PolarSamples:
 
     def cartesian(self) -> np.ndarray:
         return self.r[:, None] * self.a
-
-    def subset(self, mask) -> "PolarSamples":
-        g = None if self.g is None else self.g[mask]
-        return PolarSamples(self.r[mask], self.a[mask], g, self.heavy[mask])
 
 
 @dataclass

@@ -8,6 +8,7 @@ deterministic and free of randomness.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -208,7 +209,10 @@ def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
         raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEM_NAMES)}")
     fixed, lsf = PROBLEMS[name]
     if fixed is None:
-        dim = 2 if d is None else int(d)
+        try:
+            dim = 2 if d is None else operator.index(d)
+        except TypeError:
+            raise ValueError(f"d must be an integer, got {d!r}") from None
         if dim < 2:
             raise ValueError(f"{name} requires d >= 2")
     elif d not in (None, fixed):

@@ -15,7 +15,8 @@ from safeice.distributions import (
     vmf_log_normalizer,
 )
 from safeice.em import KAPPA_MAX, M_MAX, M_MIN, RESULTANT_MIN
-from safeice.mixtures import VmfnmParams
+from safeice.mixtures import PolarSamples, VmfnmParams, prior_logpdf, safe_logpdf
+from safeice.special import shifted_exp
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
@@ -92,6 +93,18 @@ def safe_logpdf_per_component(samples, phi):
         [vmf_logpdf(samples.a, mu, kappa) for mu, kappa in zip(v.mu, v.kappa)]
     )
     return logsumexp(np.log(v.pi)[None, :] + radial + angular, axis=1)
+
+
+def subset_estimate_pf(samples, g, phi):
+    """Importance sampling estimate (1/N) sum_i I{g_i <= 0} p(u_i)/q(u_i)
+    with p and q evaluated on the failure samples alone, taken out as a
+    batch of their own; 0 when none fail."""
+    fail = g <= 0.0
+    if not np.any(fail):
+        return 0.0
+    sub = PolarSamples(samples.r[fail], samples.a[fail], samples.heavy[fail])
+    w, shift = shifted_exp(prior_logpdf(sub) - safe_logpdf(sub, phi))
+    return float(np.exp(shift) * w.sum() / len(samples))
 
 
 def penalized_weight_update(gamma, weights, pi_old, beta):

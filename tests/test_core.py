@@ -23,16 +23,19 @@ from safeice.core import (
     stop_cv,
 )
 from safeice.distributions import rng_from_seed
-from safeice.mixtures import PolarSamples, SafeMixtureParams, prior_logpdf
+from safeice.mixtures import PolarSamples, SafeMixtureParams, prior_logpdf, safe_logpdf, safe_sample
 from safeice.problems import Problem, problem_registry
 from safeice.special import log_normal_cdf
 
+from oracles import subset_estimate_pf
+
 
 def prior_samples(rng, problem, n):
-    """Draw n points from the standard normal prior in polar form."""
+    """Draw n points from the standard normal prior in polar form, with
+    their limit-state values."""
     u = rng.standard_normal((n, problem.dim))
     r = np.linalg.norm(u, axis=1)
-    return PolarSamples(r=r, a=u / r[:, None], g=problem.evaluate(u))
+    return PolarSamples(r=r, a=u / r[:, None]), problem.evaluate(u)
 
 
 def prior_proposal(d):
@@ -108,17 +111,11 @@ def test_intermediate_log_weights_manual_value():
     # single sample checked against scipy building blocks: the prior factor
     # is the 2d standard normal density times the polar Jacobian r^(d-1)
     r, g, sigma, q = 1.3, 0.4, 1.7, -2.0
-    s = PolarSamples(r=np.array([r]), a=np.array([[1.0, 0.0]]), g=np.array([g]))
-    got = intermediate_log_weights(s, sigma, np.array([q]))
+    s = PolarSamples(r=np.array([r]), a=np.array([[1.0, 0.0]]))
+    got = intermediate_log_weights(np.array([g]), sigma, prior_logpdf(s) - q)
     u = np.array([r, 0.0])
     expect = norm.logcdf(-g / sigma) + multivariate_normal.logpdf(u, np.zeros(2)) + np.log(r) - q
     assert got[0] == pytest.approx(expect, rel=1e-14)
-
-
-def test_intermediate_log_weights_requires_g():
-    s = PolarSamples(r=np.array([1.0]), a=np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        intermediate_log_weights(s, 1.0, np.array([0.0]))
 
 
 def test_intermediate_log_weights_scale_shift():
@@ -126,10 +123,10 @@ def test_intermediate_log_weights_scale_shift():
     # leaves the weight cv unchanged
     rng = rng_from_seed(11)
     prob = problem_registry("two-mode", 2.0, 2)
-    s = prior_samples(rng, prob, 400)
+    s, g = prior_samples(rng, prob, 400)
     q_log = prior_logpdf(s) + rng.normal(scale=0.3, size=400)
-    lw = intermediate_log_weights(s, 1.5, q_log)
-    lw2 = intermediate_log_weights(s, 1.5, q_log + np.log(2.0))
+    lw = intermediate_log_weights(g, 1.5, prior_logpdf(s) - q_log)
+    lw2 = intermediate_log_weights(g, 1.5, prior_logpdf(s) - (q_log + np.log(2.0)))
     assert np.allclose(lw2, lw - np.log(2.0), atol=1e-12)
     assert cv(np.exp(lw - lw.max())) == pytest.approx(cv(np.exp(lw2 - lw2.max())), rel=1e-12)
 
@@ -139,8 +136,8 @@ def test_intermediate_log_weights_huge_sigma_constant():
     # flat at 1/2, so the weights are constant to high accuracy
     rng = rng_from_seed(5)
     prob = problem_registry("two-mode", 3.5, 2)
-    s = prior_samples(rng, prob, 1000)
-    lw = intermediate_log_weights(s, 1e12, prior_logpdf(s))
+    _, g = prior_samples(rng, prob, 1000)
+    lw = intermediate_log_weights(g, 1e12, np.zeros(g.size))
     assert cv(np.exp(lw)) <= 1e-6
 
 
@@ -150,18 +147,18 @@ def test_intermediate_log_weights_huge_sigma_constant():
 def test_select_sigma_never_exceeds_previous():
     rng = rng_from_seed(3)
     prob = problem_registry("two-mode", 3.5, 2)
-    s = prior_samples(rng, prob, 1000)
-    q_log = prior_logpdf(s)
+    _, g = prior_samples(rng, prob, 1000)
+    log_ratio = np.zeros(g.size)  # q = p
     for sigma_prev in (10.0, 2.0, 0.5):
-        assert select_sigma(s, q_log, sigma_prev, 4.0) <= sigma_prev
+        assert select_sigma(g, log_ratio, sigma_prev, 4.0) <= sigma_prev
 
 
 def test_select_sigma_first_iteration_decreases():
     # from the flat starting level the chosen sigma drops well below it
     rng = rng_from_seed(3)
     prob = problem_registry("two-mode", 3.5, 2)
-    s = prior_samples(rng, prob, 1000)
-    got = select_sigma(s, prior_logpdf(s), 10.0, 4.0)
+    _, g = prior_samples(rng, prob, 1000)
+    got = select_sigma(g, np.zeros(g.size), 10.0, 4.0)
     assert got < 10.0
 
 
@@ -170,9 +167,8 @@ def test_select_sigma_boundary_optimum():
     # sigma shrinks, the boundary is the optimum
     rng = rng_from_seed(3)
     prob = problem_registry("two-mode", 3.5, 2)
-    s = prior_samples(rng, prob, 1000)
-    q_log = prior_logpdf(s)
-    got = select_sigma(s, q_log, 0.5, 4.0)
+    _, g = prior_samples(rng, prob, 1000)
+    got = select_sigma(g, np.zeros(g.size), 0.5, 4.0)
     assert got == pytest.approx(0.5, rel=1e-12)
     assert got <= 0.5
 
@@ -181,16 +177,15 @@ def test_select_sigma_beats_coarse_grid():
     # the refined result is no worse than every coarse grid point
     rng = rng_from_seed(9)
     prob = problem_registry("two-mode", 3.0, 2)
-    s = prior_samples(rng, prob, 800)
-    q_log = prior_logpdf(s)
-    rest = prior_logpdf(s) - q_log
+    _, g = prior_samples(rng, prob, 800)
+    log_ratio = np.zeros(g.size)
     delta = 4.0
 
     def objective(sigma):
-        w = np.exp(log_smooth_indicator(s.g, sigma) + rest)
+        w = np.exp(log_smooth_indicator(g, sigma) + log_ratio)
         return (cv(w) - delta) ** 2
 
-    got = select_sigma(s, q_log, 10.0, delta)
+    got = select_sigma(g, log_ratio, 10.0, delta)
     grid = np.exp(np.linspace(np.log(1e-8 * 10.0), np.log(10.0), 50))
     assert objective(got) <= min(objective(x) for x in grid) + 1e-12
 
@@ -214,13 +209,12 @@ def first_level_inputs(seed):
     return captured[0]
 
 
-def excess_on_grid(s, q_log, sigma_prev, delta):
+def excess_on_grid(g, log_ratio, sigma_prev, delta):
     """select_sigma's log grid and cv(W) - delta at each of its points."""
-    rest = prior_logpdf(s) - q_log
     grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
     excess = []
     for x in grid:
-        log_w = log_smooth_indicator(s.g, np.exp(x)) + rest
+        log_w = log_smooth_indicator(g, np.exp(x)) + log_ratio
         excess.append(cv(np.exp(log_w - log_w.max())) - delta)
     return grid, np.array(excess)
 
@@ -229,13 +223,13 @@ def excess_on_grid(s, q_log, sigma_prev, delta):
 def test_select_sigma_takes_the_smallest_crossing(seed):
     # cv crosses delta in two grid cells at these first levels; the rule
     # takes the crossing with the smaller sigma
-    s, q_log, sigma_prev, delta = first_level_inputs(seed)
-    grid, e = excess_on_grid(s, q_log, sigma_prev, delta)
+    g, log_ratio, sigma_prev, delta = first_level_inputs(seed)
+    grid, e = excess_on_grid(g, log_ratio, sigma_prev, delta)
     assert np.isfinite(e).all()
     crossing = e[:-1] * e[1:] < 0.0
     assert crossing.sum() >= 2
-    got = select_sigma(s, q_log, sigma_prev, delta)
-    log_w = intermediate_log_weights(s, got, q_log)
+    got = select_sigma(g, log_ratio, sigma_prev, delta)
+    log_w = intermediate_log_weights(g, got, log_ratio)
     assert abs(cv(np.exp(log_w - log_w.max())) - delta) < 1e-6
     assert not np.any(crossing[grid[1:] < np.log(got)])
 
@@ -257,67 +251,45 @@ def test_select_sigma_evaluates_cv_at_most_82_times(monkeypatch):
 def test_select_sigma_without_crossing_takes_the_closest_grid_point():
     # 800 weights cannot reach a cv of 1000, so no grid cell changes sign
     rng = rng_from_seed(9)
-    s = prior_samples(rng, problem_registry("two-mode", 3.0, 2), 800)
-    q_log = prior_logpdf(s)
-    grid, e = excess_on_grid(s, q_log, 10.0, 1000.0)
+    _, g = prior_samples(rng, problem_registry("two-mode", 3.0, 2), 800)
+    log_ratio = np.zeros(g.size)
+    grid, e = excess_on_grid(g, log_ratio, 10.0, 1000.0)
     assert np.all(e < 0.0)
-    got = select_sigma(s, q_log, 10.0, 1000.0)
+    got = select_sigma(g, log_ratio, 10.0, 1000.0)
     assert got == min(np.exp(grid[np.argmin(np.abs(e))]), 10.0)
 
 
 def test_select_sigma_rejects_bad_previous():
-    s = PolarSamples(r=np.ones(3), a=np.eye(3)[:, :2], g=np.ones(3))
     with pytest.raises(ValueError):
-        select_sigma(s, np.zeros(3), 0.0, 4.0)
-
-
-def test_select_sigma_rejects_samples_without_limit_state():
-    s = PolarSamples(r=np.ones(3), a=np.tile([[1.0, 0.0]], (3, 1)))
-    with pytest.raises(ValueError, match="no limit-state values"):
-        select_sigma(s, np.zeros(3), 1.0, 1.5)
+        select_sigma(np.ones(3), np.zeros(3), 0.0, 4.0)
 
 
 # -------------------------------------------------------------------- stop_cv
 
 
-def _light_samples(g, heavy=None):
-    n = len(g)
-    a = np.tile(np.array([[1.0, 0.0]]), (n, 1))
-    return PolarSamples(r=np.ones(n), a=a, g=np.asarray(g, float), heavy=heavy)
-
-
 def test_stop_cv_half_failing_at_half():
     # two failures with h = 1/2 and two safe samples give values (2,2,0,0)
-    s = _light_samples([0.0, 0.0, 1.0, 1.0])
-    got = stop_cv(s, 1.0)
+    got = stop_cv(np.array([0.0, 0.0, 1.0, 1.0]), 1.0)
     assert got == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-15)
     assert got == pytest.approx(1.1547, abs=1e-4)
 
 
 def test_stop_cv_identical_failures_is_zero():
-    s = _light_samples([-2.0, -2.0, -2.0])
-    assert stop_cv(s, 1.3) == 0.0
+    assert stop_cv(np.array([-2.0, -2.0, -2.0]), 1.3) == 0.0
 
 
 def test_stop_cv_no_light_samples():
-    s = _light_samples([-1.0, -1.0], heavy=np.array([True, True]))
-    assert stop_cv(s, 1.0) == np.inf
+    g, heavy = np.array([-1.0, -1.0]), np.array([True, True])
+    assert stop_cv(g[~heavy], 1.0) == np.inf
 
 
 def test_stop_cv_single_light_sample():
-    s = _light_samples([-1.0, -1.0], heavy=np.array([False, True]))
-    assert stop_cv(s, 1.0) == np.inf
+    g, heavy = np.array([-1.0, -1.0]), np.array([False, True])
+    assert stop_cv(g[~heavy], 1.0) == np.inf
 
 
 def test_stop_cv_no_failures():
-    s = _light_samples([0.5, 1.0, 2.0])
-    assert stop_cv(s, 1.0) == np.inf
-
-
-def test_stop_cv_rejects_samples_without_limit_state():
-    s = PolarSamples(r=np.ones(3), a=np.tile([[1.0, 0.0]], (3, 1)))
-    with pytest.raises(ValueError, match="no limit-state values"):
-        stop_cv(s, 1.0)
+    assert stop_cv(np.array([0.5, 1.0, 2.0]), 1.0) == np.inf
 
 
 # ------------------------------------------------------------ lambda schedule
@@ -354,31 +326,24 @@ def test_lambda_schedule_rejects_bad_args():
 def test_estimate_pf_prior_proposal_is_failure_fraction():
     rng = rng_from_seed(21)
     prob = problem_registry("two-mode", 2.0, 2)
-    s = prior_samples(rng, prob, 5000)
-    est = estimate_pf(s, prior_proposal(2))
-    frac = np.count_nonzero(s.g <= 0.0) / len(s)
+    s, g = prior_samples(rng, prob, 5000)
+    est = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, prior_proposal(2)))
+    frac = np.count_nonzero(g <= 0.0) / len(s)
     assert est == frac  # unit weights make this exact
 
 
 def test_estimate_pf_no_failures(caplog):
-    s = _light_samples([1.0, 2.0, 3.0])
     with caplog.at_level("WARNING"):
-        assert estimate_pf(s, prior_proposal(2)) == 0.0
+        assert estimate_pf(np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 0.0
     assert any("no failure" in r.message for r in caplog.records)
-
-
-def test_estimate_pf_requires_g():
-    s = PolarSamples(r=np.ones(2), a=np.tile([[1.0, 0.0]], (2, 1)))
-    with pytest.raises(ValueError):
-        estimate_pf(s, prior_proposal(2))
 
 
 def test_estimate_pf_two_mode_reference():
     rng = rng_from_seed(4)
     prob = problem_registry("two-mode", 2.5, 2)
     n = 10**5
-    s = prior_samples(rng, prob, n)
-    est = estimate_pf(s, prior_proposal(2))
+    s, g = prior_samples(rng, prob, n)
+    est = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, prior_proposal(2)))
     ref = 2.0 * norm.cdf(-2.5)
     se = np.sqrt(ref * (1.0 - ref) / n)
     assert abs(est - ref) <= 3.0 * se
@@ -394,12 +359,27 @@ def test_estimate_pf_consistency_over_seeds():
     se = np.sqrt(ref * (1.0 - ref) / n)
     hits = 0
     for seed in range(50):
-        s = prior_samples(rng_from_seed(seed), prob, n)
-        est = estimate_pf(s, phi)
-        assert est == np.count_nonzero(s.g <= 0.0) / n
+        s, g = prior_samples(rng_from_seed(seed), prob, n)
+        est = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, phi))
+        assert est == np.count_nonzero(g <= 0.0) / n
         if abs(est - ref) <= 4.0 * se:
             hits += 1
     assert hits >= 48
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("k", [1, 3, 20])
+@pytest.mark.parametrize("d", [2, 20])
+def test_estimate_pf_matches_the_subset_path(d, k, lam):
+    # the full batch's ln p - ln q read at the failures gives the estimate
+    # of p and q evaluated on the failure samples alone, bit for bit
+    rng = rng_from_seed(100 * d + k)
+    phi = SafeMixtureParams(init_light_params(rng, d, k), lam)
+    s = safe_sample(rng, phi, 2000)
+    g = problem_registry("two-mode", 1.5, d).evaluate(s.cartesian())
+    expect = subset_estimate_pf(s, g, phi)
+    assert expect > 0.0
+    assert estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, phi)) == expect
 
 
 # ------------------------------------------------------------ initialization
@@ -616,6 +596,42 @@ def test_run_hits_outer_limit(caplog):
 def test_run_rejects_bad_lsf_output(evaluate, match):
     with pytest.raises(ValueError, match=match):
         run(Problem("bad", 2, 2.5, evaluate), RunConfig(seed=3))
+
+
+def test_run_takes_one_log_ratio_per_batch(monkeypatch):
+    # ln p - ln q is taken once per batch and shared by the sigma root,
+    # the EM weights and the final estimate
+    calls = {"prior_logpdf": 0, "safe_logpdf": 0}
+    for name in calls:
+        fn = getattr(core, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(core, name, counted)
+    for method in ("safe-ice", "ice"):
+        calls.update(prior_logpdf=0, safe_logpdf=0)
+        result = run(problem_registry("four-branch", 0.0, 2), RunConfig(seed=3, method=method))
+        assert result.iterations >= 2
+        assert calls == {"prior_logpdf": result.iterations + 1, "safe_logpdf": result.iterations + 1}
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [problem_registry("two-mode", np.inf, 2), Problem("never-fails", 3, 0.0, lambda u: np.full(len(u), np.inf))],
+    ids=["z-inf", "lsf-inf"],
+)
+def test_run_stops_when_no_smoothed_weight_is_positive(problem, caplog):
+    # with every g = +inf each smoothed weight Phi(-g/sigma) p/q is 0, so
+    # there is nothing for EM to fit; the run stops and reports pf 0
+    with caplog.at_level("WARNING"):
+        result = run(problem, RunConfig(seed=0))
+    assert result.pf == 0.0 and not result.converged and result.n_failures == 0
+    assert result.iterations == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(f"problem '{problem.name}' at sigma 1e-07" in m for m in messages)
+    assert any("no failure samples" in m for m in messages)
 
 
 def test_run_rejects_dimension_one():

@@ -88,16 +88,6 @@ def test_polar_samples_basicproperties():
     assert not s.heavy.any()
 
 
-def test_polar_samples_subset_keeps_fields_aligned():
-    r = np.array([1.0, 2.0, 3.0])
-    a = np.eye(3)
-    s = PolarSamples(r, a, g=np.array([-1.0, 0.5, 2.0]), heavy=np.array([True, False, True]))
-    sub = s.subset(s.g <= 0.0)
-    assert len(sub) == 1
-    assert sub.r[0] == 1.0
-    assert sub.heavy[0]
-
-
 def test_polar_samples_shape_validation():
     with pytest.raises(ValueError):
         PolarSamples(np.ones((2, 2)), np.eye(2))

@@ -253,6 +253,17 @@ def test_registry_two_mode_dims():
             problem_registry("two-mode", 3.5, d)
 
 
+@pytest.mark.parametrize("d", [2.5, "3"])
+def test_registry_rejects_a_non_integer_dimension(d):
+    # int(d) would truncate 2.5 to 2 and parse "3"
+    with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
+        problem_registry("two-mode", 3.5, d)
+
+
+def test_registry_takes_a_numpy_integer_dimension():
+    assert problem_registry("two-mode", 3.5, np.int64(4)).dim == 4
+
+
 def test_registry_four_branch():
     assert problem_registry("four-branch", 0.0).dim == 2
     assert problem_registry("four-branch", 0.0, 2).dim == 2
