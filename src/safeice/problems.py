@@ -8,6 +8,7 @@ deterministic and free of randomness.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import partial
@@ -86,7 +87,8 @@ def two_mode(u, z: float):
 class OscillatorConfig:
     """Single degree of freedom hysteretic (Bouc-Wen) oscillator under a
     Gaussian white-noise load discretized into d/2 cosine and d/2 sine
-    terms. The response x(t) is integrated with classical RK4."""
+    terms. The response x(t) is integrated with classical RK4. A field
+    out of range is rejected at construction, by name."""
 
     mass: float = 6.0e4
     stiffness: float = 5.0e6
@@ -102,6 +104,25 @@ class OscillatorConfig:
     t_end: float = 8.0
     dt: float = 0.01
 
+    def __post_init__(self):
+        from .core import _check_integer, _check_positive  # core imports this module
+
+        _check_integer("dim", self.dim, 2)
+        if self.dim % 2:
+            raise ValueError(f"dim must be even, got {self.dim}")
+        for name in ("mass", "stiffness", "yield_disp", "t_end", "dt"):
+            _check_positive(name, getattr(self, name))
+        if round(self.t_end / self.dt) < 1:
+            raise ValueError(f"t_end must span at least one step dt = {self.dt}, got {self.t_end}")
+        for name in ("damping_ratio", "intensity", "alpha", "bw_a", "bw_beta", "bw_gamma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("damping_ratio", "intensity"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
+        _check_integer("bw_n", self.bw_n, 1)
+
     @property
     def damping(self) -> float:
         return 2.0 * self.mass * self.damping_ratio * np.sqrt(self.stiffness / self.mass)
@@ -114,6 +135,18 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
     with w_i = i * 30 pi / d and sigma = sqrt(2 S * 30 pi / d). Forcing is
     evaluated at the RK4 substep times; the two middle stages share the
     midpoint value.
+
+    The state is one (3, n) array with rows x, v and the Bouc-Wen variable
+    z. Each RK4 stage is written through ``out=`` into a few (3, n) buffers
+    made once per call. The constants are folded once per call: the load
+    is built as f/m, one C-contiguous row per half step, and one (3, 3)
+    matrix holds the linear part of
+
+        x' = v
+        v' = f/m - (c/m) v - (k alpha/m) x - (k (1 - alpha) x_y/m) z
+        z' = (A/x_y) v - |z|^(n-1) ((beta/x_y) |v| z + (gamma/x_y) v |z|)
+
+    where |z|^(n-1) is the product z z at n = 3 and a power at any other n.
     """
     if cfg is None:
         cfg = OscillatorConfig()
@@ -127,37 +160,71 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
     d_omega = 30.0 * np.pi / d
     omegas = d_omega * np.arange(1, half + 1)
     sig = np.sqrt(2.0 * cfg.intensity * d_omega)
-    # forcing on the half-step grid shared by all RK4 stages
+    # f/m on the half-step grid shared by all RK4 stages, shape (2 n_steps + 1, n)
     t_half = 0.5 * cfg.dt * np.arange(2 * n_steps + 1)
-    phase = np.outer(omegas, t_half)
-    force = -cfg.mass * sig * (u[:, :half] @ np.cos(phase) + u[:, half:] @ np.sin(phase))
+    phase = np.outer(t_half, omegas)
+    basis = np.hstack((np.cos(phase), np.sin(phase)))
+    basis *= -sig
+    force = basis @ u.T
 
-    m, k, c = cfg.mass, cfg.stiffness, cfg.damping
-    alpha, xy = cfg.alpha, cfg.yield_disp
-    a_bw, beta, gam, n_exp = cfg.bw_a, cfg.bw_beta, cfg.bw_gamma, cfg.bw_n
+    m, k, xy = cfg.mass, cfg.stiffness, cfg.yield_disp
+    linear = np.array(
+        [
+            [0.0, 1.0, 0.0],
+            [-k * cfg.alpha / m, -cfg.damping / m, -k * (1.0 - cfg.alpha) * xy / m],
+            [0.0, cfg.bw_a / xy, 0.0],
+        ]
+    )
+    beta, gam, n_exp = cfg.bw_beta / xy, cfg.bw_gamma / xy, cfg.bw_n
 
-    def deriv(s, f):
-        x, vel, zb = s
-        abs_z = np.abs(zb)
-        zn1 = abs_z ** (n_exp - 1) * zb
-        zn = abs_z**n_exp
-        dv = (f - c * vel - k * (alpha * x + (1.0 - alpha) * xy * zb)) / m
-        dz = (a_bw * vel - beta * np.abs(vel) * zn1 - gam * vel * zn) / xy
-        return np.array((vel, dv, dz))
+    n = u.shape[0]
+    s = np.zeros((3, n))
+    stage, slope, step, scaled = (np.empty((3, n)) for _ in range(4))
+    bw, zpow = np.empty(n), np.empty(n)
+    slope_v, slope_z = slope[1], slope[2]
 
-    # state rows: displacement x, velocity, Bouc-Wen hysteretic variable z
-    s = np.zeros((3, u.shape[0]))
+    def rates(y, f):
+        """Write dy/dt at state ``y`` into ``slope``; ``f`` is one row of f/m."""
+        _, v, z = y
+        np.matmul(linear, y, out=slope)
+        np.add(slope_v, f, out=slope_v)
+        np.abs(z, out=zpow)
+        np.multiply(zpow, v, out=zpow)
+        np.multiply(zpow, gam, out=zpow)
+        np.abs(v, out=bw)
+        np.multiply(bw, z, out=bw)
+        np.multiply(bw, beta, out=bw)
+        np.add(bw, zpow, out=bw)
+        if n_exp == 3:
+            np.multiply(z, z, out=zpow)
+        else:
+            np.abs(z, out=zpow)
+            np.power(zpow, n_exp - 1, out=zpow)
+        np.multiply(bw, zpow, out=bw)
+        np.subtract(slope_z, bw, out=slope_z)
+
     h = cfg.dt
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            f0 = force[:, 2 * i]
-            fm = force[:, 2 * i + 1]
-            f1 = force[:, 2 * i + 2]
-            k1 = deriv(s, f0)
-            k2 = deriv(s + 0.5 * h * k1, fm)
-            k3 = deriv(s + 0.5 * h * k2, fm)
-            k4 = deriv(s + h * k3, f1)
-            s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            f0, fm, f1 = force[2 * i : 2 * i + 3]
+            # step accumulates h/2 (k1 + 2 k2 + 2 k3 + k4)
+            rates(s, f0)
+            np.multiply(slope, 0.5 * h, out=step)
+            np.add(s, step, out=stage)
+            rates(stage, fm)
+            np.multiply(slope, 0.5 * h, out=scaled)
+            np.add(s, scaled, out=stage)
+            step += scaled
+            step += scaled
+            rates(stage, fm)
+            np.multiply(slope, h, out=scaled)
+            np.add(s, scaled, out=stage)
+            step += scaled
+            rates(stage, f1)
+            np.multiply(slope, 0.5 * h, out=scaled)
+            step += scaled
+            step /= 3.0
+            s += step
     if not np.all(np.isfinite(s[0])):
         raise ValueError("oscillator state became non-finite (load too extreme)")
     return s[0]

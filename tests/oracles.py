@@ -16,6 +16,7 @@ from safeice.distributions import (
 )
 from safeice.em import KAPPA_MAX, M_MAX, M_MIN, RESULTANT_MIN
 from safeice.mixtures import PolarSamples, VmfnmParams, prior_logpdf, safe_logpdf
+from safeice.problems import OscillatorConfig
 from safeice.special import shifted_exp
 
 
@@ -160,3 +161,61 @@ def m_step_params(samples, gamma, weights, v):
     mu[bad] = v.mu[bad]
     kappa[bad] = v.kappa[bad]
     return VmfnmParams(v.pi, m, omega, mu, kappa)
+
+
+def oscillator_response_rk4_reference(u, cfg: OscillatorConfig | None = None):
+    """Displacement x(t_end) for each row of ``u`` (shape (n, d)), by the
+    per-stage RK4 that ``problems.oscillator_response`` replaced: each
+    stage calls ``deriv``, which stacks a fresh (3, n) array.
+
+    The load is f(t) = -m sigma sum_i [U_i cos(w_i t) + U_{d/2+i} sin(w_i t)]
+    with w_i = i * 30 pi / d and sigma = sqrt(2 S * 30 pi / d). Forcing is
+    evaluated at the RK4 substep times; the two middle stages share the
+    midpoint value.
+    """
+    if cfg is None:
+        cfg = OscillatorConfig()
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    d = cfg.dim
+    if u.shape[1] != d:
+        raise ValueError(f"oscillator requires d = {d}")
+    half = d // 2
+    n_steps = int(round(cfg.t_end / cfg.dt))
+
+    d_omega = 30.0 * np.pi / d
+    omegas = d_omega * np.arange(1, half + 1)
+    sig = np.sqrt(2.0 * cfg.intensity * d_omega)
+    # forcing on the half-step grid shared by all RK4 stages
+    t_half = 0.5 * cfg.dt * np.arange(2 * n_steps + 1)
+    phase = np.outer(omegas, t_half)
+    force = -cfg.mass * sig * (u[:, :half] @ np.cos(phase) + u[:, half:] @ np.sin(phase))
+
+    m, k, c = cfg.mass, cfg.stiffness, cfg.damping
+    alpha, xy = cfg.alpha, cfg.yield_disp
+    a_bw, beta, gam, n_exp = cfg.bw_a, cfg.bw_beta, cfg.bw_gamma, cfg.bw_n
+
+    def deriv(s, f):
+        x, vel, zb = s
+        abs_z = np.abs(zb)
+        zn1 = abs_z ** (n_exp - 1) * zb
+        zn = abs_z**n_exp
+        dv = (f - c * vel - k * (alpha * x + (1.0 - alpha) * xy * zb)) / m
+        dz = (a_bw * vel - beta * np.abs(vel) * zn1 - gam * vel * zn) / xy
+        return np.array((vel, dv, dz))
+
+    # state rows: displacement x, velocity, Bouc-Wen hysteretic variable z
+    s = np.zeros((3, u.shape[0]))
+    h = cfg.dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            f0 = force[:, 2 * i]
+            fm = force[:, 2 * i + 1]
+            f1 = force[:, 2 * i + 2]
+            k1 = deriv(s, f0)
+            k2 = deriv(s + 0.5 * h * k1, fm)
+            k3 = deriv(s + 0.5 * h * k2, fm)
+            k4 = deriv(s + h * k3, f1)
+            s = s + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(s[0])):
+        raise ValueError("oscillator state became non-finite (load too extreme)")
+    return s[0]

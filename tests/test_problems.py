@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import norm
 
+from oracles import oscillator_response_rk4_reference
 from safeice.problems import (
     PROBLEM_NAMES,
     OscillatorConfig,
@@ -227,6 +228,59 @@ def test_oscillator_fourth_order_convergence():
 def test_oscillator_blowup_guard():
     with pytest.raises(ValueError, match="non-finite"):
         oscillator_response(np.full((1, 10), 1e150))
+
+
+# a fixed seeded set of loads: 200 unit-scale rows and the same rows times 3
+ORACLE_U = np.random.default_rng(13).standard_normal((200, 10)) * np.repeat([[1.0], [3.0]], 100, axis=0)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [OscillatorConfig(), OscillatorConfig(alpha=1.0), OscillatorConfig(dt=0.02), OscillatorConfig(bw_n=2)],
+    ids=["default", "alpha=1", "dt=0.02", "bw_n=2"],
+)
+def test_oscillator_matches_the_per_stage_rk4(cfg):
+    # the folded constants round differently, so the two integrators agree
+    # to a tolerance, and on every failure indicator at z = 0.05
+    x = oscillator_response(ORACLE_U, cfg)
+    x_ref = oscillator_response_rk4_reference(ORACLE_U, cfg)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12
+    assert np.array_equal(x >= 0.05, x_ref >= 0.05)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dim", 9, "dim must be even"),
+        ("dim", 0, "dim must be at least 2"),
+        ("dt", -0.01, "dt must be a positive finite number"),
+        ("t_end", 0.0, "t_end must be a positive finite number"),
+        ("t_end", 0.004, "t_end must span at least one step"),
+        ("mass", np.inf, "mass must be a positive finite number"),
+        ("stiffness", np.nan, "stiffness must be a positive finite number"),
+        ("yield_disp", 0.0, "yield_disp must be a positive finite number"),
+        ("damping_ratio", -0.05, "damping_ratio must be nonnegative"),
+        ("damping_ratio", np.inf, "damping_ratio must be a finite number"),
+        ("intensity", -1.0, "intensity must be nonnegative"),
+        ("alpha", np.nan, "alpha must be a finite number"),
+        ("bw_gamma", "0.5", "bw_gamma must be a finite number"),
+        ("bw_n", 2.5, "bw_n must be an integer"),
+        ("bw_n", 0, "bw_n must be at least 1"),
+    ],
+)
+def test_oscillator_config_names_a_bad_field(field, value, message):
+    # before the check, dt < 0 or t_end = 0 ran no step and returned x = 0
+    # for every row, an odd dim failed inside matmul, and a NaN alpha or a
+    # negative intensity surfaced as "load too extreme"
+    with pytest.raises(ValueError, match=message):
+        OscillatorConfig(**{field: value})
+
+
+def test_oscillator_config_takes_zero_damping():
+    u = np.random.default_rng(14).standard_normal((2, 10))
+    cfg = OscillatorConfig(damping_ratio=0.0)
+    assert cfg.damping == 0.0
+    assert np.all(np.isfinite(oscillator_response(u, cfg)))
 
 
 def test_oscillator_config_damping():
