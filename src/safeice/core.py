@@ -11,6 +11,7 @@ The baseline has no heavy kernel and runs the same EM with zero penalty.
 from __future__ import annotations
 
 import logging
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -166,12 +167,15 @@ def select_sigma(
     Solves cv(W(sigma)) = delta_target for x = ln sigma, the root that
     Papaioannou et al. (2016, 2019) pose. The excess e(x) = cv(W(e^x))
     - delta_target is evaluated on a 50-point grid over
-    [ln(1e-8 sigma_prev), ln sigma_prev]. If e changes sign between two
-    neighbouring finite grid points, the cell with the smallest sigma is
-    bisected in ln sigma until it is narrower than 1e-10 and its midpoint
-    is taken. Otherwise the first grid point with the smallest |e| is
-    taken, which is the first one when no e is finite. The result never
-    exceeds sigma_prev.
+    [ln(1e-8 sigma_prev), ln sigma_prev], from the smallest sigma upward,
+    up to the first pair of neighbouring finite grid points where e
+    changes sign. That cell, the crossing with the smallest sigma, is
+    rooted by regula falsi with the Illinois modification: an end kept
+    twice in a row has its stored excess halved. The search stops when
+    a step moves x by less than 1e-10, when the cell is narrower than
+    1e-10 or when e is exactly 0. Without a sign change the first grid
+    point with the smallest |e| is taken, which is the first one when no
+    e is finite. The result never exceeds sigma_prev.
     """
     if sigma_prev <= 0.0:
         raise ValueError("sigma_prev must be positive")
@@ -180,22 +184,36 @@ def select_sigma(
         return _weight_cv(intermediate_log_weights(g, np.exp(log_sigma), log_ratio)) - delta_target
 
     grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
-    e = np.array([excess(x) for x in grid])
-    finite = np.isfinite(e)
-    cells = np.flatnonzero(finite[:-1] & finite[1:] & (e[:-1] * e[1:] < 0.0))
-    if cells.size:
-        i = cells[0]
-        a, b, a_low = grid[i], grid[i + 1], e[i] < 0.0
-        while b - a >= 1e-10:
-            mid = 0.5 * (a + b)
-            if (excess(mid) < 0.0) == a_low:
-                a = mid
-            else:
-                b = mid
-        best_x = 0.5 * (a + b)
+    e = [excess(grid[0])]
+    for b in grid[1:]:
+        e.append(excess(b))
+        fa, fb = e[-2:]
+        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
+            break
     else:
-        best_x = grid[np.argmin(np.where(finite, np.abs(e), np.inf))]
-    return float(min(np.exp(best_x), sigma_prev))
+        best = grid[np.argmin(np.where(np.isfinite(e), np.abs(e), np.inf))]
+        return float(min(np.exp(best), sigma_prev))
+
+    a = grid[len(e) - 2]
+    x, kept = np.inf, 0  # kept: the end left in place by the last step, -1 for a, +1 for b
+    while b - a >= 1e-10:
+        x_prev, x = x, min(max(b - fb * (b - a) / (fb - fa), a), b)
+        if abs(x - x_prev) < 1e-10:
+            break
+        fx = excess(x)
+        if fx == 0.0:
+            break
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+    return float(min(np.exp(x), sigma_prev))
 
 
 def stop_cv(g: np.ndarray, sigma: float) -> float:

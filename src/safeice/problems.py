@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
+# oscillator_response integrates at most this many rows at once; its load
+# array is (2 t_end/dt + 1) x rows, 52 MB at the default config
+_OSCILLATOR_BLOCK_ROWS = 4096
 
 
 def four_branch(u, z: float):
@@ -147,6 +150,8 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
         z' = (A/x_y) v - |z|^(n-1) ((beta/x_y) |v| z + (gamma/x_y) v |z|)
 
     where |z|^(n-1) is the product z z at n = 3 and a power at any other n.
+    More than ``_OSCILLATOR_BLOCK_ROWS`` rows are integrated block by block,
+    which bounds the memory of the load array.
     """
     if cfg is None:
         cfg = OscillatorConfig()
@@ -154,6 +159,9 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
     d = cfg.dim
     if u.shape[1] != d:
         raise ValueError(f"oscillator requires d = {d}")
+    rows = _OSCILLATOR_BLOCK_ROWS
+    if u.shape[0] > rows:
+        return np.concatenate([oscillator_response(u[i : i + rows], cfg) for i in range(0, u.shape[0], rows)])
     half = d // 2
     n_steps = int(round(cfg.t_end / cfg.dt))
 

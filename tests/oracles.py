@@ -7,6 +7,7 @@ other way, so the tests can compare the two.
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
+from safeice.core import _weight_cv, intermediate_log_weights
 from safeice.distributions import (
     _check_unit,
     inv_nakagami_logpdf,
@@ -219,3 +220,36 @@ def oscillator_response_rk4_reference(u, cfg: OscillatorConfig | None = None):
     if not np.all(np.isfinite(s[0])):
         raise ValueError("oscillator state became non-finite (load too extreme)")
     return s[0]
+
+
+def select_sigma_full_grid_reference(g, log_ratio, sigma_prev: float, delta_target: float) -> float:
+    """The smoothing level by the full-grid search that ``core.select_sigma``
+    replaced: e(x) = cv(W(e^x)) - delta_target at all 50 points of the grid
+    over [ln(1e-8 sigma_prev), ln sigma_prev], then 32 halvings of the
+    crossing cell with the smallest sigma, down to a width below 1e-10, and
+    its midpoint. Without a crossing, the first grid point with the
+    smallest |e|. The result never exceeds sigma_prev.
+    """
+    if sigma_prev <= 0.0:
+        raise ValueError("sigma_prev must be positive")
+
+    def excess(log_sigma: float) -> float:
+        return _weight_cv(intermediate_log_weights(g, np.exp(log_sigma), log_ratio)) - delta_target
+
+    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
+    e = np.array([excess(x) for x in grid])
+    finite = np.isfinite(e)
+    cells = np.flatnonzero(finite[:-1] & finite[1:] & (e[:-1] * e[1:] < 0.0))
+    if cells.size:
+        i = cells[0]
+        a, b, a_low = grid[i], grid[i + 1], e[i] < 0.0
+        while b - a >= 1e-10:
+            mid = 0.5 * (a + b)
+            if (excess(mid) < 0.0) == a_low:
+                a = mid
+            else:
+                b = mid
+        best_x = 0.5 * (a + b)
+    else:
+        best_x = grid[np.argmin(np.where(finite, np.abs(e), np.inf))]
+    return float(min(np.exp(best_x), sigma_prev))

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
 from safeice import core
 from safeice.core import (
     RunConfig,
+    _weight_cv,
     cv,
     estimate_pf,
     init_light_params,
@@ -27,7 +30,7 @@ from safeice.mixtures import PolarSamples, SafeMixtureParams, prior_logpdf, safe
 from safeice.problems import Problem, problem_registry
 from safeice.special import log_normal_cdf
 
-from oracles import subset_estimate_pf
+from oracles import select_sigma_full_grid_reference, subset_estimate_pf
 
 
 def prior_samples(rng, problem, n):
@@ -234,18 +237,69 @@ def test_select_sigma_takes_the_smallest_crossing(seed):
     assert not np.any(crossing[grid[1:] < np.log(got)])
 
 
-def test_select_sigma_evaluates_cv_at_most_82_times(monkeypatch):
-    # 50 grid points, then 32 halvings take a grid cell below 1e-10
-    calls = []
+def test_select_sigma_scans_the_grid_up_to_the_first_crossing(monkeypatch):
+    # the grid is evaluated from below up to the first crossing cell
+    # (i, i + 1), i + 2 points, and rooting that cell takes at most 12 more
+    # evaluations, each one log_normal_cdf pass
+    args = first_level_inputs(1024)
+    grid, e = excess_on_grid(*args)
+    i = np.flatnonzero(e[:-1] * e[1:] < 0.0)[0]
+    sigmas, cdf_calls = [], []
+
+    def recorded(g, sigma, log_ratio):
+        sigmas.append(sigma)
+        return intermediate_log_weights(g, sigma, log_ratio)
 
     def counted(x):
-        calls.append(x)
+        cdf_calls.append(x)
         return log_normal_cdf(x)
 
-    args = first_level_inputs(1024)
+    monkeypatch.setattr(core, "intermediate_log_weights", recorded)
     monkeypatch.setattr(core, "log_normal_cdf", counted)
     select_sigma(*args)
-    assert 50 < len(calls) <= 50 + 32
+    on_grid = np.isin(sigmas, np.exp(grid))
+    assert on_grid[: i + 2].all() and on_grid.sum() == i + 2
+    assert 1 <= (~on_grid).sum() <= 12
+    assert len(cdf_calls) == len(sigmas)
+
+
+def assert_same_as_full_grid(g, log_ratio, sigma_prev, delta):
+    """select_sigma takes the grid cell of the full-grid reference and a sigma
+    within 1e-9 relative of the reference's; a root also solves cv(W) = delta
+    to 1e-8."""
+    got = select_sigma(g, log_ratio, sigma_prev, delta)
+    want = select_sigma_full_grid_reference(g, log_ratio, sigma_prev, delta)
+    grid, e = excess_on_grid(g, log_ratio, sigma_prev, delta)
+    assert np.searchsorted(grid, np.log(got)) == np.searchsorted(grid, np.log(want))
+    assert got == pytest.approx(want, rel=1e-9)
+    finite = np.isfinite(e)
+    if np.any(finite[:-1] & finite[1:] & (e[:-1] * e[1:] < 0.0)):
+        assert abs(_weight_cv(intermediate_log_weights(g, got, log_ratio)) - delta) < 1e-8
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("seed", [1024, 1083, 1097])
+def test_select_sigma_matches_the_full_grid_search_at_two_crossings(seed):
+    assert_same_as_full_grid(*first_level_inputs(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(50, 800),
+    z=st.floats(1.0, 3.5),
+    spread=st.floats(0.0, 2.0),
+    sigma_prev=st.floats(0.05, 20.0),
+    delta=st.sampled_from([1.5, 4.0, 1000.0]),
+)
+def test_select_sigma_matches_the_full_grid_search_on_two_mode_batches(seed, n, z, spread, sigma_prev, delta):
+    # a prior two-mode batch with a random log ratio; at delta 1000 no grid
+    # cell can change sign
+    rng = rng_from_seed(seed)
+    _, g = prior_samples(rng, problem_registry("two-mode", z, 2), n)
+    log_ratio = spread * rng.standard_normal(n)
+    assert_same_as_full_grid(g, log_ratio, sigma_prev, delta)
 
 
 def test_select_sigma_without_crossing_takes_the_closest_grid_point():

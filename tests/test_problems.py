@@ -1,11 +1,14 @@
 """Tests for the benchmark limit-state functions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.stats import norm
 
 from oracles import oscillator_response_rk4_reference
+from safeice import problems
 from safeice.problems import (
     PROBLEM_NAMES,
     OscillatorConfig,
@@ -246,6 +249,27 @@ def test_oscillator_matches_the_per_stage_rk4(cfg):
     x_ref = oscillator_response_rk4_reference(ORACLE_U, cfg)
     assert np.max(np.abs(x - x_ref)) <= 1e-12
     assert np.array_equal(x >= 0.05, x_ref >= 0.05)
+
+
+def test_oscillator_blocks_match_one_block(monkeypatch):
+    # 200 rows in blocks of 64, 64, 64 and 8
+    whole = oscillator_response(ORACLE_U)
+    monkeypatch.setattr(problems, "_OSCILLATOR_BLOCK_ROWS", 64)
+    assert np.max(np.abs(oscillator_response(ORACLE_U) - whole)) <= 1e-12
+
+
+def test_oscillator_memory_is_bounded_by_the_block():
+    # one block holds its load array, about 52 MB; the 20,000-row load
+    # alone would take 256 MB
+    u = np.random.default_rng(14).standard_normal((20_000, 10))
+    tracemalloc.start()
+    try:
+        x = oscillator_response(u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (20_000,)
+    assert peak < 100e6
 
 
 @pytest.mark.parametrize(
