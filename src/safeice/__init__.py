@@ -1,7 +1,7 @@
 """Rare-event failure probability estimation by adaptive importance
 sampling with heavy-tail-guarded mixture proposals."""
 
-from .bench import BenchmarkStats, persist, run_repetitions
+from .bench import persist, run_repetitions
 from .core import (
     RunConfig,
     RunResult,
@@ -35,7 +35,6 @@ from .problems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkStats",
     "FitResult",
     "McEstimate",
     "OscillatorConfig",

@@ -1,60 +1,24 @@
-"""Repeated-run benchmarking, summary statistics, and persistence."""
+"""Repeated-run benchmarking, the summary record, and persistence."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .core import RunConfig, RunResult, _check_integer, _check_positive, cv, run
 
-__all__ = ["BenchmarkStats", "run_repetitions", "summary_record", "json_record", "persist"]
-
-_RUN_FIELDS = ("run", "seed", "pf", "iterations", "final_k", "lsf_evals", "converged")
+__all__ = ["run_repetitions", "summary_record", "json_record", "persist"]
 
 
-@dataclass
-class BenchmarkStats:
-    """Repeated runs of one problem/configuration and their aggregates.
-
-    rel_error is |p_ref - mean(pf)| / p_ref and cv the sample coefficient
-    of variation of the per-run estimates; every aggregate is derived from
-    ``runs``.
-    """
-
-    p_ref: float
-    runs: list
-
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
-    @property
-    def mean_pf(self) -> float:
-        return float(np.mean([r.pf for r in self.runs]))
-
-    @property
-    def rel_error(self) -> float:
-        return abs(self.p_ref - self.mean_pf) / self.p_ref
-
-    @property
-    def cv(self) -> float:
-        return cv([r.pf for r in self.runs])
-
-    @property
-    def mean_iterations(self) -> float:
-        return float(np.mean([r.iterations for r in self.runs]))
-
-    @property
-    def mean_final_k(self) -> float:
-        return float(np.mean([r.final_k for r in self.runs]))
-
-
-def run_repetitions(problem, config: RunConfig, n_runs: int, p_ref: float) -> BenchmarkStats:
-    """Run the configured method ``n_runs`` times, one after another.
+def run_repetitions(
+    problem, config: RunConfig, n_runs: int, p_ref: float
+) -> tuple[list[RunResult], dict]:
+    """Run the configured method ``n_runs`` times, one after another, and
+    return the runs with their ``summary_record``.
 
     Repetition i runs with seed config.seed + i, so results are
     reproducible.
@@ -62,23 +26,25 @@ def run_repetitions(problem, config: RunConfig, n_runs: int, p_ref: float) -> Be
     _check_integer("n_runs", n_runs, 2)  # the spread statistics need two
     _check_positive("p_ref", p_ref)
     runs = [run(problem, replace(config, seed=config.seed + i)) for i in range(n_runs)]
-    return BenchmarkStats(p_ref=p_ref, runs=runs)
+    return runs, summary_record(runs, p_ref)
 
 
-def _run_record(i: int, r: RunResult) -> dict:
-    return {"run": i, **{f: getattr(r, f) for f in _RUN_FIELDS[1:]}}
+def summary_record(runs: list[RunResult], p_ref: float) -> dict:
+    """The aggregates of ``runs``: the last line of a bench output file and
+    the ``safeice bench`` stdout.
 
-
-def summary_record(stats: BenchmarkStats) -> dict:
-    """The summary line of a bench output file and of ``safeice bench`` stdout."""
+    rel_error is |p_ref - mean(pf)| / p_ref and cv the sample coefficient
+    of variation of the per-run estimates.
+    """
+    pf = [r.pf for r in runs]
     return {
         "summary": True,
-        "p_ref": stats.p_ref,
-        "rel_error": stats.rel_error,
-        "cv": stats.cv,
-        "mean_t": stats.mean_iterations,
-        "mean_k": stats.mean_final_k,
-        "n_runs": stats.n_runs,
+        "p_ref": p_ref,
+        "rel_error": abs(p_ref - float(np.mean(pf))) / p_ref,
+        "cv": cv(pf),
+        "mean_t": float(np.mean([r.iterations for r in runs])),
+        "mean_k": float(np.mean([r.final_k for r in runs])),
+        "n_runs": len(runs),
     }
 
 
@@ -104,28 +70,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def persist(stats: BenchmarkStats, path: str, fmt: str = "jsonl") -> None:
-    """Write per-run records followed by one summary record.
+def persist(runs: list[RunResult], summary: dict, path: str, fmt: str = "jsonl") -> None:
+    """Write one record per run, then ``summary``.
 
-    jsonl: one ``json_record`` per line. csv: union header of run and summary
-    columns, floats with 17 significant digits; both round-trip float
-    values bit-exactly.
+    Run i's record is ``{"run": i, **asdict(run)}``, the ``estimate``
+    record plus its index. jsonl: one ``json_record`` per line. csv: the
+    record's scalar columns, then the summary's; floats with 17
+    significant digits. Both round-trip float values bit-exactly.
     """
-    if not stats.runs:
+    if not runs:
         raise ValueError("no runs to persist")
-    records = [_run_record(i, r) for i, r in enumerate(stats.runs)]
-    summary = summary_record(stats)
+    records = [{"run": i, **asdict(r)} for i, r in enumerate(runs)]
     if fmt == "jsonl":
         with open(path, "w") as fh:
-            for rec in records:
+            for rec in records + [summary]:
                 fh.write(json_record(rec) + "\n")
-            fh.write(json_record(summary) + "\n")
     elif fmt == "csv":
+        columns = [key for key, value in records[0].items() if not isinstance(value, list)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(list(_RUN_FIELDS) + list(summary))
+            writer.writerow(columns + list(summary))
             for rec in records:
-                writer.writerow([_fmt(rec[f]) for f in _RUN_FIELDS] + [""] * len(summary))
-            writer.writerow([""] * len(_RUN_FIELDS) + [_fmt(x) for x in summary.values()])
+                writer.writerow([_fmt(rec[c]) for c in columns] + [""] * len(summary))
+            writer.writerow([""] * len(columns) + [_fmt(x) for x in summary.values()])
     else:
         raise ValueError("format must be 'jsonl' or 'csv'")

@@ -19,7 +19,7 @@ from dataclasses import asdict, fields
 from types import NoneType
 from typing import get_args, get_type_hints
 
-from .bench import json_record, persist, run_repetitions, summary_record
+from .bench import json_record, persist, run_repetitions
 from .core import RunConfig, run
 from .oracle import mc_estimate
 from .problems import PROBLEM_NAMES, PROBLEMS, problem_registry
@@ -137,9 +137,9 @@ def main(argv=None) -> int:
             print(json_record(asdict(est)))
             return 0
         if args.command == "bench":
-            stats = run_repetitions(problem, _run_config(opts), opts["reps"], opts["p_ref"])
-            persist(stats, opts["out"], **({"fmt": opts["format"]} if "format" in opts else {}))
-            print(json_record(summary_record(stats)))
+            runs, summary = run_repetitions(problem, _run_config(opts), opts["reps"], opts["p_ref"])
+            persist(runs, summary, opts["out"], **({"fmt": opts["format"]} if "format" in opts else {}))
+            print(json_record(summary))
             return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,12 +27,11 @@ from .mixtures import (
     safe_sample,
 )
 from .problems import evaluate_lsf
-from .special import log_normal_cdf, normal_cdf, shifted_exp
+from .special import log_normal_cdf, shifted_exp
 
 __all__ = [
     "RunConfig",
     "RunResult",
-    "smooth_indicator",
     "log_smooth_indicator",
     "cv",
     "intermediate_log_weights",
@@ -114,13 +113,6 @@ class RunResult:
     lambda_trace: list = field(default_factory=list)
     k_trace: list = field(default_factory=list)
     n_failures: int = 0
-
-
-def smooth_indicator(g, sigma: float):
-    """Smoothed failure indicator h_sigma(g) = Phi(-g / sigma)."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return normal_cdf(-np.asarray(g, dtype=float) / sigma)
 
 
 def log_smooth_indicator(g, sigma: float):
@@ -220,17 +212,13 @@ def stop_cv(g: np.ndarray, sigma: float) -> float:
     """Coefficient of variation of the weights I{g <= 0} / h_sigma(g) over
     the light-origin samples' limit-state values ``g``.
 
-    Returns +inf when fewer than two values are given (none when
-    lambda = 0) or when none of them fail.
+    The weights go through ``select_sigma``'s cv kernel in log space,
+    ln 1/h_sigma(g) = -ln Phi(-g / sigma). Returns +inf when fewer than
+    two values are given (none when lambda = 0) or when none of them fail.
     """
-    if g.size < 2:
-        return np.inf
-    fail = g <= 0.0
-    if not np.any(fail):
-        return np.inf
-    values = np.zeros(g.size)
-    values[fail] = 1.0 / smooth_indicator(g[fail], sigma)
-    return cv(values)
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    return _weight_cv(np.where(g <= 0.0, -log_normal_cdf(-g / sigma), -np.inf))
 
 
 def lambda_schedule(sigma: float, horizon: float) -> float:

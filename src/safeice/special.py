@@ -1,8 +1,9 @@
 """Scalar special functions used by the radial and angular densities.
 
 Everything here is a thin, well-tested numerical kernel: log-gamma, the
-standard normal CDF, the scaled modified Bessel function of the first
-kind in log space, and the max-shifted exponential of log weights.
+log of the standard normal CDF, the scaled modified Bessel function of
+the first kind in log space, and the max-shifted exponential of log
+weights.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from scipy import special as _sc
 
 __all__ = [
     "log_gamma",
-    "normal_cdf",
     "log_normal_cdf",
     "log_bessel_i_scaled",
     "shifted_exp",
@@ -30,11 +30,6 @@ def log_gamma(x):
     if np.any(x <= 0.0):
         raise ValueError("log_gamma requires x > 0")
     return _sc.gammaln(x)
-
-
-def normal_cdf(x):
-    """Standard normal CDF Phi(x), saturating to 0/1 in the far tails."""
-    return _sc.ndtr(x)
 
 
 def log_normal_cdf(x):

@@ -81,57 +81,57 @@ def oscillator_pair():
 
 
 def test_two_mode_analytic_accuracy(two_mode_z35, two_mode_z55):
-    s35, s55 = two_mode_z35, two_mode_z55
+    (_, s35), (_, s55) = two_mode_z35, two_mode_z55
     ok = (
-        s35.rel_error <= 0.15
-        and s35.cv <= 0.20
-        and s55.rel_error <= 0.20
-        and s55.mean_iterations <= 4.5
+        s35["rel_error"] <= 0.15
+        and s35["cv"] <= 0.20
+        and s55["rel_error"] <= 0.20
+        and s55["mean_t"] <= 4.5
     )
     detail = (
-        f"z=3.5: rel_err {s35.rel_error:.3f} <= 0.15, cv {s35.cv:.3f} <= 0.20; "
-        f"z=5.5: rel_err {s55.rel_error:.3f} <= 0.20, mean T {s55.mean_iterations:.2f} <= 4.5"
+        f"z=3.5: rel_err {s35['rel_error']:.3f} <= 0.15, cv {s35['cv']:.3f} <= 0.20; "
+        f"z=5.5: rel_err {s55['rel_error']:.3f} <= 0.20, mean T {s55['mean_t']:.2f} <= 4.5"
     )
     assert report(1, "two-mode analytic", ok, detail)
 
 
 def test_four_branch_against_oracle(four_branch_oracle, four_branch_safe, four_branch_ice):
-    mc, safe, ice = four_branch_oracle, four_branch_safe, four_branch_ice
-    ice_converged = float(np.mean([r.converged for r in ice.runs]))
+    mc, (_, safe), (ice_runs, ice) = four_branch_oracle, four_branch_safe, four_branch_ice
+    ice_converged = float(np.mean([r.converged for r in ice_runs]))
     ok = (
         mc.cv <= 0.01
-        and safe.rel_error <= 0.10
-        and safe.cv <= 0.15
-        and safe.mean_iterations <= 2.0
+        and safe["rel_error"] <= 0.10
+        and safe["cv"] <= 0.15
+        and safe["mean_t"] <= 2.0
         and ice_converged == 1.0
-        and ice.mean_iterations <= 4.0
+        and ice["mean_t"] <= 4.0
     )
     detail = (
-        f"oracle pf {mc.pf:.4e} (cv {mc.cv:.4f} <= 0.01); safe rel_err {safe.rel_error:.3f}"
-        f" <= 0.10, cv {safe.cv:.3f} <= 0.15, mean T {safe.mean_iterations:.2f} <= 2;"
-        f" plain K=2 converged {ice_converged:.0%}, mean T {ice.mean_iterations:.2f} <= 4"
+        f"oracle pf {mc.pf:.4e} (cv {mc.cv:.4f} <= 0.01); safe rel_err {safe['rel_error']:.3f}"
+        f" <= 0.10, cv {safe['cv']:.3f} <= 0.15, mean T {safe['mean_t']:.2f} <= 2;"
+        f" plain K=2 converged {ice_converged:.0%}, mean T {ice['mean_t']:.2f} <= 4"
     )
     assert report(2, "four-branch vs MC oracle", ok, detail)
 
 
 def test_component_pruning_band(two_mode_z35, two_mode_z45):
-    k35 = two_mode_z35.mean_final_k
-    k45 = two_mode_z45.mean_final_k
+    k35 = two_mode_z35[1]["mean_k"]
+    k45 = two_mode_z45[1]["mean_k"]
     ok = 2.0 <= k35 <= 6.0 and 2.0 <= k45 <= 6.0
     detail = f"mean final K from 20: z=3.5 -> {k35:.2f}, z=4.5 -> {k45:.2f}, band [2, 6]"
     assert report(3, "component pruning", ok, detail)
 
 
 def test_oscillator_cross_method_agreement(oscillator_pair):
-    safe, ice = oscillator_pair
-    pf_s = np.array([r.pf for r in safe.runs])
-    pf_i = np.array([r.pf for r in ice.runs])
+    (safe_runs, safe), (ice_runs, ice) = oscillator_pair
+    pf_s = np.array([r.pf for r in safe_runs])
+    pf_i = np.array([r.pf for r in ice_runs])
     diff = abs(pf_s.mean() - pf_i.mean())
     se = np.sqrt(pf_s.var(ddof=1) / len(pf_s) + pf_i.var(ddof=1) / len(pf_i))
-    ok = diff <= 3.0 * se and safe.mean_iterations <= ice.mean_iterations + 1.0
+    ok = diff <= 3.0 * se and safe["mean_t"] <= ice["mean_t"] + 1.0
     detail = (
         f"means {pf_s.mean():.4e} vs {pf_i.mean():.4e}, |diff| {diff:.2e} <= 3 SE {3 * se:.2e};"
-        f" mean T {safe.mean_iterations:.2f} <= {ice.mean_iterations:.2f} + 1"
+        f" mean T {safe['mean_t']:.2f} <= {ice['mean_t']:.2f} + 1"
     )
     assert report(4, "oscillator cross-method", ok, detail)
 
@@ -238,7 +238,7 @@ def test_schedule_and_sigma_decrease(
         four_branch_ice,
         *oscillator_pair,
     ]
-    runs = [r for b in batches for r in b.runs if r.converged]
+    runs = [r for b, _ in batches for r in b if r.converged]
 
     # Strict decrease is required of every accepted level. When the weight
     # cv exceeds the target at every candidate level, the search keeps the

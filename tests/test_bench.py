@@ -2,13 +2,13 @@
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 import safeice.bench as bench
-from safeice.bench import BenchmarkStats, persist, run_repetitions
+from safeice.bench import persist, run_repetitions, summary_record
 from safeice.core import RunConfig, RunResult, run
 from safeice.problems import problem_registry
 
@@ -42,30 +42,29 @@ PROB = problem_registry("two-mode", 2.0, 2)
 def test_identical_runs_zero_error(monkeypatch):
     table = {i: 4.6527e-4 for i in range(4)}
     monkeypatch.setattr(bench, "run", stub_runner(table))
-    stats = run_repetitions(PROB, RunConfig(seed=0), 4, p_ref=4.6527e-4)
-    assert stats.rel_error == 0.0
-    assert stats.cv == 0.0
-    assert stats.mean_pf == 4.6527e-4
-    assert stats.n_runs == 4
+    _, summary = run_repetitions(PROB, RunConfig(seed=0), 4, p_ref=4.6527e-4)
+    assert summary["rel_error"] == 0.0
+    assert summary["cv"] == 0.0
+    assert summary["n_runs"] == 4
 
 
 def test_two_run_arithmetic(monkeypatch):
     table = {0: 1e-4, 1: 3e-4}
     monkeypatch.setattr(bench, "run", stub_runner(table))
-    stats = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=2e-4)
-    assert stats.rel_error <= 1e-12
-    assert stats.cv == pytest.approx(np.sqrt(2.0) * 1e-4 / 2e-4, rel=1e-12)
-    assert stats.cv == pytest.approx(0.7071, abs=1e-4)
+    _, summary = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=2e-4)
+    assert summary["rel_error"] <= 1e-12
+    assert summary["cv"] == pytest.approx(np.sqrt(2.0) * 1e-4 / 2e-4, rel=1e-12)
+    assert summary["cv"] == pytest.approx(0.7071, abs=1e-4)
 
 
 def test_zero_pf_runs_included(monkeypatch):
     # estimates of zero are kept and show up as an honest error
     table = {0: 0.0, 1: 0.0}
     monkeypatch.setattr(bench, "run", stub_runner(table))
-    stats = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=1e-3)
-    assert stats.rel_error == 1.0
-    assert stats.cv == np.inf
-    assert [r.pf for r in stats.runs] == [0.0, 0.0]
+    runs, summary = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=1e-3)
+    assert summary["rel_error"] == 1.0
+    assert summary["cv"] == np.inf
+    assert [r.pf for r in runs] == [0.0, 0.0]
 
 
 def test_statistics_permutation_invariant(monkeypatch):
@@ -73,12 +72,12 @@ def test_statistics_permutation_invariant(monkeypatch):
     table_a = dict(enumerate(values))
     table_b = dict(enumerate(values[::-1]))
     monkeypatch.setattr(bench, "run", stub_runner(table_a))
-    sa = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
+    _, sa = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
     monkeypatch.setattr(bench, "run", stub_runner(table_b))
-    sb = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
-    assert sa.rel_error == pytest.approx(sb.rel_error, rel=1e-12)
-    assert sa.cv == pytest.approx(sb.cv, rel=1e-12)
-    assert sa.mean_final_k == sb.mean_final_k
+    _, sb = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
+    assert sa["rel_error"] == pytest.approx(sb["rel_error"], rel=1e-12)
+    assert sa["cv"] == pytest.approx(sb["cv"], rel=1e-12)
+    assert sa["mean_k"] == sb["mean_k"]
 
 
 def test_mean_iteration_and_k(monkeypatch):
@@ -87,9 +86,9 @@ def test_mean_iteration_and_k(monkeypatch):
         return make_result(i, 2e-4, iterations=i + 1, final_k=i + 2)
 
     monkeypatch.setattr(bench, "run", run)
-    stats = run_repetitions(PROB, RunConfig(seed=0), 3, p_ref=2e-4)
-    assert stats.mean_iterations == 2.0
-    assert stats.mean_final_k == 3.0
+    _, summary = run_repetitions(PROB, RunConfig(seed=0), 3, p_ref=2e-4)
+    assert summary["mean_t"] == 2.0
+    assert summary["mean_k"] == 3.0
 
 
 def test_doubling_runs_is_stable(monkeypatch):
@@ -103,9 +102,9 @@ def test_doubling_runs_is_stable(monkeypatch):
     ok = 0
     for trial in range(20):
         base = 1000 * trial
-        s1 = run_repetitions(PROB, RunConfig(seed=base), 10, p_ref=2e-4)
-        s2 = run_repetitions(PROB, RunConfig(seed=base), 20, p_ref=2e-4)
-        if abs(s1.rel_error - s2.rel_error) < 3.0 * s1.cv / np.sqrt(10.0):
+        _, s1 = run_repetitions(PROB, RunConfig(seed=base), 10, p_ref=2e-4)
+        _, s2 = run_repetitions(PROB, RunConfig(seed=base), 20, p_ref=2e-4)
+        if abs(s1["rel_error"] - s2["rel_error"]) < 3.0 * s1["cv"] / np.sqrt(10.0):
             ok += 1
     assert ok >= 14
 
@@ -137,61 +136,64 @@ def test_run_repetitions_names_a_bad_argument(n_runs, p_ref, match):
 
 def test_real_repetitions_seed_plus_i():
     cfg = RunConfig(seed=100, n_per_iter=200, k_init=4)
-    stats = run_repetitions(PROB, cfg, 3, 0.0455)
-    assert [r.seed for r in stats.runs] == [100, 101, 102]
-    for i, r in enumerate(stats.runs):
+    runs, summary = run_repetitions(PROB, cfg, 3, 0.0455)
+    assert [r.seed for r in runs] == [100, 101, 102]
+    for i, r in enumerate(runs):
         assert r == run(PROB, replace(cfg, seed=100 + i))
-    assert all(r.pf > 0.0 for r in stats.runs)
+    assert all(r.pf > 0.0 for r in runs)
+    assert summary == summary_record(runs, 0.0455)
 
 
 # ---------------------------------------------------------------- persistence
 
 
-def make_stats(n=3):
-    runs = [
-        make_result(i, (i + 1) / 3.0e4, iterations=i + 1, final_k=i + 2, converged=i != 1)
+P_REF = 1.0 / 9.0e3
+
+
+def make_runs(n=3):
+    return [
+        replace(
+            make_result(i, (i + 1) / 3.0e4, iterations=i + 1, final_k=i + 2, converged=i != 1),
+            sigma_trace=[10.0, (i + 1) / 7.0],
+            lambda_trace=[0.0, 1.0 - (i + 1) / 3.0e7],
+            k_trace=[20, i + 2],
+            n_failures=17 * i,
+        )
         for i in range(n)
     ]
-    return BenchmarkStats(p_ref=1.0 / 9.0e3, runs=runs)
 
 
 def test_persist_jsonl_round_trip(tmp_path):
-    stats = make_stats()
+    runs = make_runs()
+    summary = summary_record(runs, P_REF)
     path = tmp_path / "out.jsonl"
-    persist(stats, str(path))
+    persist(runs, summary, str(path))
     lines = path.read_text().splitlines()
     assert len(lines) == 4
     for i, line in enumerate(lines[:3]):
         rec = json.loads(line)
-        assert rec["run"] == i
-        assert rec["seed"] == stats.runs[i].seed
-        assert rec["pf"] == stats.runs[i].pf  # bit-exact float round-trip
-        assert rec["converged"] == stats.runs[i].converged
-        assert rec["lsf_evals"] == stats.runs[i].lsf_evals
-    summary = json.loads(lines[3])
-    assert summary["summary"] is True
-    assert summary["p_ref"] == stats.p_ref
-    assert summary["rel_error"] == stats.rel_error
-    assert summary["cv"] == stats.cv
-    assert summary["mean_t"] == stats.mean_iterations
-    assert summary["mean_k"] == stats.mean_final_k
-    assert summary["n_runs"] == 3
+        assert rec.pop("run") == i
+        # the estimate record, every float bit-exact, the traces included
+        assert rec == asdict(runs[i])
+    assert json.loads(lines[3]) == summary  # p_ref, rel_error, cv, ... bit-exact
 
 
 def test_persist_csv_round_trip(tmp_path):
-    stats = make_stats()
+    runs = make_runs()
+    summary = summary_record(runs, P_REF)
     path = tmp_path / "out.csv"
-    persist(stats, str(path), fmt="csv")
+    persist(runs, summary, str(path), fmt="csv")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
         "run",
-        "seed",
         "pf",
         "iterations",
         "final_k",
         "lsf_evals",
         "converged",
+        "seed",
+        "n_failures",
         "summary",
         "p_ref",
         "rel_error",
@@ -202,46 +204,47 @@ def test_persist_csv_round_trip(tmp_path):
     ]
     assert len(rows) == 5
     for i, row in enumerate(rows[1:4]):
+        r = runs[i]
         assert int(row[0]) == i
-        assert float(row[2]) == stats.runs[i].pf  # 17 digits round-trip
-        assert row[6] == ("true" if stats.runs[i].converged else "false")
-        assert row[7:] == [""] * 7
-    summary = rows[4]
-    assert summary[:7] == [""] * 7
-    assert float(summary[8]) == stats.p_ref
-    assert float(summary[9]) == stats.rel_error
-    assert float(summary[10]) == stats.cv
-    assert int(summary[13]) == 3
+        assert float(row[1]) == r.pf  # 17 digits round-trip
+        assert [int(x) for x in row[2:5]] == [r.iterations, r.final_k, r.lsf_evals]
+        assert row[5] == ("true" if r.converged else "false")
+        assert [int(x) for x in row[6:8]] == [r.seed, r.n_failures]
+        assert row[8:] == [""] * 7
+    last = rows[4]
+    assert last[:8] == [""] * 8
+    assert last[8] == "true"
+    assert float(last[9]) == P_REF
+    assert float(last[10]) == summary["rel_error"]
+    assert float(last[11]) == summary["cv"]
+    assert float(last[12]) == summary["mean_t"]
+    assert float(last[13]) == summary["mean_k"]
+    assert int(last[14]) == 3
 
 
 def test_persist_rejects_empty_and_bad_format(tmp_path):
-    stats = make_stats()
-    empty = BenchmarkStats(p_ref=1e-4, runs=[])
+    runs = make_runs()
+    summary = summary_record(runs, P_REF)
     with pytest.raises(ValueError):
-        persist(empty, str(tmp_path / "x.jsonl"))
+        persist([], summary, str(tmp_path / "x.jsonl"))
     with pytest.raises(ValueError):
-        persist(stats, str(tmp_path / "x.xml"), fmt="xml")
+        persist(runs, summary, str(tmp_path / "x.xml"), fmt="xml")
 
 
 def test_persist_propagates_io_error(tmp_path):
-    stats = make_stats()
+    runs = make_runs()
     with pytest.raises(OSError):
-        persist(stats, str(tmp_path / "missing" / "x.jsonl"))
-
-
-def test_mean_pf_property():
-    stats = make_stats()
-    assert stats.mean_pf == pytest.approx(np.mean([r.pf for r in stats.runs]), rel=1e-15)
+        persist(runs, summary_record(runs, P_REF), str(tmp_path / "missing" / "x.jsonl"))
 
 
 def test_aggregates_follow_runs():
-    # every aggregate is the formula over the current run list, bit for bit
-    stats = make_stats(4)
+    # every aggregate is the formula over the run list it is given, bit for bit
+    runs = make_runs(4)
     for n in (4, 2):
-        stats.runs = stats.runs[:n]
-        pf = np.array([r.pf for r in stats.runs])
-        assert stats.n_runs == n
-        assert stats.rel_error == float(abs(stats.p_ref - pf.mean()) / stats.p_ref)
-        assert stats.cv == float(pf.std(ddof=1) / pf.mean())
-        assert stats.mean_iterations == float(np.mean([r.iterations for r in stats.runs]))
-        assert stats.mean_final_k == float(np.mean([r.final_k for r in stats.runs]))
+        summary = summary_record(runs[:n], P_REF)
+        pf = np.array([r.pf for r in runs[:n]])
+        assert summary["n_runs"] == n
+        assert summary["rel_error"] == float(abs(P_REF - pf.mean()) / P_REF)
+        assert summary["cv"] == float(pf.std(ddof=1) / pf.mean())
+        assert summary["mean_t"] == float(np.mean([r.iterations for r in runs[:n]]))
+        assert summary["mean_k"] == float(np.mean([r.final_k for r in runs[:n]]))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import safeice.bench as bench
 from safeice.cli import _OPTIONS, _merge_options, _run_config, build_parser, main
 from safeice.core import RunConfig
 from safeice.problems import problem_registry
@@ -470,6 +471,36 @@ def test_bench_writes_runs_and_summary(tmp_path, capsys):
     assert stdout_summary["summary"] is True
 
 
+def test_bench_rows_are_the_estimate_records(tmp_path, capsys):
+    # row i, without its "run" key, is `estimate --seed S+i` byte for byte
+    out_path = tmp_path / "r.jsonl"
+    opts = ["--problem", "two-mode", "--z", "2.0"] + FAST
+    rc, out, _ = run_cli(capsys, ["bench", *opts, "--seed", "5", "--reps", "2", "--p-ref", "0.0455",
+                                  "--out", str(out_path)])
+    assert rc == 0
+    lines = out_path.read_text().splitlines()
+    for i, line in enumerate(lines[:2]):
+        _, estimate, _ = run_cli(capsys, ["estimate", *opts, "--seed", str(5 + i)])
+        prefix = f'{{"run": {i}, '
+        assert line.startswith(prefix)
+        assert "{" + line[len(prefix):] + "\n" == estimate
+    assert lines[2] + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "flag, value, field", [("--p-ref", "nan", "p_ref"), ("--reps", "1", "n_runs")]
+)
+def test_bench_rejects_a_bad_argument_before_any_run(monkeypatch, capsys, flag, value, field):
+    def no_run(problem, config):
+        raise AssertionError("a repetition ran")
+
+    monkeypatch.setattr(bench, "run", no_run)
+    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV["bench"] + [flag, value])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
 def test_bench_without_failures_writes_strict_json(tmp_path, capsys):
     # every pf is 0, so the cv across runs is infinite
     out_path = tmp_path / "y.jsonl"
@@ -491,7 +522,7 @@ def test_bench_csv_format(tmp_path, capsys):
     assert rc == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == 4  # header + 2 runs + summary
-    assert lines[0].startswith("run,seed,pf")
+    assert lines[0].startswith("run,pf,iterations,final_k,lsf_evals,converged,seed,n_failures,")
 
 
 def test_bench_unwritable_path_is_runtime_failure(capsys):

@@ -22,7 +22,6 @@ from safeice.core import (
     run_ice,
     run_safe_ice,
     select_sigma,
-    smooth_indicator,
     stop_cv,
 )
 from safeice.distributions import rng_from_seed
@@ -48,39 +47,45 @@ def prior_proposal(d):
 
 
 # ------------------------------------------------------- smoothed indicator
+# h_sigma(g) = Phi(-g / sigma), in log form in the weights and as 1 / h in
+# stop_cv
 
 
 def test_smooth_indicator_at_zero():
     for sigma in (0.1, 1.0, 37.0):
-        assert smooth_indicator(0.0, sigma) == 0.5
+        assert log_smooth_indicator(0.0, sigma) == np.log(0.5)
+    # failures at g = 0 weigh 1 / h = 2 each, safe samples 0: cv of (2, 2, 0, 0)
+    got = stop_cv(np.array([0.0, 0.0, 1.0, 1.0]), 37.0)
+    assert got == pytest.approx(2.0 / np.sqrt(3.0), rel=1e-15)
 
 
 def test_smooth_indicator_one_sigma():
-    assert smooth_indicator(2.0, 2.0) == pytest.approx(0.158655, abs=1e-6)
-    assert smooth_indicator(2.0, 2.0) == pytest.approx(norm.cdf(-1.0), rel=1e-15)
+    h = np.exp(log_smooth_indicator(2.0, 2.0))
+    assert h == pytest.approx(0.158655, abs=1e-6)
+    assert h == pytest.approx(norm.cdf(-1.0), rel=1e-15)
 
 
 def test_smooth_indicator_deep_failure():
-    assert smooth_indicator(-5.0, 1.0) == pytest.approx(0.9999997, abs=1e-7)
+    assert np.exp(log_smooth_indicator(-5.0, 1.0)) == pytest.approx(0.9999997, abs=1e-7)
 
 
 def test_smooth_indicator_monotone_in_g():
     g = np.linspace(-4.0, 4.0, 101)
-    h = smooth_indicator(g, 0.7)
-    assert np.all(np.diff(h) < 0.0)
-    assert np.all((h > 0.0) & (h < 1.0))
+    log_h = log_smooth_indicator(g, 0.7)
+    assert np.all(np.diff(log_h) < 0.0)
+    assert np.all((log_h > -np.inf) & (log_h < 0.0))
 
 
 def test_smooth_indicator_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        smooth_indicator(1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        stop_cv(np.array([-1.0, 1.0]), 0.0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
         log_smooth_indicator(1.0, -2.0)
 
 
 def test_log_smooth_indicator_matches_and_stays_finite():
     g = np.array([-3.0, 0.0, 2.5])
-    assert np.allclose(np.exp(log_smooth_indicator(g, 1.3)), smooth_indicator(g, 1.3), rtol=1e-14)
+    assert np.allclose(np.exp(log_smooth_indicator(g, 1.3)), norm.cdf(-g / 1.3), rtol=1e-14)
     # far tail: the plain CDF underflows to 0 but the log form stays finite
     lw = log_smooth_indicator(300.0, 1.0)
     assert np.isfinite(lw) and lw < -1e4
@@ -575,7 +580,7 @@ def test_run_pins_the_seeded_two_mode_estimate():
     # `safeice estimate --problem two-mode --z 3.5 --d 2 --seed 0`; the
     # tolerance admits libm rounding, not a change of the algorithm
     res = run(problem_registry("two-mode", 3.5, 2), RunConfig(seed=0))
-    assert res.pf == pytest.approx(4.632971225545504e-4, rel=1e-9)
+    assert res.pf == pytest.approx(4.6329712348145287e-4, rel=1e-9, abs=0.0)
 
 
 def test_run_safe_ice_deterministic():
