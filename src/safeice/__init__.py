@@ -19,7 +19,6 @@ from .mixtures import (
     heavy_params_from_light,
     safe_logpdf,
     safe_sample,
-    vmfnm_logpdf,
 )
 from .oracle import McEstimate, mc_estimate
 from .problems import (
@@ -61,6 +60,5 @@ __all__ = [
     "safe_sample",
     "three_mode",
     "two_mode",
-    "vmfnm_logpdf",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 from .bench import json_record, persist, run_repetitions
 from .core import RunConfig, run
 from .oracle import mc_estimate
-from .problems import PROBLEM_NAMES, PROBLEMS, problem_registry
+from .problems import PROBLEMS, problem_registry
 
 
 _HINTS = get_type_hints(RunConfig)
@@ -48,7 +48,7 @@ _HELP = {"d": "problem dimension where variable"}
 def _add_options(p: argparse.ArgumentParser, command: str) -> None:
     """The required problem flags, then one flag per option of ``command``,
     spelt with - for _."""
-    p.add_argument("--problem", required=True, choices=PROBLEM_NAMES)
+    p.add_argument("--problem", required=True, choices=PROBLEMS)
     p.add_argument("--z", type=float, required=True, help="failure threshold")
     p.add_argument("--config", help="JSON file with option defaults")
     for name, kind in _OPTIONS[command].items():

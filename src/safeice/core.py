@@ -100,8 +100,11 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one run: the estimate, loop diagnostics, and the
-    per-iteration traces (index t = 0 .. iterations)."""
+    """Outcome of one run: the estimate, loop diagnostics, the
+    per-iteration traces (index t = 0 .. iterations) and the final batch's
+    reliability: ``se``, the sample std (ddof 1) of I p/q over sqrt(N),
+    and ``ess``, the Kish ESS (sum w)^2 / sum w^2 of the weights p/q of the
+    failing samples, 0 when none fails."""
 
     pf: float
     iterations: int
@@ -113,6 +116,8 @@ class RunResult:
     lambda_trace: list = field(default_factory=list)
     k_trace: list = field(default_factory=list)
     n_failures: int = 0
+    se: float = 0.0
+    ess: float = 0.0
 
 
 def log_smooth_indicator(g, sigma: float):
@@ -213,12 +218,11 @@ def stop_cv(g: np.ndarray, sigma: float) -> float:
     the light-origin samples' limit-state values ``g``.
 
     The weights go through ``select_sigma``'s cv kernel in log space,
-    ln 1/h_sigma(g) = -ln Phi(-g / sigma). Returns +inf when fewer than
-    two values are given (none when lambda = 0) or when none of them fail.
+    ln 1/h_sigma(g) = -``log_smooth_indicator``. Returns +inf when fewer
+    than two values are given (none when lambda = 0) or when none of them
+    fail.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    return _weight_cv(np.where(g <= 0.0, -log_normal_cdf(-g / sigma), -np.inf))
+    return _weight_cv(np.where(g <= 0.0, -log_smooth_indicator(g, sigma), -np.inf))
 
 
 def lambda_schedule(sigma: float, horizon: float) -> float:
@@ -241,7 +245,6 @@ def estimate_pf(g: np.ndarray, log_ratio: np.ndarray) -> float:
     from the batch's log ratio ln p - ln q, read at the failure samples."""
     fail = g <= 0.0
     if not np.any(fail):
-        logger.warning("estimate_pf: no failure samples; returning 0")
         return 0.0
     w, shift = shifted_exp(log_ratio[fail])
     return float(np.exp(shift) * w.sum() / g.size)
@@ -293,6 +296,9 @@ def run(problem, config: RunConfig) -> RunResult:
     converged = False
     stagnant = 0
 
+    def warn(message: str) -> None:
+        logger.warning(f"run: problem '{problem.name}' seed {config.seed} t {t} sigma {sigma:g}: {message}")
+
     # on every exit, g and log_ratio belong to the final batch
     for t in range(config.max_outer + 1):
         phi = SafeMixtureParams(v, lambda_schedule(sigma, horizon) if use_heavy else 1.0)
@@ -308,22 +314,21 @@ def run(problem, config: RunConfig) -> RunResult:
             converged = True
             break
         if t == config.max_outer:
-            logger.warning("run: outer iteration limit reached without convergence")
+            warn("outer iteration limit reached without convergence")
             break
 
         sigma_new = select_sigma(g, log_ratio, sigma, config.delta_target)
         if sigma_new >= sigma * (1.0 - 1e-12):
             stagnant += 1
             if stagnant >= 2:
-                logger.warning("run: smoothing level stagnated; stopping")
+                warn("smoothing level stagnated; stopping")
                 break
         else:
             stagnant = 0
 
         weights, _ = shifted_exp(intermediate_log_weights(g, sigma_new, log_ratio))
         if not weights.any():
-            where = f"problem '{problem.name}' at sigma {sigma_new:g}"
-            logger.warning(f"run: no smoothed weight is positive for {where}; stopping")
+            warn(f"no smoothed weight is positive at the next sigma {sigma_new:g}; stopping")
             break
         result = fit(
             samples,
@@ -337,6 +342,14 @@ def run(problem, config: RunConfig) -> RunResult:
         sigma = sigma_new
 
     pf = estimate_pf(g, log_ratio)
+    fail = g <= 0.0
+    n_failures = int(np.count_nonzero(fail))
+    w, shift = shifted_exp(np.where(fail, log_ratio, -np.inf))
+    ess = float(w.sum() ** 2 / np.sum(w * w)) if n_failures else 0.0
+    if not n_failures:
+        warn("no failure samples; pf is 0")
+    elif ess < 10.0:
+        warn(f"the failure weights have Kish ESS {ess:.3g} < 10; pf is unreliable")
     return RunResult(
         pf=pf,
         iterations=len(sigma_trace) - 1,
@@ -347,7 +360,9 @@ def run(problem, config: RunConfig) -> RunResult:
         sigma_trace=sigma_trace,
         lambda_trace=lambda_trace,
         k_trace=k_trace,
-        n_failures=int(np.sum(g <= 0.0)),
+        n_failures=n_failures,
+        se=float(np.exp(shift) * w.std(ddof=1) / math.sqrt(g.size)),
+        ess=ess,
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .mixtures import PolarSamples, VmfnmParams, _mixture_columns, vmfnm_logpdf
+from .mixtures import PolarSamples, VmfnmParams, _mixture_columns
 from .special import shifted_exp
 
 __all__ = [
@@ -189,8 +189,9 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
 
 
 def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) -> float:
-    """Weighted mixture log likelihood sum_i W_i ln q(u_i; v)."""
-    return _loglik(weights, vmfnm_logpdf(samples, v))
+    """Weighted mixture log likelihood sum_i W_i ln q(u_i; v), with ln q
+    the ``e_step`` row normaliser: the l_j of ``fit``'s stop test."""
+    return _loglik(weights, e_step(samples, v)[1])
 
 
 def _loglik(weights: np.ndarray, log_q: np.ndarray) -> float:
@@ -202,7 +203,6 @@ def _loglik(weights: np.ndarray, log_q: np.ndarray) -> float:
 class FitResult:
     v: VmfnmParams
     n_iterations: int
-    loglik_trace: list
 
 
 def fit(
@@ -210,11 +210,12 @@ def fit(
     weights: np.ndarray,
     v_init: VmfnmParams,
     *,
-    penalized: bool = True,
-    em_tol: float = 1e-4,
-    max_iter: int = 20,
+    penalized: bool,
+    em_tol: float,
+    max_iter: int,
 ) -> FitResult:
-    """Run the weighted (penalized) EM loop to convergence.
+    """Run the weighted (penalized) EM loop for at most ``max_iter``
+    iterations; ``RunConfig`` holds the defaults of the three settings.
 
     Samples and weights are held fixed, so ``batch_statistics`` S is built
     once. Each iteration: weight update with the current beta, pruning of
@@ -226,6 +227,8 @@ def fit(
     starts it. beta starts at 1; with ``penalized=False`` it stays 0, which
     is plain weighted EM: only components of EM weight exactly 0 are
     pruned. All updates are invariant to rescaling the weights.
+    ``n_iterations`` counts the iterations run; at ``max_iter=0`` the fit
+    returns ``v_init``.
     """
     weights = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(weights > 0.0):
@@ -233,10 +236,10 @@ def fit(
     v = v_init
     beta = 1.0 if penalized else 0.0
     l_prev = np.inf
-    trace: list = []
+    n_iterations = 0
     stats = batch_statistics(samples, weights)
     gamma, _ = e_step(samples, v)
-    for _ in range(max_iter):
+    for n_iterations in range(1, max_iter + 1):
         pi_old = v.pi
         pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta)
         v, gamma = prune(pi_raw, gamma, v)
@@ -246,10 +249,9 @@ def fit(
 
         gamma, log_q = e_step(samples, v)
         l_cur = _loglik(weights, log_q)
-        trace.append(l_cur)
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < em_tol * abs(l_cur):
             break
         l_prev = l_cur
     else:
         logger.debug("fit: EM stopped at max_iter=%d without convergence", max_iter)
-    return FitResult(v=v, n_iterations=len(trace), loglik_trace=trace)
+    return FitResult(v=v, n_iterations=n_iterations)

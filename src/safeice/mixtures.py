@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from .distributions import (
     _check_unit,
@@ -33,13 +34,12 @@ from .distributions import (
     vmf_log_normalizer,
     vmf_sample,
 )
-from .special import log_gamma, log_sum_exp
+from .special import log_sum_exp
 
 __all__ = [
     "PolarSamples",
     "VmfnmParams",
     "SafeMixtureParams",
-    "vmfnm_logpdf",
     "heavy_params_from_light",
     "safe_logpdf",
     "safe_sample",
@@ -141,11 +141,6 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.n
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-def vmfnm_logpdf(samples: PolarSamples, v: VmfnmParams) -> np.ndarray:
-    """Log density of the light vMFNM mixture at each sample."""
-    return log_sum_exp(_mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=1)
-
-
 def heavy_params_from_light(v: VmfnmParams) -> tuple[int, np.ndarray]:
     """Heavy radial parameters matched to the light mixture.
 
@@ -156,7 +151,7 @@ def heavy_params_from_light(v: VmfnmParams) -> tuple[int, np.ndarray]:
     """
     d = v.dim
     m_h = int(math.ceil(math.sqrt(d)))
-    gamma_ratio_sq = np.exp(2.0 * (log_gamma(v.m) - log_gamma(v.m + 0.5)))
+    gamma_ratio_sq = np.exp(2.0 * (gammaln(v.m) - gammaln(v.m + 0.5)))
     omega_h = (2.0 * m_h / (2.0 * m_h + 1.0)) * gamma_ratio_sq * v.m / v.omega
     return m_h, omega_h
 

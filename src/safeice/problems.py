@@ -27,7 +27,6 @@ __all__ = [
     "evaluate_lsf",
     "problem_registry",
     "PROBLEMS",
-    "PROBLEM_NAMES",
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -273,7 +272,6 @@ PROBLEMS = {
     "two-mode": (None, two_mode),
     "oscillator": (OscillatorConfig.dim, oscillator_lsf),
 }
-PROBLEM_NAMES = tuple(PROBLEMS)
 
 
 def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
@@ -281,7 +279,7 @@ def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
     ``PROBLEMS``: a fixed-dimension problem accepts only its own d, a free
     one any d >= 2 (default 2)."""
     if name not in PROBLEMS:
-        raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEM_NAMES)}")
+        raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEMS)}")
     fixed, lsf = PROBLEMS[name]
     if fixed is None:
         try:

@@ -1,9 +1,9 @@
 """Scalar special functions used by the radial and angular densities.
 
-Everything here is a thin, well-tested numerical kernel: log-gamma, the
-log of the standard normal CDF, the scaled modified Bessel function of
-the first kind in log space, and the max-shifted exponential of log
-weights.
+Everything here is a thin, well-tested numerical kernel: the log of the
+standard normal CDF, the scaled modified Bessel function of the first
+kind in log space, and the max-shifted exponential of log weights. The
+log-gamma function is scipy's ``gammaln``, called where it is needed.
 """
 
 from __future__ import annotations
@@ -12,24 +12,11 @@ import numpy as np
 from scipy import special as _sc
 
 __all__ = [
-    "log_gamma",
     "log_normal_cdf",
     "log_bessel_i_scaled",
     "shifted_exp",
     "log_sum_exp",
 ]
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for positive real ``x``.
-
-    Accepts scalars or arrays; relative error is at machine-precision
-    level over [0.5, 1e6].
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    return _sc.gammaln(x)
 
 
 def log_normal_cdf(x):
@@ -54,33 +41,25 @@ def _log_bessel_i_series(order: float, x):
 
 
 def log_bessel_i_scaled(order: float, x):
-    """ln I_order(x) - x for order >= 0 and x >= 0.
+    """ln I_order(x) - x for order >= 0 and x > 0.
 
     Uses the exponentially scaled Bessel function and falls back to the
-    ascending series when the scaled value underflows. At x = 0 the limit
-    is 0 for order 0 and -inf otherwise.
+    ascending series when the scaled value underflows.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("x must be nonnegative")
+    if np.any(x <= 0.0):
+        raise ValueError("x must be positive")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
 
-    out = np.full(x.shape, -np.inf)
-    zero = x == 0.0
-    if order == 0.0:
-        out[zero] = 0.0
-    pos = ~zero
-    if np.any(pos):
-        scaled = _sc.ive(order, x[pos])
-        ok = scaled > 0.0
-        vals = np.full(x[pos].shape, -np.inf)
-        vals[ok] = np.log(scaled[ok])
-        if np.any(~ok):
-            vals[~ok] = _log_bessel_i_series(order, x[pos][~ok])
-        out[pos] = vals
+    scaled = _sc.ive(order, x)
+    ok = scaled > 0.0
+    out = np.empty(x.shape)
+    out[ok] = np.log(scaled[ok])
+    if not ok.all():
+        out[~ok] = _log_bessel_i_series(order, x[~ok])
     return float(out[0]) if scalar else out
 
 

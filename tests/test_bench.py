@@ -158,6 +158,8 @@ def make_runs(n=3):
             lambda_trace=[0.0, 1.0 - (i + 1) / 3.0e7],
             k_trace=[20, i + 2],
             n_failures=17 * i,
+            se=(i + 1) / 7.0e5,
+            ess=17 * i / 3.0,
         )
         for i in range(n)
     ]
@@ -194,6 +196,8 @@ def test_persist_csv_round_trip(tmp_path):
         "converged",
         "seed",
         "n_failures",
+        "se",
+        "ess",
         "summary",
         "p_ref",
         "rel_error",
@@ -210,16 +214,17 @@ def test_persist_csv_round_trip(tmp_path):
         assert [int(x) for x in row[2:5]] == [r.iterations, r.final_k, r.lsf_evals]
         assert row[5] == ("true" if r.converged else "false")
         assert [int(x) for x in row[6:8]] == [r.seed, r.n_failures]
-        assert row[8:] == [""] * 7
+        assert [float(x) for x in row[8:10]] == [r.se, r.ess]
+        assert row[10:] == [""] * 7
     last = rows[4]
-    assert last[:8] == [""] * 8
-    assert last[8] == "true"
-    assert float(last[9]) == P_REF
-    assert float(last[10]) == summary["rel_error"]
-    assert float(last[11]) == summary["cv"]
-    assert float(last[12]) == summary["mean_t"]
-    assert float(last[13]) == summary["mean_k"]
-    assert int(last[14]) == 3
+    assert last[:10] == [""] * 10
+    assert last[10] == "true"
+    assert float(last[11]) == P_REF
+    assert float(last[12]) == summary["rel_error"]
+    assert float(last[13]) == summary["cv"]
+    assert float(last[14]) == summary["mean_t"]
+    assert float(last[15]) == summary["mean_k"]
+    assert int(last[16]) == 3
 
 
 def test_persist_rejects_empty_and_bad_format(tmp_path):

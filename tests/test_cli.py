@@ -77,12 +77,17 @@ def test_estimate_record(capsys):
         "lambda_trace",
         "k_trace",
         "n_failures",
+        "se",
+        "ess",
     }
     assert rec["pf"] > 0.0
     assert rec["seed"] == 5
     assert rec["lsf_evals"] == 200 * (rec["iterations"] + 1)
     assert len(rec["sigma_trace"]) == rec["iterations"] + 1
     assert 0 < rec["n_failures"] <= 200  # failures in the final batch
+    # the final batch's standard error and Kish ESS of its failure weights
+    assert 0.0 < rec["se"] < rec["pf"]
+    assert 1.0 <= rec["ess"] <= rec["n_failures"]
 
 
 def test_estimate_deterministic_bytes(capsys):
@@ -484,6 +489,7 @@ def test_bench_rows_are_the_estimate_records(tmp_path, capsys):
         prefix = f'{{"run": {i}, '
         assert line.startswith(prefix)
         assert "{" + line[len(prefix):] + "\n" == estimate
+        assert {"se", "ess"} <= set(json.loads(line))
     assert lines[2] + "\n" == out
 
 
@@ -522,7 +528,10 @@ def test_bench_csv_format(tmp_path, capsys):
     assert rc == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == 4  # header + 2 runs + summary
-    assert lines[0].startswith("run,pf,iterations,final_k,lsf_evals,converged,seed,n_failures,")
+    assert lines[0].startswith("run,pf,iterations,final_k,lsf_evals,converged,seed,n_failures,se,ess,")
+    for line in lines[1:3]:
+        se, ess = (float(x) for x in line.split(",")[8:10])
+        assert se > 0.0 and ess >= 1.0
 
 
 def test_bench_unwritable_path_is_runtime_failure(capsys):

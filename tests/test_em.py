@@ -28,7 +28,7 @@ from safeice.em import (
     prune,
     weighted_loglik,
 )
-from safeice.mixtures import PolarSamples, VmfnmParams, _mixture_columns, vmfnm_logpdf
+from safeice.mixtures import PolarSamples, SafeMixtureParams, VmfnmParams, _mixture_columns, safe_logpdf
 
 from oracles import m_step_params as reference_m_step
 from oracles import penalized_weight_update as reference_weight_update
@@ -475,7 +475,7 @@ def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
 def test_weighted_loglik_unit_weights():
     v = make_params([1.0], [1.5], [2.0], [[0.0, 1.0]], [1.0])
     s = random_samples(rng_from_seed(11), 30, 2)
-    expected = float(np.sum(vmfnm_logpdf(s, v)))
+    expected = float(np.sum(safe_logpdf(s, SafeMixtureParams(v, 1.0))))
     assert weighted_loglik(s, np.ones(30), v) == pytest.approx(expected, rel=1e-12)
 
 
@@ -513,13 +513,13 @@ def test_fit_validates_weights():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
     s = random_samples(rng_from_seed(14), 10, 2)
     with pytest.raises(ValueError):
-        fit(s, np.zeros(10), v)
+        fit(s, np.zeros(10), v, penalized=True, em_tol=1e-4, max_iter=20)
     with pytest.raises(ValueError):
-        fit(s, -np.ones(10), v)
+        fit(s, -np.ones(10), v, penalized=True, em_tol=1e-4, max_iter=20)
     nan_weight = np.ones(10)
     nan_weight[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        fit(s, nan_weight, v)
+        fit(s, nan_weight, v, penalized=True, em_tol=1e-4, max_iter=20)
 
 
 def test_fit_plain_keeps_component_count():
@@ -528,10 +528,18 @@ def test_fit_plain_keeps_component_count():
     v0 = make_params(
         [0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
     )
-    res = fit(s, np.ones(500), v0, penalized=False, max_iter=50)
+    res = fit(s, np.ones(500), v0, penalized=False, em_tol=1e-4, max_iter=50)
     assert isinstance(res, FitResult)
     assert res.v.k == 2
-    assert len(res.loglik_trace) == res.n_iterations
+    assert 1 <= res.n_iterations <= 50
+
+
+@pytest.mark.parametrize("penalized", [True, False])
+def test_fit_max_iter_zero_returns_the_start(penalized):
+    s = random_samples(rng_from_seed(15), 50, 2)
+    v0 = make_params([0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    res = fit(s, np.ones(50), v0, penalized=penalized, em_tol=1e-4, max_iter=0)
+    assert res.v is v0 and res.n_iterations == 0
 
 
 @pytest.mark.parametrize("penalized", [True, False])
@@ -570,7 +578,7 @@ def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
     )
     assert np.all(e_step(s, v0)[0][:, 2] == 0.0)
     with caplog.at_level(logging.WARNING):
-        res = fit(s, np.ones(200), v0, penalized=False)
+        res = fit(s, np.ones(200), v0, penalized=False, em_tol=1e-4, max_iter=20)
     assert res.v.k == 2
     assert "zero responsibility mass" not in caplog.text
 
@@ -613,25 +621,6 @@ def test_fit_builds_the_batch_statistics_once(monkeypatch, penalized):
     assert calls == [300]
 
 
-@pytest.mark.parametrize("penalized", [True, False])
-@pytest.mark.parametrize("zero_every", [0, 3])
-def test_fit_loglik_is_weighted_loglik_exactly(penalized, zero_every):
-    rng = rng_from_seed(21)
-    s = random_samples(rng, 300, 2)
-    w = rng.random(300) + 0.05
-    if zero_every:
-        w[::zero_every] = 0.0
-    v0 = make_params(
-        [0.25, 0.25, 0.5],
-        [1.0, 1.5, 2.0],
-        [1.0, 1.5, 2.0],
-        [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
-        [1.0, 2.0, 1.0],
-    )
-    res = fit(s, w, v0, penalized=penalized)
-    assert res.loglik_trace[-1] == weighted_loglik(s, w, res.v)
-
-
 def test_fit_plain_loglik_nondecreasing():
     rng = rng_from_seed(16)
     s = random_samples(rng, 800, 3)
@@ -643,8 +632,12 @@ def test_fit_plain_loglik_nondecreasing():
         [1.0, 1.0],
     )
     w = rng.random(800) + 0.05
-    res = fit(s, w, v0, penalized=False, max_iter=30)
-    trace = np.array(res.loglik_trace)
+    # one example, not a property: the m and kappa updates are moment and
+    # approximation estimators, not exact maximisers, so on some batches
+    # plain EM's log-likelihood does fall
+    trace = np.array(
+        [weighted_loglik(s, w, fit(s, w, v0, penalized=False, em_tol=0.0, max_iter=j).v) for j in range(1, 31)]
+    )
     assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
 
 
@@ -655,8 +648,8 @@ def test_fit_weight_scale_invariance():
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
     )
-    r1 = fit(s, w, v0, penalized=True)
-    r7 = fit(s, 7.0 * w, v0, penalized=True)
+    r1 = fit(s, w, v0, penalized=True, em_tol=1e-4, max_iter=20)
+    r7 = fit(s, 7.0 * w, v0, penalized=True, em_tol=1e-4, max_iter=20)
     assert r1.v.k == r7.v.k
     assert np.allclose(r1.v.pi, r7.v.pi, atol=1e-10)
     assert np.allclose(r1.v.m, r7.v.m, rtol=1e-10)
@@ -676,7 +669,7 @@ def test_fit_penalized_weights_stay_normalized():
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
         [1.0, 1.0, 1.0, 1.0],
     )
-    res = fit(s, w, v0, penalized=True)
+    res = fit(s, w, v0, penalized=True, em_tol=1e-4, max_iter=20)
     assert abs(res.v.pi.sum() - 1.0) <= 1e-12
     assert res.v.k <= 4
 
@@ -691,7 +684,7 @@ def test_fit_one_hot_weights_center_on_the_sample():
     v0 = make_params(
         [0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
     )
-    res = fit(s, w, v0, penalized=True, max_iter=40)
+    res = fit(s, w, v0, penalized=True, em_tol=1e-4, max_iter=40)
     for k in range(res.v.k):
         assert res.v.omega[k] == pytest.approx(s.r[17] ** 2, rel=1e-9)
         assert res.v.m[k] == M_MAX

@@ -15,6 +15,7 @@ from scipy import integrate, stats
 from scipy.special import gammainc, gammaln, iv
 
 from safeice.distributions import UNIT_NORM_TOL, rng_from_seed
+from safeice.em import e_step
 from safeice.mixtures import (
     PolarSamples,
     SafeMixtureParams,
@@ -23,7 +24,6 @@ from safeice.mixtures import (
     prior_logpdf,
     safe_logpdf,
     safe_sample,
-    vmfnm_logpdf,
 )
 
 from oracles import safe_logpdf_per_component
@@ -127,7 +127,7 @@ def test_vmfnm_logpdf_single_component_scalar_oracle():
     v = one_component(m=1.0, omega=1.0, kappa=1.5)
     s = PolarSamples(np.array([1.0]), np.array([[1.0, 0.0]]))
     expected = math.log(nak_pdf(1.0, 1.0, 1.0) * vmf_pdf_2d([1.0, 0.0], [1.0, 0.0], 1.5))
-    assert vmfnm_logpdf(s, v)[0] == pytest.approx(expected, abs=1e-12)
+    assert safe_logpdf(s, SafeMixtureParams(v, 1.0))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_vmfnm_logpdf_two_component_scalar_oracle():
@@ -136,7 +136,7 @@ def test_vmfnm_logpdf_two_component_scalar_oracle():
     s = PolarSamples(np.array([1.0]), a[None, :])
     mix = 0.3 * nak_pdf(1.0, 1.0, 1.0) * vmf_pdf_2d(a, [1.0, 0.0], 1.5)
     mix += 0.7 * nak_pdf(1.0, 2.0, 3.0) * vmf_pdf_2d(a, [0.0, 1.0], 4.0)
-    assert vmfnm_logpdf(s, v)[0] == pytest.approx(math.log(mix), abs=1e-12)
+    assert safe_logpdf(s, SafeMixtureParams(v, 1.0))[0] == pytest.approx(math.log(mix), abs=1e-12)
 
 
 def test_vmfnm_logpdf_duplication_invariance():
@@ -152,7 +152,8 @@ def test_vmfnm_logpdf_duplication_invariance():
     a = rng.standard_normal((40, 2))
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     s = PolarSamples(np.exp(rng.uniform(-1, 1, 40)), a)
-    assert np.allclose(vmfnm_logpdf(s, v), vmfnm_logpdf(s, doubled), atol=1e-12)
+    light = safe_logpdf(s, SafeMixtureParams(v, 1.0))
+    assert np.allclose(light, safe_logpdf(s, SafeMixtureParams(doubled, 1.0)), atol=1e-12)
 
 
 # ------------------------------------------------------------- heavy kernels
@@ -232,15 +233,30 @@ def test_safe_params_validation():
                 SafeMixtureParams(one_component(m=m, omega=omega), 0.5)
 
 
-def test_safe_logpdf_light_limit():
-    v = two_component_2d()
-    phi = SafeMixtureParams(v, 1.0)
-    rng = rng_from_seed(2)
-    a = rng.standard_normal((30, 2))
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    s = PolarSamples(np.exp(rng.uniform(-1, 1, 30)), a)
-    # both go through the one joint builder, so they agree bit for bit
-    assert np.array_equal(safe_logpdf(s, phi), vmfnm_logpdf(s, v))
+@st.composite
+def light_mixtures_and_samples(draw):
+    """(v, samples): a light mixture with d in [2, 20], K in [1, 8] and
+    kappa from 0 up, and 1 to 300 points scattered around it."""
+    d, k, n = draw(st.integers(2, 20)), draw(st.integers(1, 8)), draw(st.integers(1, 300))
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    pi = draw(hnp.arrays(float, k, elements=st.floats(0.05, 1.0)))
+    m = draw(hnp.arrays(float, k, elements=st.floats(0.5, 50.0)))
+    omega = draw(hnp.arrays(float, k, elements=st.floats(1e-2, 1e2)))
+    kappa = draw(hnp.arrays(float, k, elements=st.one_of(st.just(0.0), st.floats(0.0, 1e3))))
+    mu = rng.standard_normal((k, d))
+    a = rng.standard_normal((n, d))
+    v = VmfnmParams(pi / pi.sum(), m, omega, mu / np.linalg.norm(mu, axis=1, keepdims=True), kappa)
+    r = np.exp(rng.uniform(-3.0, 3.0, n)) * np.sqrt(omega.mean())
+    return v, PolarSamples(r, a / np.linalg.norm(a, axis=1, keepdims=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(light_mixtures_and_samples())
+def test_property_light_density_is_the_e_step_normaliser(case):
+    # outside EM the light density is safe_logpdf at lambda = 1, inside it
+    # the E-step's row normaliser; both go through the one joint builder
+    v, s = case
+    assert np.array_equal(e_step(s, v)[1], safe_logpdf(s, SafeMixtureParams(v, 1.0)))
 
 
 def test_safe_logpdf_heavy_limit_scalar_oracle():
@@ -363,7 +379,6 @@ def plane_integral(logpdf, v):
 @settings(max_examples=10, deadline=None)
 @given(v=plane_mixtures())
 def test_property_mixture_densities_normalize_over_the_plane(v):
-    assert plane_integral(lambda s: vmfnm_logpdf(s, v), v) == pytest.approx(1.0, abs=1e-6)
     for lam in (0.0, 0.5, 1.0):
         phi = SafeMixtureParams(v, lam)
         total = plane_integral(lambda s: safe_logpdf(s, phi), v)

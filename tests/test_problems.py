@@ -10,7 +10,7 @@ from scipy.stats import norm
 from oracles import oscillator_response_rk4_reference
 from safeice import problems
 from safeice.problems import (
-    PROBLEM_NAMES,
+    PROBLEMS,
     OscillatorConfig,
     four_branch,
     oscillator_lsf,
@@ -370,4 +370,4 @@ def test_registry_unknown_name():
 
 
 def test_registry_names_constant():
-    assert PROBLEM_NAMES == ("four-branch", "three-mode", "two-mode", "oscillator")
+    assert tuple(PROBLEMS) == ("four-branch", "three-mode", "two-mode", "oscillator")

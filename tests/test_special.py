@@ -11,7 +11,6 @@ from scipy.special import logsumexp, ndtr
 from safeice.special import (
     _log_bessel_i_series,
     log_bessel_i_scaled,
-    log_gamma,
     log_normal_cdf,
     log_sum_exp,
     shifted_exp,
@@ -21,24 +20,6 @@ from oracles import bessel_ratio
 
 # Reference values below were frozen from 40-digit evaluations of the
 # closed forms named next to them.
-
-
-def test_log_gamma_values():
-    assert log_gamma(1.0) == 0.0
-    # ln Gamma(1/2) = ln sqrt(pi)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429247001, abs=1e-15)
-    # Gamma(5) = 24
-    assert log_gamma(5.0) == pytest.approx(np.log(24.0), rel=1e-15)
-
-
-def test_log_gamma_vectorized_and_domain():
-    x = np.array([0.5, 1.0, 2.5])
-    out = log_gamma(x)
-    assert out.shape == (3,)
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(np.array([1.0, -2.0]))
 
 
 def test_normal_cdf_values():
@@ -63,8 +44,12 @@ def test_log_normal_cdf_far_tail_finite():
 
 
 def test_log_bessel_i_scaled_at_zero():
-    assert log_bessel_i_scaled(0.0, 0.0) == 0.0
-    assert log_bessel_i_scaled(1.5, 0.0) == -np.inf
+    # kappa = 0 is vmf_log_normalizer's case; the Bessel kernel rejects it
+    for order in (0.0, 1.5):
+        with pytest.raises(ValueError, match="positive"):
+            log_bessel_i_scaled(order, 0.0)
+        with pytest.raises(ValueError, match="positive"):
+            log_bessel_i_scaled(order, np.array([1.0, 0.0]))
 
 
 def test_log_bessel_i_scaled_closed_forms():
