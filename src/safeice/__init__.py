@@ -8,7 +8,6 @@ from .core import (
     estimate_pf,
     lambda_schedule,
     run,
-    run_ice,
     run_safe_ice,
 )
 from .em import FitResult, fit
@@ -53,7 +52,6 @@ __all__ = [
     "persist",
     "problem_registry",
     "run",
-    "run_ice",
     "run_repetitions",
     "run_safe_ice",
     "safe_logpdf",

@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
-from types import NoneType
-from typing import get_args, get_type_hints
+from dataclasses import asdict
+from typing import get_type_hints
 
 from .bench import json_record, persist, run_repetitions
 from .core import RunConfig, run
@@ -25,12 +24,8 @@ from .oracle import mc_estimate
 from .problems import PROBLEMS, problem_registry
 
 
-_HINTS = get_type_hints(RunConfig)
-# one option per RunConfig field; a ``T | None`` field takes a T
-_RUN_OPTIONS = {
-    f.name: next((t for t in get_args(_HINTS[f.name]) if t is not NoneType), _HINTS[f.name])
-    for f in fields(RunConfig)
-}
+# one option per RunConfig field, of the field's type
+_RUN_OPTIONS = get_type_hints(RunConfig)
 
 # per subcommand, the options a config file may set and the type of each;
 # the optional flags are built from it. An option neither flagged nor in

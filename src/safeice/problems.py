@@ -276,20 +276,18 @@ PROBLEMS = {
 
 def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
     """Build a benchmark problem by name, validating the dimension against
-    ``PROBLEMS``: a fixed-dimension problem accepts only its own d, a free
-    one any d >= 2 (default 2)."""
+    ``PROBLEMS``: d must be an integer (default: the problem's fixed
+    dimension, else 2), equal to the fixed dimension where there is one,
+    and at least 2."""
     if name not in PROBLEMS:
         raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEMS)}")
     fixed, lsf = PROBLEMS[name]
-    if fixed is None:
-        try:
-            dim = 2 if d is None else operator.index(d)
-        except TypeError:
-            raise ValueError(f"d must be an integer, got {d!r}") from None
-        if dim < 2:
-            raise ValueError(f"{name} requires d >= 2")
-    elif d not in (None, fixed):
+    try:
+        dim = (fixed or 2) if d is None else operator.index(d)
+    except TypeError:
+        raise ValueError(f"d must be an integer, got {d!r}") from None
+    if fixed not in (None, dim):
         raise ValueError(f"{name} requires d = {fixed}")
-    else:
-        dim = fixed
+    if dim < 2:
+        raise ValueError(f"{name} requires d >= 2")
     return Problem(name, dim, z, partial(lsf, z=z))

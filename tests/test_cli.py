@@ -208,7 +208,6 @@ def test_out_of_range_numeric_exits_2(capsys):
         ("estimate", "--delta-target", "inf", "delta_target"),
         ("estimate", "--delta-star", "inf", "delta_star"),
         ("estimate", "--em-tol", "inf", "em_tol"),
-        ("estimate", "--anneal-horizon", "inf", "anneal_horizon"),
         ("bench", "--p-ref", "inf", "p_ref"),
     ],
 )
@@ -320,7 +319,6 @@ RUN_FLAGS = {
     "--delta-star": 2.0,
     "--delta-target": 3.0,
     "--sigma0": 5.0,
-    "--anneal-horizon": 3.0,
     "--max-outer": 5,
     "--max-em": 3,
     "--em-tol": 1e-3,
@@ -349,7 +347,6 @@ def test_run_flags_reach_run_config(command):
         ("estimate", "seed", "abc"),
         ("estimate", "k_init", True),
         ("estimate", "sigma0", "10"),
-        ("estimate", "anneal_horizon", None),
         ("estimate", "method", 3),
         ("estimate", "d", 2.0),
         ("bench", "format", "xml"),

@@ -1,5 +1,6 @@
-"""Tests for the adaptive loop building blocks and the two run drivers."""
+"""Tests for the adaptive loop building blocks and the run driver."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from safeice.core import (
     lambda_schedule,
     log_smooth_indicator,
     run,
-    run_ice,
     run_safe_ice,
     select_sigma,
     stop_cv,
@@ -89,6 +89,14 @@ def test_log_smooth_indicator_matches_and_stays_finite():
     # far tail: the plain CDF underflows to 0 but the log form stays finite
     lw = log_smooth_indicator(300.0, 1.0)
     assert np.isfinite(lw) and lw < -1e4
+
+
+def test_log_smooth_indicator_takes_the_limits_where_g_over_sigma_overflows():
+    # select_sigma's grid floor is 1e-8 sigma_prev, so a tiny sigma0 gets here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lw = log_smooth_indicator(np.array([3.5, -3.5]), 1e-308)
+    assert lw.tolist() == [-np.inf, 0.0]
 
 
 # ------------------------------------------------------------------------ cv
@@ -482,12 +490,11 @@ def test_init_light_params_rejects_bad_args():
 # ------------------------------------------------------------------ RunConfig
 
 
-def test_run_config_defaults_and_horizon():
+def test_run_config_defaults():
     c = RunConfig()
     assert c.n_per_iter == 1000 and c.k_init == 20
     assert c.delta_star == 1.5 and c.delta_target == 4.0
-    assert c.sigma0 == 10.0 and c.horizon == 10.0
-    assert RunConfig(anneal_horizon=3.0).horizon == 3.0
+    assert c.sigma0 == 10.0
 
 
 @pytest.mark.parametrize(
@@ -498,7 +505,7 @@ def test_run_config_defaults_and_horizon():
         {"delta_star": 0.0},
         {"delta_target": -1.0},
         {"sigma0": 0.0},
-        {"anneal_horizon": -2.0},
+        {"sigma0": -2.0},
         {"max_outer": 0},
         {"max_em": 0},
         {"em_tol": 0.0},
@@ -516,13 +523,11 @@ def test_run_config_validation(kwargs):
         ("delta_star", float("nan")),
         ("delta_target", float("nan")),
         ("sigma0", float("nan")),
-        ("anneal_horizon", float("nan")),
         ("em_tol", float("nan")),
         ("seed", -1),
         ("delta_star", float("inf")),
         ("delta_target", float("inf")),
         ("sigma0", float("inf")),
-        ("anneal_horizon", float("inf")),
         ("em_tol", float("inf")),
     ],
 )
@@ -547,7 +552,6 @@ def test_run_config_rejects_non_integral_counts(name, value):
         ("delta_star", True),
         ("delta_target", False),
         ("sigma0", "10"),
-        ("anneal_horizon", "1.0"),
         ("em_tol", None),
     ],
 )
@@ -561,13 +565,15 @@ def test_run_config_rejects_bools_and_non_numbers_by_name(name, value):
 
 def test_run_safe_ice_smoke_and_traces():
     prob = problem_registry("two-mode", 3.5, 2)
-    res = run_safe_ice(prob, RunConfig(seed=0))
+    cfg = RunConfig(seed=0)
+    res = run_safe_ice(prob, cfg)
     assert res.converged
     assert res.iterations == len(res.sigma_trace) - 1
     assert len(res.lambda_trace) == len(res.sigma_trace) == len(res.k_trace)
     assert res.lsf_evals == 1000 * (res.iterations + 1)
     assert res.sigma_trace[0] == 10.0
-    assert res.lambda_trace[0] == 0.0  # horizon = sigma0 makes lambda start at 0
+    assert res.lambda_trace[0] == 0.0  # the schedule fades the heavy kernel out from sigma0
+    assert res.lambda_trace == [lambda_schedule(sigma, cfg.sigma0) for sigma in res.sigma_trace]
     assert np.all(np.diff(res.sigma_trace) < 0.0)
     assert np.all(np.diff(res.lambda_trace) >= 0.0)
     assert 1 <= res.final_k <= 20
@@ -649,8 +655,8 @@ def test_run_safe_ice_deterministic():
 def test_run_ice_deterministic_and_fixed_k():
     prob = problem_registry("four-branch", 0.0, 2)
     cfg = RunConfig(seed=3, method="ice", k_init=2)
-    r1 = run_ice(prob, cfg)
-    r2 = run_ice(prob, cfg)
+    r1 = run(prob, cfg)
+    r2 = run(prob, cfg)
     assert r1.pf == r2.pf
     assert r1.k_trace == r2.k_trace
     assert all(k == 2 for k in r1.k_trace)  # plain EM never prunes
@@ -660,7 +666,7 @@ def test_run_ice_deterministic_and_fixed_k():
 def test_run_ice_single_component_unimodal():
     # one design point, one component: nothing to prune, clean convergence
     prob = Problem("halfspace", 2, 2.5, lambda u: 2.5 - u[:, 0])
-    res = run_ice(prob, RunConfig(seed=1, k_init=1))
+    res = run(prob, RunConfig(seed=1, k_init=1, method="ice"))
     assert res.converged
     assert res.final_k == 1
     ref = norm.cdf(-2.5)
@@ -670,7 +676,7 @@ def test_run_ice_single_component_unimodal():
 def test_run_ice_survives_a_floored_component():
     # on this seed plain EM once kept a component of tiny positive weight
     # whose direction could not be normalized, and the run raised
-    res = run_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1023))
+    res = run(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1023, method="ice"))
     assert res.converged
     assert res.final_k == 20
     assert res.pf > 0.0
@@ -680,7 +686,7 @@ def test_run_ice_drops_components_of_zero_em_weight(caplog):
     # plain EM on this seed drives six components to an EM weight of
     # exactly 0; they are pruned instead of kept as dead columns
     with caplog.at_level("WARNING"):
-        res = run_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1020))
+        res = run(problem_registry("four-branch", 0.0, 2), RunConfig(seed=1020, method="ice"))
     assert res.final_k < 20
     assert not [r for r in caplog.records if r.name == "safeice.em"]
 
@@ -753,23 +759,20 @@ def test_run_stops_when_no_smoothed_weight_is_positive(problem, caplog):
 
 def test_run_rejects_dimension_one():
     prob = Problem("line", 1, 1.0, lambda u: 1.0 - u[:, 0])
-    with pytest.raises(ValueError):
+    for method in ("safe-ice", "ice"):
+        with pytest.raises(ValueError, match="dimension must be at least 2"):
+            run(prob, RunConfig(method=method))
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
         run_safe_ice(prob, RunConfig())
-    with pytest.raises(ValueError):
-        run_ice(prob, RunConfig())
-    with pytest.raises(ValueError):
-        run(prob, RunConfig(method="ice"))
 
 
 def test_run_dispatches_on_method():
     prob = problem_registry("four-branch", 0.0, 2)
     ice_cfg = RunConfig(seed=3, method="ice", k_init=4, n_per_iter=200)
-    assert run(prob, ice_cfg) == run_ice(prob, ice_cfg)
     safe_cfg = replace(ice_cfg, method="safe-ice")
     assert run(prob, safe_cfg) == run_safe_ice(prob, safe_cfg)
-    # the named entry points pin the method whatever the config says
+    # run_safe_ice pins the method whatever the config says
     assert run_safe_ice(prob, ice_cfg) == run(prob, safe_cfg)
-    assert run_ice(prob, safe_cfg) == run(prob, ice_cfg)
     assert run(prob, safe_cfg) != run(prob, ice_cfg)
 
 
@@ -781,7 +784,7 @@ def test_safe_beats_plain_on_rare_two_mode():
     err_safe, err_ice = [], []
     for seed in range(12):
         rs = run_safe_ice(prob, RunConfig(seed=seed))
-        ri = run_ice(prob, RunConfig(seed=seed, method="ice", k_init=2))
+        ri = run(prob, RunConfig(seed=seed, method="ice", k_init=2))
         err_safe.append(abs(rs.pf - ref) / ref)
         err_ice.append(abs(ri.pf - ref) / ref)
     assert np.mean(err_ice) > np.mean(err_safe)

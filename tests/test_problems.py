@@ -331,11 +331,21 @@ def test_registry_two_mode_dims():
             problem_registry("two-mode", 3.5, d)
 
 
-@pytest.mark.parametrize("d", [2.5, "3"])
-def test_registry_rejects_a_non_integer_dimension(d):
-    # int(d) would truncate 2.5 to 2 and parse "3"
+@pytest.mark.parametrize(
+    "name, d",
+    [
+        pytest.param("two-mode", 2.5, id="2.5"),
+        pytest.param("two-mode", "3", id="3"),
+        ("four-branch", 2.0),
+        ("four-branch", "2"),
+        ("oscillator", 10.0),
+    ],
+)
+def test_registry_rejects_a_non_integer_dimension(name, d):
+    # int(d) would truncate 2.5 to 2 and parse "3"; a float equal to the
+    # fixed dimension is refused like any other
     with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
-        problem_registry("two-mode", 3.5, d)
+        problem_registry(name, 3.5, d)
 
 
 def test_registry_takes_a_numpy_integer_dimension():
