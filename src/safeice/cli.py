@@ -34,7 +34,7 @@ _RUN_OPTIONS = get_type_hints(RunConfig)
 _OPTIONS = {
     "estimate": {"d": int, **_RUN_OPTIONS},
     "bench": {"d": int, **_RUN_OPTIONS, "format": str},
-    "oracle": {"d": int, "seed": int, "n_total": int, "batch_size": int},
+    "oracle": {"d": int, "seed": int, "n_total": int},
 }
 _CHOICES = {"format": ("jsonl", "csv")}
 _HELP = {"d": "problem dimension where variable"}
@@ -119,6 +119,8 @@ def main(argv=None) -> int:
     try:
         opts = _merge_options(args)
         problem = problem_registry(opts["problem"], opts["z"], **_given(opts, ["d"]))
+        if args.command == "bench":
+            open(opts["out"], "a").close()  # an unwritable --out fails before the first run
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -128,7 +130,7 @@ def main(argv=None) -> int:
             print(json_record(asdict(run(problem, _run_config(opts)))))
             return 0
         if args.command == "oracle":
-            est = mc_estimate(problem, **_given(opts, ["n_total", "batch_size", "seed"]))
+            est = mc_estimate(problem, **_given(opts, ["n_total", "seed"]))
             print(json_record(asdict(est)))
             return 0
         if args.command == "bench":

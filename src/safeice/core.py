@@ -47,6 +47,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+DELTA_STAR = 1.5  # a run stops once stop_cv is at most this
+DELTA_TARGET = 4.0  # the cv of the weights at the next sigma
+MAX_OUTER = 20  # the most refits of one run
+
 
 def _check_integer(name: str, value, least: int) -> None:
     """Reject a bool, a non-integer or a value below ``least``, by name."""
@@ -68,26 +72,20 @@ class RunConfig:
 
     ``method`` selects the safe variant or the light-only baseline. The
     heavy kernel fades out from ``sigma0``, so the first safe proposal is
-    fully heavy.
+    fully heavy. The targets and iteration limits are the constants
+    ``DELTA_STAR``, ``DELTA_TARGET``, ``MAX_OUTER``, ``em.MAX_EM`` and ``em.EM_TOL``.
     """
 
     n_per_iter: int = 1000
     k_init: int = 20
-    delta_star: float = 1.5
-    delta_target: float = 4.0
     sigma0: float = 10.0
-    max_outer: int = 20
-    max_em: int = 20
-    em_tol: float = 1e-4
     seed: int = 0
     method: str = "safe-ice"
 
     def __post_init__(self):
-        least = {"n_per_iter": 10, "k_init": 1, "max_outer": 1, "max_em": 1, "seed": 0}
-        for name, low in least.items():
+        for name, low in {"n_per_iter": 10, "k_init": 1, "seed": 0}.items():
             _check_integer(name, getattr(self, name), low)
-        for name in ("delta_star", "delta_target", "sigma0", "em_tol"):
-            _check_positive(name, getattr(self, name))
+        _check_positive("sigma0", self.sigma0)
         if self.method not in ("safe-ice", "ice"):
             raise ValueError("method must be 'safe-ice' or 'ice'")
 
@@ -295,7 +293,7 @@ def run(problem, config: RunConfig) -> RunResult:
         logger.warning(f"run: problem '{problem.name}' seed {config.seed} t {t} sigma {sigma:g}: {message}")
 
     # on every exit, g and log_ratio belong to the final batch
-    for t in range(config.max_outer + 1):
+    for t in range(MAX_OUTER + 1):
         phi = SafeMixtureParams(v, lambda_schedule(sigma, config.sigma0) if use_heavy else 1.0)
         samples = safe_sample(rng, phi, n)
         g = evaluate_lsf(problem, samples.cartesian())
@@ -304,14 +302,14 @@ def run(problem, config: RunConfig) -> RunResult:
         lambda_trace.append(phi.lam)
         k_trace.append(v.k)
 
-        if stop_cv(g[~samples.heavy], sigma) <= config.delta_star:
+        if stop_cv(g[~samples.heavy], sigma) <= DELTA_STAR:
             converged = True
             break
-        if t == config.max_outer:
+        if t == MAX_OUTER:
             warn("outer iteration limit reached without convergence")
             break
 
-        sigma_new = select_sigma(g, log_ratio, sigma, config.delta_target)
+        sigma_new = select_sigma(g, log_ratio, sigma, DELTA_TARGET)
         if sigma_new >= sigma * (1.0 - 1e-12):
             stagnant += 1
             if stagnant >= 2:
@@ -324,15 +322,7 @@ def run(problem, config: RunConfig) -> RunResult:
         if not weights.any():
             warn(f"no smoothed weight is positive at the next sigma {sigma_new:g}; stopping")
             break
-        result = fit(
-            samples,
-            weights,
-            v,
-            penalized=use_heavy,
-            em_tol=config.em_tol,
-            max_iter=config.max_em,
-        )
-        v = result.v
+        v = fit(samples, weights, v, penalized=use_heavy).v
         sigma = sigma_new
 
     pf = estimate_pf(g, log_ratio)

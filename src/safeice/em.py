@@ -37,6 +37,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+EM_TOL = 1e-4  # fit stops once the log-likelihood moves by less than this share
+MAX_EM = 20  # fit's iteration limit
 M_MIN = 0.5 + 1e-6
 M_MAX = 1e4
 KAPPA_MAX = 1e4
@@ -211,11 +213,11 @@ def fit(
     v_init: VmfnmParams,
     *,
     penalized: bool,
-    em_tol: float,
-    max_iter: int,
+    em_tol: float = EM_TOL,
+    max_iter: int = MAX_EM,
 ) -> FitResult:
     """Run the weighted (penalized) EM loop for at most ``max_iter``
-    iterations; ``RunConfig`` holds the defaults of the three settings.
+    iterations.
 
     Samples and weights are held fixed, so ``batch_statistics`` S is built
     once. Each iteration: weight update with the current beta, pruning of

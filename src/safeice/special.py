@@ -37,7 +37,8 @@ def _log_bessel_i_series(order: float, x):
         total = total + term
         if np.all(term < 1e-18 * total):
             break
-    return order * np.log(x / 2.0) - _sc.gammaln(order + 1.0) + np.log(total) - x
+    # ln x - ln 2, not ln(x / 2): halving the least subnormal x gives 0
+    return order * (np.log(x) - np.log(2.0)) - _sc.gammaln(order + 1.0) + np.log(total) - x
 
 
 def log_bessel_i_scaled(order: float, x):

@@ -9,11 +9,18 @@ from pathlib import Path
 import pytest
 
 import safeice.bench as bench
+import safeice.core as core
 from safeice.cli import _OPTIONS, _merge_options, _run_config, build_parser, main
 from safeice.core import RunConfig
 from safeice.problems import problem_registry
 
 FAST = ["--n-per-iter", "200", "--k-init", "4"]
+
+
+@pytest.fixture(autouse=True)
+def _own_directory(tmp_path, monkeypatch):
+    # bench opens its --out file before the first run, relative paths included
+    monkeypatch.chdir(tmp_path)
 
 
 def run_cli(capsys, argv):
@@ -200,14 +207,9 @@ def test_out_of_range_numeric_exits_2(capsys):
 @pytest.mark.parametrize(
     "command, flag, value, field",
     [
-        ("estimate", "--delta-star", "nan", "delta_star"),
-        ("estimate", "--em-tol", "nan", "em_tol"),
         ("estimate", "--seed", "-1", "seed"),
         ("bench", "--p-ref", "nan", "p_ref"),
         ("estimate", "--sigma0", "inf", "sigma0"),
-        ("estimate", "--delta-target", "inf", "delta_target"),
-        ("estimate", "--delta-star", "inf", "delta_star"),
-        ("estimate", "--em-tol", "inf", "em_tol"),
         ("bench", "--p-ref", "inf", "p_ref"),
     ],
 )
@@ -298,6 +300,29 @@ def test_config_key_outside_subcommand_exits_2(tmp_path, capsys, command, key):
     assert "unknown config keys" in err
 
 
+# settings held in module constants, and oracle's batch size, which cannot
+# change its answer
+REMOVED = [
+    (command, name)
+    for command in ("estimate", "bench")
+    for name in ("delta_star", "delta_target", "max_outer", "max_em", "em_tol")
+] + [("oracle", "batch_size")]
+
+
+@pytest.mark.parametrize("command, name", REMOVED)
+def test_removed_setting_is_neither_flag_nor_config_key(tmp_path, capsys, command, name):
+    with pytest.raises(SystemExit) as exc:
+        main(SUBCOMMAND_ARGV[command] + ["--" + name.replace("_", "-"), "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: 1}))
+    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + ["--config", str(cfg)])
+    assert rc == 2
+    assert out == ""
+    assert "unknown config keys" in err
+
+
 def _subparsers() -> dict:
     parser = build_parser()
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -316,12 +341,7 @@ def test_config_options_match_parser_flags():
 RUN_FLAGS = {
     "--n-per-iter": 200,
     "--k-init": 4,
-    "--delta-star": 2.0,
-    "--delta-target": 3.0,
     "--sigma0": 5.0,
-    "--max-outer": 5,
-    "--max-em": 3,
-    "--em-tol": 1e-3,
     "--seed": 7,
     "--method": "ice",
 }
@@ -352,7 +372,6 @@ def test_run_flags_reach_run_config(command):
         ("bench", "format", "xml"),
         ("bench", "format", 1),
         ("oracle", "n_total", "1000"),
-        ("oracle", "batch_size", 1e3),
     ],
 )
 def test_config_value_the_flag_rejects_exits_2(tmp_path, capsys, command, key, value):
@@ -366,11 +385,11 @@ def test_config_value_the_flag_rejects_exits_2(tmp_path, capsys, command, key, v
 
 def test_config_int_for_float_flag_matches_the_flag(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"sigma0": 8, "delta_target": 3}))
+    cfg.write_text(json.dumps({"sigma0": 8}))
     argv = SUBCOMMAND_ARGV["estimate"] + FAST
     rc, from_file, _ = run_cli(capsys, argv + ["--config", str(cfg)])
     assert rc == 0
-    _, from_flags, _ = run_cli(capsys, argv + ["--sigma0", "8", "--delta-target", "3"])
+    _, from_flags, _ = run_cli(capsys, argv + ["--sigma0", "8"])
     assert from_file == from_flags
 
 
@@ -491,7 +510,8 @@ def test_bench_rows_are_the_estimate_records(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, field", [("--p-ref", "nan", "p_ref"), ("--reps", "1", "n_runs")]
+    "flag, value, field",
+    [("--p-ref", "nan", "p_ref"), ("--reps", "1", "n_runs"), ("--out", "missing/x.jsonl", None)],
 )
 def test_bench_rejects_a_bad_argument_before_any_run(monkeypatch, capsys, flag, value, field):
     def no_run(problem, config):
@@ -501,14 +521,24 @@ def test_bench_rejects_a_bad_argument_before_any_run(monkeypatch, capsys, flag, 
     rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV["bench"] + [flag, value])
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: {field} must be")
+    # a --out in a missing directory cannot be opened
+    assert err.startswith(f"error: {field} must be" if field else "error: [Errno 2]")
 
 
-def test_bench_without_failures_writes_strict_json(tmp_path, capsys):
+def test_bench_failing_before_any_run_keeps_an_existing_out_file(tmp_path, capsys):
+    out_path = tmp_path / "r.jsonl"
+    out_path.write_text("kept\n")
+    rc, _, _ = run_cli(capsys, BENCH_BASE + ["--reps", "1", "--out", str(out_path)])
+    assert rc == 2
+    assert out_path.read_text() == "kept\n"
+
+
+def test_bench_without_failures_writes_strict_json(monkeypatch, tmp_path, capsys):
     # every pf is 0, so the cv across runs is infinite
+    monkeypatch.setattr(core, "MAX_OUTER", 1)
     out_path = tmp_path / "y.jsonl"
     argv = ["bench", "--problem", "two-mode", "--z", "40", "--d", "2", "--reps", "2",
-            "--max-outer", "1", "--n-per-iter", "100", "--p-ref", "1e-15", "--out", str(out_path)]
+            "--n-per-iter", "100", "--p-ref", "1e-15", "--out", str(out_path)]
     rc, out, _ = run_cli(capsys, argv)
     assert rc == 0
     assert _strict_json(out)["cv"] is None
@@ -529,14 +559,6 @@ def test_bench_csv_format(tmp_path, capsys):
     for line in lines[1:3]:
         se, ess = (float(x) for x in line.split(",")[8:10])
         assert se > 0.0 and ess >= 1.0
-
-
-def test_bench_unwritable_path_is_runtime_failure(capsys):
-    rc, _, err = run_cli(
-        capsys, BENCH_BASE + ["--reps", "2", "--out", "/no/such/dir/r.jsonl"]
-    )
-    assert rc == 1
-    assert "failure:" in err
 
 
 def test_bench_threads_from_config_file(tmp_path, capsys):

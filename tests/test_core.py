@@ -1,7 +1,7 @@
 """Tests for the adaptive loop building blocks and the run driver."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 
-from safeice import core
+from safeice import core, em
 from safeice.core import (
     RunConfig,
     _weight_cv,
@@ -491,10 +491,13 @@ def test_init_light_params_rejects_bad_args():
 
 
 def test_run_config_defaults():
+    assert [f.name for f in fields(RunConfig)] == ["n_per_iter", "k_init", "sigma0", "seed", "method"]
     c = RunConfig()
     assert c.n_per_iter == 1000 and c.k_init == 20
-    assert c.delta_star == 1.5 and c.delta_target == 4.0
     assert c.sigma0 == 10.0
+    # the settings no caller varies are constants
+    assert (core.DELTA_STAR, core.DELTA_TARGET, core.MAX_OUTER) == (1.5, 4.0, 20)
+    assert (em.EM_TOL, em.MAX_EM) == (1e-4, 20)
 
 
 @pytest.mark.parametrize(
@@ -502,13 +505,8 @@ def test_run_config_defaults():
     [
         {"n_per_iter": 5},
         {"k_init": 0},
-        {"delta_star": 0.0},
-        {"delta_target": -1.0},
         {"sigma0": 0.0},
         {"sigma0": -2.0},
-        {"max_outer": 0},
-        {"max_em": 0},
-        {"em_tol": 0.0},
         {"method": "mc"},
     ],
 )
@@ -520,15 +518,9 @@ def test_run_config_validation(kwargs):
 @pytest.mark.parametrize(
     "name, value",
     [
-        ("delta_star", float("nan")),
-        ("delta_target", float("nan")),
         ("sigma0", float("nan")),
-        ("em_tol", float("nan")),
         ("seed", -1),
-        ("delta_star", float("inf")),
-        ("delta_target", float("inf")),
         ("sigma0", float("inf")),
-        ("em_tol", float("inf")),
     ],
 )
 def test_run_config_rejects_nan_and_negative_seed_by_name(name, value):
@@ -538,7 +530,7 @@ def test_run_config_rejects_nan_and_negative_seed_by_name(name, value):
 
 @pytest.mark.parametrize(
     "name, value",
-    [("k_init", 2.5), ("n_per_iter", 100.5), ("max_em", 2.5), ("max_outer", 1.5), ("seed", 1.5)],
+    [("k_init", 2.5), ("n_per_iter", 100.5), ("seed", 1.5)],
 )
 def test_run_config_rejects_non_integral_counts(name, value):
     # a fractional seed would draw the stream of its integer part
@@ -548,12 +540,7 @@ def test_run_config_rejects_non_integral_counts(name, value):
 
 @pytest.mark.parametrize(
     "name, value",
-    [
-        ("delta_star", True),
-        ("delta_target", False),
-        ("sigma0", "10"),
-        ("em_tol", None),
-    ],
+    [("sigma0", "10")],
 )
 def test_run_config_rejects_bools_and_non_numbers_by_name(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
@@ -691,10 +678,11 @@ def test_run_ice_drops_components_of_zero_em_weight(caplog):
     assert not [r for r in caplog.records if r.name == "safeice.em"]
 
 
-def test_run_hits_outer_limit(caplog):
+def test_run_hits_outer_limit(monkeypatch, caplog):
     prob = problem_registry("two-mode", 5.5, 2)
+    monkeypatch.setattr(core, "MAX_OUTER", 1)
     with caplog.at_level("WARNING"):
-        res = run_safe_ice(prob, RunConfig(seed=0, max_outer=1))
+        res = run_safe_ice(prob, RunConfig(seed=0))
     assert not res.converged
     assert res.iterations == 1
     assert res.lsf_evals == 2000

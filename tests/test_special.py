@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp, ndtr
+from scipy.special import gammaln, logsumexp, ndtr
 
 from safeice.special import (
     _log_bessel_i_series,
@@ -65,6 +65,15 @@ def test_log_bessel_i_scaled_underflow_fallback():
     assert np.isfinite(val)
     # ln I_200(1) - 1, frozen from a 40-digit evaluation
     assert val == pytest.approx(-1002.8601795271292, rel=1e-13)
+
+
+def test_log_bessel_i_scaled_at_the_least_subnormal():
+    # ive underflows there and the series route takes over; x / 2 would
+    # round to 0, so its log must come from ln x - ln 2
+    x = 5e-324
+    for order in (0.5, 9.0):
+        leading = order * (np.log(x) - np.log(2.0)) - gammaln(order + 1.0)
+        assert log_bessel_i_scaled(order, x) == pytest.approx(leading, rel=1e-15)
 
 
 def test_series_route_agrees_with_scaled_route():
