@@ -21,7 +21,6 @@ from .mixtures import (
 )
 from .oracle import McEstimate, mc_estimate
 from .problems import (
-    OscillatorConfig,
     Problem,
     four_branch,
     oscillator_lsf,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "FitResult",
     "McEstimate",
-    "OscillatorConfig",
     "PolarSamples",
     "Problem",
     "RunConfig",

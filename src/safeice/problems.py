@@ -8,8 +8,8 @@ deterministic and free of randomness.
 
 from __future__ import annotations
 
+import math
 import numbers
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -20,7 +20,6 @@ __all__ = [
     "four_branch",
     "three_mode",
     "two_mode",
-    "OscillatorConfig",
     "oscillator_response",
     "oscillator_lsf",
     "Problem",
@@ -30,9 +29,6 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
-# oscillator_response integrates at most this many rows at once; its load
-# array is (2 t_end/dt + 1) x rows, 52 MB at the default config
-_OSCILLATOR_BLOCK_ROWS = 4096
 
 
 def four_branch(u, z: float):
@@ -85,52 +81,24 @@ def two_mode(u, z: float):
     return z - np.abs(s)
 
 
-@dataclass
-class OscillatorConfig:
-    """Single degree of freedom hysteretic (Bouc-Wen) oscillator under a
-    Gaussian white-noise load discretized into d/2 cosine and d/2 sine
-    terms. The response x(t) is integrated with classical RK4. A field
-    out of range is rejected at construction, by name."""
-
-    mass: float = 6.0e4
-    stiffness: float = 5.0e6
-    damping_ratio: float = 0.05
-    yield_disp: float = 0.04
-    alpha: float = 0.1
-    bw_a: float = 1.0
-    bw_beta: float = 0.5
-    bw_gamma: float = 0.5
-    bw_n: int = 3
-    intensity: float = 0.005
-    dim: int = 10
-    t_end: float = 8.0
-    dt: float = 0.01
-
-    def __post_init__(self):
-        from .core import _check_integer, _check_positive  # core imports this module
-
-        _check_integer("dim", self.dim, 2)
-        if self.dim % 2:
-            raise ValueError(f"dim must be even, got {self.dim}")
-        for name in ("mass", "stiffness", "yield_disp", "t_end", "dt"):
-            _check_positive(name, getattr(self, name))
-        if round(self.t_end / self.dt) < 1:
-            raise ValueError(f"t_end must span at least one step dt = {self.dt}, got {self.t_end}")
-        for name in ("damping_ratio", "intensity", "alpha", "bw_a", "bw_beta", "bw_gamma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not np.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("damping_ratio", "intensity"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
-        _check_integer("bw_n", self.bw_n, 1)
-
-    @property
-    def damping(self) -> float:
-        return 2.0 * self.mass * self.damping_ratio * np.sqrt(self.stiffness / self.mass)
+# The Bouc-Wen oscillator of Papaioannou, Geyer & Straub (2019), SI units.
+# oscillator_response reads these when called, so a test may patch them.
+OSC_DIM = 10  # d/2 cosine and d/2 sine load terms
+OSC_MASS = 6.0e4
+OSC_STIFFNESS = 5.0e6
+OSC_DAMPING_RATIO = 0.05
+OSC_YIELD_DISP = 0.04
+OSC_ALPHA = 0.1  # post-yield over elastic stiffness
+OSC_BW_A, OSC_BW_BETA, OSC_BW_GAMMA = 1.0, 0.5, 0.5  # the Bouc-Wen exponent is n = 3
+OSC_INTENSITY = 0.005  # white-noise spectral intensity S
+OSC_T_END = 8.0
+OSC_DT = 0.01
+# oscillator_response integrates at most this many rows at once; its load
+# array is (2 t_end/dt + 1) x rows, 52 MB
+_OSCILLATOR_BLOCK_ROWS = 4096
 
 
-def oscillator_response(u, cfg: OscillatorConfig | None = None):
+def oscillator_response(u):
     """Displacement x(t_end) for each row of ``u`` (shape (n, d)).
 
     The load is f(t) = -m sigma sum_i [U_i cos(w_i t) + U_{d/2+i} sin(w_i t)]
@@ -148,41 +116,40 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
         v' = f/m - (c/m) v - (k alpha/m) x - (k (1 - alpha) x_y/m) z
         z' = (A/x_y) v - |z|^(n-1) ((beta/x_y) |v| z + (gamma/x_y) v |z|)
 
-    where |z|^(n-1) is the product z z at n = 3 and a power at any other n.
-    More than ``_OSCILLATOR_BLOCK_ROWS`` rows are integrated block by block,
-    which bounds the memory of the load array.
+    where |z|^(n-1) is the product z z, as n = 3. More than
+    ``_OSCILLATOR_BLOCK_ROWS`` rows are integrated block by block, which
+    bounds the memory of the load array.
     """
-    if cfg is None:
-        cfg = OscillatorConfig()
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    d = cfg.dim
+    d = OSC_DIM
     if u.shape[1] != d:
         raise ValueError(f"oscillator requires d = {d}")
     rows = _OSCILLATOR_BLOCK_ROWS
     if u.shape[0] > rows:
-        return np.concatenate([oscillator_response(u[i : i + rows], cfg) for i in range(0, u.shape[0], rows)])
+        return np.concatenate([oscillator_response(u[i : i + rows]) for i in range(0, u.shape[0], rows)])
     half = d // 2
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = int(round(OSC_T_END / OSC_DT))
 
     d_omega = 30.0 * np.pi / d
     omegas = d_omega * np.arange(1, half + 1)
-    sig = np.sqrt(2.0 * cfg.intensity * d_omega)
+    sig = np.sqrt(2.0 * OSC_INTENSITY * d_omega)
     # f/m on the half-step grid shared by all RK4 stages, shape (2 n_steps + 1, n)
-    t_half = 0.5 * cfg.dt * np.arange(2 * n_steps + 1)
+    t_half = 0.5 * OSC_DT * np.arange(2 * n_steps + 1)
     phase = np.outer(t_half, omegas)
     basis = np.hstack((np.cos(phase), np.sin(phase)))
     basis *= -sig
     force = basis @ u.T
 
-    m, k, xy = cfg.mass, cfg.stiffness, cfg.yield_disp
+    m, k, xy, alpha = OSC_MASS, OSC_STIFFNESS, OSC_YIELD_DISP, OSC_ALPHA
+    c = 2.0 * m * OSC_DAMPING_RATIO * np.sqrt(k / m)
     linear = np.array(
         [
             [0.0, 1.0, 0.0],
-            [-k * cfg.alpha / m, -cfg.damping / m, -k * (1.0 - cfg.alpha) * xy / m],
-            [0.0, cfg.bw_a / xy, 0.0],
+            [-k * alpha / m, -c / m, -k * (1.0 - alpha) * xy / m],
+            [0.0, OSC_BW_A / xy, 0.0],
         ]
     )
-    beta, gam, n_exp = cfg.bw_beta / xy, cfg.bw_gamma / xy, cfg.bw_n
+    beta, gam = OSC_BW_BETA / xy, OSC_BW_GAMMA / xy
 
     n = u.shape[0]
     s = np.zeros((3, n))
@@ -202,15 +169,11 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
         np.multiply(bw, z, out=bw)
         np.multiply(bw, beta, out=bw)
         np.add(bw, zpow, out=bw)
-        if n_exp == 3:
-            np.multiply(z, z, out=zpow)
-        else:
-            np.abs(z, out=zpow)
-            np.power(zpow, n_exp - 1, out=zpow)
+        np.multiply(z, z, out=zpow)
         np.multiply(bw, zpow, out=bw)
         np.subtract(slope_z, bw, out=slope_z)
 
-    h = cfg.dt
+    h = OSC_DT
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             f0, fm, f1 = force[2 * i : 2 * i + 3]
@@ -237,18 +200,18 @@ def oscillator_response(u, cfg: OscillatorConfig | None = None):
     return s[0]
 
 
-def oscillator_lsf(u, z: float, cfg: OscillatorConfig | None = None):
+def oscillator_lsf(u, z: float):
     """g(u) = z - x(t_end): failure when the end displacement exceeds z."""
-    return z - oscillator_response(u, cfg)
+    return z - oscillator_response(u)
 
 
 @dataclass
 class Problem:
-    """A named limit-state function with fixed dimension and threshold."""
+    """A named limit-state function of fixed dimension; ``evaluate`` holds
+    any threshold."""
 
     name: str
     dim: int
-    z: float
     evaluate: Callable[[np.ndarray], np.ndarray]
 
 
@@ -270,24 +233,26 @@ PROBLEMS = {
     "four-branch": (2, four_branch),
     "three-mode": (2, three_mode),
     "two-mode": (None, two_mode),
-    "oscillator": (OscillatorConfig.dim, oscillator_lsf),
+    "oscillator": (OSC_DIM, oscillator_lsf),
 }
 
 
 def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
-    """Build a benchmark problem by name, validating the dimension against
-    ``PROBLEMS``: d must be an integer (default: the problem's fixed
-    dimension, else 2), equal to the fixed dimension where there is one,
-    and at least 2."""
+    """Build a benchmark problem by name, checking z and d before any
+    evaluation. z must be a real number other than NaN (+-inf is allowed).
+    d must be an integer (default: the problem's fixed dimension, else 2),
+    equal to the fixed dimension where there is one, and at least 2.
+    A bool is neither."""
     if name not in PROBLEMS:
         raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEMS)}")
     fixed, lsf = PROBLEMS[name]
-    try:
-        dim = (fixed or 2) if d is None else operator.index(d)
-    except TypeError:
-        raise ValueError(f"d must be an integer, got {d!r}") from None
+    if isinstance(z, bool) or not isinstance(z, numbers.Real) or math.isnan(z):
+        raise ValueError(f"z must be a real number other than NaN, got {z!r}")
+    dim = (fixed or 2) if d is None else d
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if fixed not in (None, dim):
         raise ValueError(f"{name} requires d = {fixed}")
     if dim < 2:
         raise ValueError(f"{name} requires d >= 2")
-    return Problem(name, dim, z, partial(lsf, z=z))
+    return Problem(name, int(dim), partial(lsf, z=z))

@@ -7,6 +7,7 @@ other way, so the tests can compare the two.
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
+from safeice import problems
 from safeice.core import _weight_cv, intermediate_log_weights
 from safeice.distributions import (
     _check_unit,
@@ -17,7 +18,6 @@ from safeice.distributions import (
 )
 from safeice.em import KAPPA_MAX, M_MAX, M_MIN, RESULTANT_MIN
 from safeice.mixtures import PolarSamples, VmfnmParams, prior_logpdf, safe_logpdf
-from safeice.problems import OscillatorConfig
 from safeice.special import shifted_exp
 
 
@@ -164,7 +164,7 @@ def m_step_params(samples, gamma, weights, v):
     return VmfnmParams(v.pi, m, omega, mu, kappa)
 
 
-def oscillator_response_rk4_reference(u, cfg: OscillatorConfig | None = None):
+def oscillator_response_rk4_reference(u):
     """Displacement x(t_end) for each row of ``u`` (shape (n, d)), by the
     per-stage RK4 that ``problems.oscillator_response`` replaced: each
     stage calls ``deriv``, which stacks a fresh (3, n) array.
@@ -172,28 +172,28 @@ def oscillator_response_rk4_reference(u, cfg: OscillatorConfig | None = None):
     The load is f(t) = -m sigma sum_i [U_i cos(w_i t) + U_{d/2+i} sin(w_i t)]
     with w_i = i * 30 pi / d and sigma = sqrt(2 S * 30 pi / d). Forcing is
     evaluated at the RK4 substep times; the two middle stages share the
-    midpoint value.
+    midpoint value. It reads the ``problems.OSC_*`` constants when called.
     """
-    if cfg is None:
-        cfg = OscillatorConfig()
     u = np.atleast_2d(np.asarray(u, dtype=float))
-    d = cfg.dim
+    d = problems.OSC_DIM
     if u.shape[1] != d:
         raise ValueError(f"oscillator requires d = {d}")
     half = d // 2
-    n_steps = int(round(cfg.t_end / cfg.dt))
+    n_steps = int(round(problems.OSC_T_END / problems.OSC_DT))
 
     d_omega = 30.0 * np.pi / d
     omegas = d_omega * np.arange(1, half + 1)
-    sig = np.sqrt(2.0 * cfg.intensity * d_omega)
+    sig = np.sqrt(2.0 * problems.OSC_INTENSITY * d_omega)
     # forcing on the half-step grid shared by all RK4 stages
-    t_half = 0.5 * cfg.dt * np.arange(2 * n_steps + 1)
+    t_half = 0.5 * problems.OSC_DT * np.arange(2 * n_steps + 1)
     phase = np.outer(omegas, t_half)
-    force = -cfg.mass * sig * (u[:, :half] @ np.cos(phase) + u[:, half:] @ np.sin(phase))
+    m, k = problems.OSC_MASS, problems.OSC_STIFFNESS
+    force = -m * sig * (u[:, :half] @ np.cos(phase) + u[:, half:] @ np.sin(phase))
 
-    m, k, c = cfg.mass, cfg.stiffness, cfg.damping
-    alpha, xy = cfg.alpha, cfg.yield_disp
-    a_bw, beta, gam, n_exp = cfg.bw_a, cfg.bw_beta, cfg.bw_gamma, cfg.bw_n
+    c = 2.0 * m * problems.OSC_DAMPING_RATIO * np.sqrt(k / m)
+    alpha, xy = problems.OSC_ALPHA, problems.OSC_YIELD_DISP
+    a_bw, beta, gam = problems.OSC_BW_A, problems.OSC_BW_BETA, problems.OSC_BW_GAMMA
+    n_exp = 3
 
     def deriv(s, f):
         x, vel, zb = s
@@ -206,7 +206,7 @@ def oscillator_response_rk4_reference(u, cfg: OscillatorConfig | None = None):
 
     # state rows: displacement x, velocity, Bouc-Wen hysteretic variable z
     s = np.zeros((3, u.shape[0]))
-    h = cfg.dt
+    h = problems.OSC_DT
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             f0 = force[:, 2 * i]

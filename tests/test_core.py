@@ -652,7 +652,7 @@ def test_run_ice_deterministic_and_fixed_k():
 
 def test_run_ice_single_component_unimodal():
     # one design point, one component: nothing to prune, clean convergence
-    prob = Problem("halfspace", 2, 2.5, lambda u: 2.5 - u[:, 0])
+    prob = Problem("halfspace", 2, lambda u: 2.5 - u[:, 0])
     res = run(prob, RunConfig(seed=1, k_init=1, method="ice"))
     assert res.converged
     assert res.final_k == 1
@@ -704,7 +704,7 @@ def test_run_hits_outer_limit(monkeypatch, caplog):
 )
 def test_run_rejects_bad_lsf_output(evaluate, match):
     with pytest.raises(ValueError, match=match):
-        run(Problem("bad", 2, 2.5, evaluate), RunConfig(seed=3))
+        run(Problem("bad", 2, evaluate), RunConfig(seed=3))
 
 
 def test_run_takes_one_log_ratio_per_batch(monkeypatch):
@@ -728,7 +728,7 @@ def test_run_takes_one_log_ratio_per_batch(monkeypatch):
 
 @pytest.mark.parametrize(
     "problem",
-    [problem_registry("two-mode", np.inf, 2), Problem("never-fails", 3, 0.0, lambda u: np.full(len(u), np.inf))],
+    [problem_registry("two-mode", np.inf, 2), Problem("never-fails", 3, lambda u: np.full(len(u), np.inf))],
     ids=["z-inf", "lsf-inf"],
 )
 def test_run_stops_when_no_smoothed_weight_is_positive(problem, caplog):
@@ -746,7 +746,7 @@ def test_run_stops_when_no_smoothed_weight_is_positive(problem, caplog):
 
 
 def test_run_rejects_dimension_one():
-    prob = Problem("line", 1, 1.0, lambda u: 1.0 - u[:, 0])
+    prob = Problem("line", 1, lambda u: 1.0 - u[:, 0])
     for method in ("safe-ice", "ice"):
         with pytest.raises(ValueError, match="dimension must be at least 2"):
             run(prob, RunConfig(method=method))

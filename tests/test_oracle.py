@@ -7,8 +7,8 @@ from scipy.stats import norm
 from safeice.oracle import McEstimate, mc_estimate
 from safeice.problems import Problem, problem_registry
 
-ALWAYS_SAFE = Problem("safe", 2, 0.0, lambda u: np.ones(u.shape[0]))
-ALWAYS_FAIL = Problem("fail", 2, 0.0, lambda u: -np.ones(u.shape[0]))
+ALWAYS_SAFE = Problem("safe", 2, lambda u: np.ones(u.shape[0]))
+ALWAYS_FAIL = Problem("fail", 2, lambda u: -np.ones(u.shape[0]))
 
 
 def test_mc_two_mode_reference():
@@ -100,4 +100,4 @@ def test_mc_estimate_fields():
 )
 def test_mc_rejects_bad_lsf_output(evaluate, match):
     with pytest.raises(ValueError, match=match):
-        mc_estimate(Problem("bad", 2, 0.0, evaluate), 100, seed=0)
+        mc_estimate(Problem("bad", 2, evaluate), 100, seed=0)

@@ -1,5 +1,6 @@
 """Tests for the benchmark limit-state functions."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from oracles import oscillator_response_rk4_reference
 from safeice import problems
 from safeice.problems import (
     PROBLEMS,
-    OscillatorConfig,
     four_branch,
     oscillator_lsf,
     oscillator_response,
@@ -181,33 +181,35 @@ def test_oscillator_typical_magnitude():
     assert np.all(np.abs(x) < 1.0)
 
 
-def test_oscillator_hysteresis_changes_response():
+def test_oscillator_hysteresis_changes_response(monkeypatch):
     rng = np.random.default_rng(10)
     u = rng.standard_normal((3, 10))
-    linear = oscillator_response(u, OscillatorConfig(alpha=1.0))
     hysteretic = oscillator_response(u)
+    monkeypatch.setattr(problems, "OSC_ALPHA", 1.0)
+    linear = oscillator_response(u)
     assert np.max(np.abs(linear - hysteretic)) > 1e-4
 
 
-def test_oscillator_linear_scaling():
+def test_oscillator_linear_scaling(monkeypatch):
     # with alpha = 1 the restoring force is linear in x, so doubling the
     # load doubles the response
-    cfg = OscillatorConfig(alpha=1.0)
+    monkeypatch.setattr(problems, "OSC_ALPHA", 1.0)
     rng = np.random.default_rng(11)
     u = rng.standard_normal((3, 10))
-    x1 = oscillator_response(u, cfg)
-    x2 = oscillator_response(2.0 * u, cfg)
+    x1 = oscillator_response(u)
+    x2 = oscillator_response(2.0 * u)
     assert np.max(np.abs(x2 - 2.0 * x1)) <= 1e-8
 
 
-def test_oscillator_fourth_order_convergence():
+def test_oscillator_fourth_order_convergence(monkeypatch):
     # single-harmonic load, linear restoring force; reference from an
     # adaptive integrator at tight tolerance. Halving the step should cut
     # the endpoint error by about 2^4.
-    cfg = OscillatorConfig(alpha=1.0)
-    d_omega = 30.0 * np.pi / cfg.dim
-    sig = np.sqrt(2.0 * cfg.intensity * d_omega)
-    m, k, c = cfg.mass, cfg.stiffness, cfg.damping
+    monkeypatch.setattr(problems, "OSC_ALPHA", 1.0)
+    d_omega = 30.0 * np.pi / problems.OSC_DIM
+    sig = np.sqrt(2.0 * problems.OSC_INTENSITY * d_omega)
+    m, k = problems.OSC_MASS, problems.OSC_STIFFNESS
+    c = 2.0 * m * problems.OSC_DAMPING_RATIO * np.sqrt(k / m)
 
     def rhs(t, y):
         x, v = y
@@ -219,9 +221,11 @@ def test_oscillator_fourth_order_convergence():
     u = np.zeros((1, 10))
     u[0, 0] = 1.0
     steps = (0.02, 0.01, 0.005, 0.0025)
-    errs = np.array(
-        [abs(oscillator_response(u, OscillatorConfig(alpha=1.0, dt=h))[0] - x_ref) for h in steps]
-    )
+    errs = []
+    for h in steps:
+        monkeypatch.setattr(problems, "OSC_DT", h)
+        errs.append(abs(oscillator_response(u)[0] - x_ref))
+    errs = np.array(errs)
     ratios = errs[:-1] / errs[1:]
     assert np.all(ratios > 11.0) and np.all(ratios < 22.0)
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
@@ -238,17 +242,27 @@ ORACLE_U = np.random.default_rng(13).standard_normal((200, 10)) * np.repeat([[1.
 
 
 @pytest.mark.parametrize(
-    "cfg",
-    [OscillatorConfig(), OscillatorConfig(alpha=1.0), OscillatorConfig(dt=0.02), OscillatorConfig(bw_n=2)],
-    ids=["default", "alpha=1", "dt=0.02", "bw_n=2"],
+    "constants",
+    [{}, {"OSC_ALPHA": 1.0}, {"OSC_DT": 0.02}],
+    ids=["default", "alpha=1", "dt=0.02"],
 )
-def test_oscillator_matches_the_per_stage_rk4(cfg):
+def test_oscillator_matches_the_per_stage_rk4(monkeypatch, constants):
     # the folded constants round differently, so the two integrators agree
     # to a tolerance, and on every failure indicator at z = 0.05
-    x = oscillator_response(ORACLE_U, cfg)
-    x_ref = oscillator_response_rk4_reference(ORACLE_U, cfg)
+    for name, value in constants.items():
+        monkeypatch.setattr(problems, name, value)
+    x = oscillator_response(ORACLE_U)
+    x_ref = oscillator_response_rk4_reference(ORACLE_U)
     assert np.max(np.abs(x - x_ref)) <= 1e-12
     assert np.array_equal(x >= 0.05, x_ref >= 0.05)
+
+
+def test_oscillator_pins_the_constants():
+    # the per-stage reference reads the same constants, so only pinned
+    # values catch a mistyped one
+    x = oscillator_response(ORACLE_U[[0, 57, 150]])
+    expect = [0.010069585263555822, 0.0006219787237657149, 0.05185126631128282]
+    assert x == pytest.approx(expect, rel=1e-10, abs=0.0)
 
 
 def test_oscillator_blocks_match_one_block(monkeypatch):
@@ -272,53 +286,12 @@ def test_oscillator_memory_is_bounded_by_the_block():
     assert peak < 100e6
 
 
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("dim", 9, "dim must be even"),
-        ("dim", 0, "dim must be at least 2"),
-        ("dt", -0.01, "dt must be a positive finite number"),
-        ("t_end", 0.0, "t_end must be a positive finite number"),
-        ("t_end", 0.004, "t_end must span at least one step"),
-        ("mass", np.inf, "mass must be a positive finite number"),
-        ("stiffness", np.nan, "stiffness must be a positive finite number"),
-        ("yield_disp", 0.0, "yield_disp must be a positive finite number"),
-        ("damping_ratio", -0.05, "damping_ratio must be nonnegative"),
-        ("damping_ratio", np.inf, "damping_ratio must be a finite number"),
-        ("intensity", -1.0, "intensity must be nonnegative"),
-        ("alpha", np.nan, "alpha must be a finite number"),
-        ("bw_gamma", "0.5", "bw_gamma must be a finite number"),
-        ("bw_n", 2.5, "bw_n must be an integer"),
-        ("bw_n", 0, "bw_n must be at least 1"),
-    ],
-)
-def test_oscillator_config_names_a_bad_field(field, value, message):
-    # before the check, dt < 0 or t_end = 0 ran no step and returned x = 0
-    # for every row, an odd dim failed inside matmul, and a NaN alpha or a
-    # negative intensity surfaced as "load too extreme"
-    with pytest.raises(ValueError, match=message):
-        OscillatorConfig(**{field: value})
-
-
-def test_oscillator_config_takes_zero_damping():
-    u = np.random.default_rng(14).standard_normal((2, 10))
-    cfg = OscillatorConfig(damping_ratio=0.0)
-    assert cfg.damping == 0.0
-    assert np.all(np.isfinite(oscillator_response(u, cfg)))
-
-
-def test_oscillator_config_damping():
-    cfg = OscillatorConfig()
-    expect = 2.0 * cfg.mass * cfg.damping_ratio * np.sqrt(cfg.stiffness / cfg.mass)
-    assert cfg.damping == pytest.approx(expect, rel=1e-15)
-
-
 # ------------------------------------------------------------------ registry
 
 
 def test_registry_two_mode():
     p = problem_registry("two-mode", 5.5, 2)
-    assert p.name == "two-mode" and p.dim == 2 and p.z == 5.5
+    assert p.name == "two-mode" and p.dim == 2
     u = np.random.default_rng(12).standard_normal((20, 2))
     assert np.array_equal(p.evaluate(u), two_mode(u, 5.5))
 
@@ -346,6 +319,23 @@ def test_registry_rejects_a_non_integer_dimension(name, d):
     # fixed dimension is refused like any other
     with pytest.raises(ValueError, match=f"d must be an integer, got {d!r}"):
         problem_registry(name, 3.5, d)
+
+
+@pytest.mark.parametrize(
+    "z, d, message",
+    [
+        (np.nan, 2, "z must be a real number other than NaN, got nan"),
+        ("3.5", 2, "z must be a real number other than NaN, got '3.5'"),
+        (None, 2, "z must be a real number other than NaN, got None"),
+        (True, 2, "z must be a real number other than NaN, got True"),
+        (3.5, True, "d must be an integer, got True"),
+    ],
+)
+def test_registry_names_a_bad_z_or_d(z, d, message):
+    # unchecked, a NaN z shows only after a batch, as NaN values of g, a
+    # string z as numpy's UFuncTypeError from inside g, and d=True as d = 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        problem_registry("two-mode", z, d)
 
 
 def test_registry_takes_a_numpy_integer_dimension():
