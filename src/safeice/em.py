@@ -48,27 +48,29 @@ RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
 
 
 def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Responsibilities gamma[i, k] = pi_k q_k(u_i) / sum_s pi_s q_s(u_i)
-    and their row normaliser, the mixture log density ln q(u_i; v).
+    """(K, n) responsibilities gamma[k, i] = pi_k q_k(u_i) / sum_s pi_s q_s(u_i)
+    and their normaliser, the mixture log density ln q(u_i; v).
 
-    Both come from one shifted exponential of the joint log densities.
+    Both come from one shifted exponential of the (K, n) joint log
+    densities, so the max, exp, sum and divide run over K rows of length n.
     Samples with zero density under every component get uniform
     responsibilities (with a diagnostic warning) so the M-step stays defined.
     """
-    e, shift = shifted_exp(_mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=1)
-    total = e.sum(axis=1)
+    e, shift = shifted_exp(_mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=0)
+    total = e.sum(axis=0)
     with np.errstate(divide="ignore"):
         log_q = np.log(total) + shift
     bad = ~np.isfinite(log_q)
     if np.any(bad):
         logger.warning("e_step: %d samples with zero density under all components", bad.sum())
-        e[bad], total[bad] = 1.0, v.k
-    return e / total[:, None], log_q
+        e[:, bad], total[bad] = 1.0, v.k
+    e /= total
+    return e, log_q
 
 
 def batch_statistics(samples: PolarSamples, weights: np.ndarray) -> np.ndarray:
-    """(n, d + 3) matrix S = W [1, r^2, r^4, a] of a weighted batch; gamma^T S
-    holds each component's mass, weighted r^2 and r^4 sums and resultant."""
+    """(n, d + 3) matrix S = W [1, r^2, r^4, a] of a weighted batch; row k of
+    gamma S holds component k's mass, weighted r^2 and r^4 sums and resultant."""
     r2 = samples.r**2
     return weights[:, None] * np.column_stack((np.ones(len(samples)), r2, r2 * r2, samples.a))
 
@@ -78,14 +80,15 @@ def penalized_weight_update(
 ) -> tuple[np.ndarray, np.ndarray]:
     """EM weight update plus the entropy penalty, returned as (pi_em, pi_new):
 
-    pi_em = gamma^T W / sum(gamma^T W)
+    pi_em = gamma W / sum(gamma W)
     pi_new_k = pi_em_k + beta * pi_old_k * (ln pi_old_k - E),  E = sum_s pi_old_s ln pi_old_s
 
     The penalty of Yang, Lai & Lin has a factor sum_i W_i / sum_i sum_s gamma_is
-    W_i, which is 1 as e_step and prune make every row of gamma sum to 1.
+    W_i, which is 1 as e_step and prune make every column of the (K, n)
+    gamma sum to 1.
     pi_new sums to 1; prune() removes its entries <= 0.
     """
-    mass = gamma.T @ weights
+    mass = gamma @ weights
     total = float(mass.sum())
     if total <= 0.0:
         raise ValueError("total responsibility mass is zero")
@@ -100,21 +103,23 @@ def prune(
     """Drop components with nonpositive weight and renormalize.
 
     Returns the reduced mixture (weights rescaled to sum 1, other component
-    parameters carried over) and the responsibility matrix restricted to the
-    surviving columns with rows renormalized.
+    parameters carried over) and the (K, n) responsibilities restricted to
+    the surviving rows, each sample's column renormalized; a sample with no
+    responsibility left on them gets uniform ones. When every component
+    survives, ``gamma`` comes back as it is.
     """
     keep = pi_new > 0.0
     if not np.any(keep):
         raise RuntimeError("all component weights nonpositive; mixture collapsed")
     pi = pi_new[keep]
     pi = pi / pi.sum()
-    gamma = gamma[:, keep]
-    rows = gamma.sum(axis=1, keepdims=True)
-    dead_rows = rows[:, 0] <= 0.0
-    if np.any(dead_rows):
-        gamma[dead_rows] = 1.0 / keep.sum()
-        rows[dead_rows] = 1.0
-    gamma = gamma / rows
+    if not keep.all():
+        gamma = gamma[keep]
+        total = gamma.sum(axis=0)
+        dead = total <= 0.0
+        if np.any(dead):
+            gamma[:, dead], total[dead] = 1.0 / keep.sum(), 1.0
+        gamma /= total
     v2 = VmfnmParams(
         pi=pi, m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep]
     )
@@ -152,8 +157,9 @@ def beta_update(
 
 
 def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> VmfnmParams:
-    """Closed-form component parameter updates, all read off the one product
-    gamma^T S of the responsibilities and the ``batch_statistics`` S.
+    """Closed-form component parameter updates, all read off the one (K, d + 3)
+    product gamma S of the (K, n) responsibilities and the
+    ``batch_statistics`` S.
 
     Radial: omega_k is the weighted mean of r^2 and m_k the inverse relative
     variance of r^2 (clamped to [0.5 + 1e-6, 1e4]). Angular: mu_k is the
@@ -163,7 +169,7 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     with no responsibility mass, a resultant too small to normalize or a
     degenerate radial moment also keeps its parameters from ``v``.
     """
-    sums = gamma.T @ stats
+    sums = gamma @ stats
     dead = sums[:, 0] <= 0.0
     if np.any(dead):
         logger.warning("m_step: %d components with zero responsibility mass", dead.sum())
@@ -192,7 +198,7 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
 
 def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) -> float:
     """Weighted mixture log likelihood sum_i W_i ln q(u_i; v), with ln q
-    the ``e_step`` row normaliser: the l_j of ``fit``'s stop test."""
+    the ``e_step`` normaliser: the l_j of ``fit``'s stop test."""
     return _loglik(weights, e_step(samples, v)[1])
 
 
@@ -223,7 +229,7 @@ def fit(
     once. Each iteration: weight update with the current beta, pruning of
     nonpositive weights, beta update from the pre-prune vectors, M-step,
     E-step, and the unpenalized weighted log-likelihood convergence check
-    |l_j - l_{j-1}| < em_tol * |l_j|. The E-step's row normaliser is ln q(u_i; v), so l_j is
+    |l_j - l_{j-1}| < em_tol * |l_j|. The E-step's normaliser is ln q(u_i; v), so l_j is
     ``weighted_loglik`` without a second density evaluation, and its
     responsibilities feed the next iteration; one E-step before the loop
     starts it. beta starts at 1; with ``penalized=False`` it stays 0, which

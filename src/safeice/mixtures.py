@@ -12,8 +12,8 @@ counterpart at a global annealing weight lambda:
 The heavy radial parameters are derived from the light ones so that the
 inverse-Nakagami mode sits exactly at the Nakagami mean, with shape
 m_h = ceil(sqrt(d)) pinning the polynomial tail order to the dimension.
-Its log density is that of a 2K-component mixture: K light columns of
-weight lambda pi_k and K heavy columns of weight (1 - lambda) pi_k.
+Its log density is that of a 2K-component mixture: K light components of
+weight lambda pi_k and K heavy components of weight (1 - lambda) pi_k.
 """
 
 from __future__ import annotations
@@ -119,16 +119,23 @@ class VmfnmParams:
 
 
 def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.ndarray:
-    """(n, K) joints ln w_k + radial_k + ln vMF_k for each set (w, m, omega,
-    side) of ``column_sets``, side by side. The radial law, Nakagami(m_k,
-    omega_k) at side = +1 and its reciprocal at side = -1, is the (n, 2)
-    statistics [ln r, r^(2 side)] times (2, K) coefficients; ln r and the
-    vMF term a @ (kappa mu)^T + its normalizer are computed once per call."""
+    """(K, n) joints ln w_k + radial_k + ln vMF_k, one row per component, for
+    each set (w, m, omega, side) of ``column_sets``, stacked. The radial law,
+    Nakagami(m_k, omega_k) at side = +1 and its reciprocal at side = -1, is
+    the (n, 2) statistics [ln r, r^(2 side)] times (2, K) coefficients; ln r
+    and the vMF term a @ (kappa mu)^T + its normalizer are computed once per
+    call. Both products are (n, K), so each sample's row is the same in any
+    batch; one transposed copy then lays their sum out by component."""
+    n, k = len(samples), v.k
     log_r = np.log(samples.r)
-    angular = samples.a @ (v.kappa[:, None] * v.mu).T
+    # at K = 1 numpy takes BLAS's matrix-vector path, whose rounding of a
+    # row depends on its place in the batch; one spare column keeps the
+    # product on the matrix-matrix path, where it does not
+    kmu = v.kappa[:, None] * v.mu
+    angular = (samples.a @ np.vstack((kmu, kmu[:1])).T)[:, :k]
     log_vmf = vmf_log_normalizer(v.dim, v.kappa)
-    blocks = []
-    for w, m, omega, side in column_sets:
+    joint = np.empty((len(column_sets) * k, n))
+    for i, (w, m, omega, side) in enumerate(column_sets):
         log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
         coef = np.vstack(np.broadcast_arrays(b_log, b_pow))
         # r^(2 side) overflows to inf in the tail the law decays in, where the
@@ -136,9 +143,10 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.n
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.stack((log_r, samples.r ** (2.0 * side)), axis=1) @ coef
         out += angular
-        out += np.log(w) + log_c + log_vmf
-        blocks.append(out)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        rows = joint[i * k : (i + 1) * k]
+        rows[...] = out.T
+        rows += (np.log(w) + log_c + log_vmf)[:, None]
+    return joint
 
 
 def heavy_params_from_light(v: VmfnmParams) -> tuple[int, np.ndarray]:
@@ -178,12 +186,12 @@ class SafeMixtureParams:
 
 def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
     """Log density of the safe mixture at each sample: the log-sum-exp over
-    K light columns of weight lambda pi_k and K heavy columns of weight
-    (1 - lambda) pi_k. A set of columns of weight 0 is left out."""
+    K light rows of weight lambda pi_k and K heavy rows of weight
+    (1 - lambda) pi_k. A set of rows of weight 0 is left out."""
     v, lam = phi.light, phi.lam
     sides = ((lam, v.m, v.omega, 1), (1.0 - lam, phi.heavy_m, phi.heavy_omega, -1))
     columns = [(w * v.pi, *radial) for w, *radial in sides if w > 0.0]
-    return log_sum_exp(_mixture_columns(samples, v, columns), axis=1)
+    return log_sum_exp(_mixture_columns(samples, v, columns), axis=0)
 
 
 def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> PolarSamples:

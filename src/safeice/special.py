@@ -70,7 +70,8 @@ def shifted_exp(x, axis=-1):
     removed. A sum of the exponentials is 0 only where x is all -inf."""
     shift = np.max(x, axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
-    return np.exp(x - shift), np.squeeze(shift, axis=axis)
+    e = x - shift
+    return np.exp(e, out=e), np.squeeze(shift, axis=axis)
 
 
 def log_sum_exp(x, axis=-1):

@@ -11,6 +11,7 @@ from safeice import problems
 from safeice.core import _weight_cv, intermediate_log_weights
 from safeice.distributions import (
     _check_unit,
+    _radial_coefficients,
     inv_nakagami_logpdf,
     nakagami_logpdf,
     uniform_sphere_logpdf,
@@ -107,6 +108,55 @@ def subset_estimate_pf(samples, g, phi):
     sub = PolarSamples(samples.r[fail], samples.a[fail], samples.heavy[fail])
     w, shift = shifted_exp(prior_logpdf(sub) - safe_logpdf(sub, phi))
     return float(np.exp(shift) * w.sum() / len(samples))
+
+
+def mixture_columns(samples, v, column_sets):
+    """(n, K) joints ln w_k + radial_k + ln vMF_k for each set (w, m, omega,
+    side) of ``column_sets``, side by side: the sample-major layout the
+    estimator's (K, n) ``_mixture_columns`` replaced."""
+    log_r = np.log(samples.r)
+    angular = samples.a @ (v.kappa[:, None] * v.mu).T
+    log_vmf = vmf_log_normalizer(v.dim, v.kappa)
+    blocks = []
+    for w, m, omega, side in column_sets:
+        log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
+        coef = np.vstack(np.broadcast_arrays(b_log, b_pow))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.stack((log_r, samples.r ** (2.0 * side)), axis=1) @ coef
+        out += angular
+        out += np.log(w) + log_c + log_vmf
+        blocks.append(out)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def e_step(samples, v):
+    """(n, K) responsibilities and the mixture log density ln q(u_i; v),
+    normalised row by row; a sample of zero density under every component
+    gets uniform responsibilities."""
+    e, shift = shifted_exp(mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=1)
+    total = e.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(total) + shift
+    bad = ~np.isfinite(log_q)
+    e[bad], total[bad] = 1.0, v.k
+    return e / total[:, None], log_q
+
+
+def prune(pi_new, gamma, v):
+    """Drop the components of nonpositive weight from the mixture and the
+    columns of the (n, K) ``gamma``, then renormalise the weights and every
+    row, also when nothing was dropped; a row with no mass left becomes
+    uniform."""
+    keep = pi_new > 0.0
+    pi = pi_new[keep]
+    pi = pi / pi.sum()
+    gamma = gamma[:, keep]
+    rows = gamma.sum(axis=1, keepdims=True)
+    dead_rows = rows[:, 0] <= 0.0
+    gamma[dead_rows] = 1.0 / keep.sum()
+    rows[dead_rows] = 1.0
+    v2 = VmfnmParams(pi=pi, m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep])
+    return v2, gamma / rows
 
 
 def penalized_weight_update(gamma, weights, pi_old, beta):

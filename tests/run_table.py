@@ -13,8 +13,8 @@ checkout of the parent commit's ``src`` to make the "before" table.
 lsf_evals, converged) changed, the largest relative pf difference in each
 set with its seed, and for each four-branch 600-seed set the relative RMSE
 against the reference pf of perfbench/references.json, the RMSE without
-the 6 largest errors, the runs above twice the reference and the largest
-ratio pf / reference.
+the 6 largest errors, the runs above twice the reference, the largest
+ratio pf / reference and the mean of that ratio with its standard error.
 
 pytest does not collect this file; a full ``run`` takes a few minutes on
 one core.
@@ -82,11 +82,15 @@ def relative_change(before: float, after: float) -> float:
 
 def accuracy(pfs: list, ref: float) -> tuple:
     """(relative RMSE, the same without the N_TRIMMED largest errors,
-    runs above 2x, largest ratio) of ``pfs`` against ``ref``."""
-    errors = sorted((pf / ref - 1.0) ** 2 for pf in pfs)
+    runs above 2x, largest ratio, mean ratio, its standard error) of
+    ``pfs`` against ``ref``."""
+    ratios = [pf / ref for pf in pfs]
+    errors = sorted((ratio - 1.0) ** 2 for ratio in ratios)
     rmse = math.sqrt(sum(errors) / len(errors))
     trimmed = math.sqrt(sum(errors[:-N_TRIMMED]) / (len(errors) - N_TRIMMED))
-    return rmse, trimmed, sum(pf > 2.0 * ref for pf in pfs), max(pfs) / ref
+    mean = sum(ratios) / len(ratios)
+    se = math.sqrt(sum((ratio - mean) ** 2 for ratio in ratios) / (len(ratios) - 1) / len(ratios))
+    return rmse, trimmed, sum(ratio > 2.0 for ratio in ratios), max(ratios), mean, se
 
 
 def compare(path_a: str, path_b: str) -> None:
@@ -109,10 +113,10 @@ def compare(path_a: str, path_b: str) -> None:
         print(f"{name}: pf bit-equal in {n_same} of {len(keys)}; largest rel pf diff {rel[worst]:.3g} (seed {worst[1]})")
         if name in ACCURACY_SETS:
             for label, pfs in (("before", pf_a), ("after", pf_b)):
-                rmse, trimmed, above, ratio = accuracy(list(pfs.values()), ref)
+                rmse, trimmed, above, ratio, mean, se = accuracy(list(pfs.values()), ref)
                 print(
                     f"  {label}: rel RMSE {rmse:.4f}, without {N_TRIMMED} largest {trimmed:.4f},"
-                    f" runs > 2x {above}, largest ratio {ratio:.2f}"
+                    f" runs > 2x {above}, largest ratio {ratio:.2f}, mean pf/ref {mean:.4f} ± {se:.4f}"
                 )
 
 

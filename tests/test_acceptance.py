@@ -192,14 +192,14 @@ def test_em_algebra():
     worst_scale = 0.0
     for _ in range(20):
         n, k = int(rng.integers(5, 40)), int(rng.integers(2, 6))
-        gamma = rng.dirichlet(np.ones(k), size=n)
+        gamma = rng.dirichlet(np.ones(k), size=n).T
         w = rng.lognormal(size=n)
         pi_old = rng.dirichlet(np.ones(k))
         beta = float(rng.uniform())
         _, pi_new = penalized_weight_update(gamma, w, pi_old, beta)
         worst_sum = max(worst_sum, abs(float(pi_new.sum()) - 1.0))
         _, plain = penalized_weight_update(gamma, w, pi_old, 0.0)
-        reference_em, _ = reference_weight_update(gamma, w, pi_old, beta)
+        reference_em, _ = reference_weight_update(gamma.T, w, pi_old, beta)
         worst_plain = max(worst_plain, float(np.max(np.abs(plain - reference_em))))
         _, scaled = penalized_weight_update(gamma, 7.0 * w, pi_old, beta)
         worst_scale = max(worst_scale, float(np.max(np.abs(scaled - pi_new))))

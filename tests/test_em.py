@@ -28,10 +28,20 @@ from safeice.em import (
     prune,
     weighted_loglik,
 )
-from safeice.mixtures import PolarSamples, SafeMixtureParams, VmfnmParams, _mixture_columns, safe_logpdf
+from safeice.mixtures import (
+    PolarSamples,
+    SafeMixtureParams,
+    VmfnmParams,
+    _mixture_columns,
+    heavy_params_from_light,
+    safe_logpdf,
+)
 
+from oracles import e_step as reference_e_step
 from oracles import m_step_params as reference_m_step
+from oracles import mixture_columns as reference_columns
 from oracles import penalized_weight_update as reference_weight_update
+from oracles import prune as reference_prune
 
 
 def make_params(pi, m, omega, mu, kappa):
@@ -64,7 +74,7 @@ def test_e_step_single_component():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
     s = random_samples(rng_from_seed(0), 20, 2)
     gamma, _ = e_step(s, v)
-    assert np.array_equal(gamma, np.ones((20, 1)))
+    assert np.array_equal(gamma, np.ones((1, 20)))
 
 
 def test_e_step_rows_sum_to_one():
@@ -77,7 +87,7 @@ def test_e_step_rows_sum_to_one():
     )
     s = random_samples(rng_from_seed(1), 50, 2)
     gamma, _ = e_step(s, v)
-    assert np.allclose(gamma.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(gamma.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(gamma >= 0.0)
 
 
@@ -101,7 +111,7 @@ def test_e_step_symmetric_tie():
     )
     s = PolarSamples(np.array([1.0]), np.array([[0.0, 1.0]]))
     gamma, _ = e_step(s, v)
-    assert np.allclose(gamma[0], [0.5, 0.5], atol=1e-12)
+    assert np.allclose(gamma[:, 0], [0.5, 0.5], atol=1e-12)
 
 
 def test_e_step_zero_density_rows_get_uniform(caplog):
@@ -113,7 +123,7 @@ def test_e_step_zero_density_rows_get_uniform(caplog):
     with caplog.at_level(logging.WARNING), warnings.catch_warnings():
         warnings.simplefilter("error")
         gamma, log_q = e_step(s, v)
-    assert np.allclose(gamma[1:3], 0.5)
+    assert np.allclose(gamma[:, 1:3], 0.5)
     assert np.all(log_q[1:3] == -np.inf) and np.isfinite(log_q[[0, 3]]).all()
     assert "zero density" in caplog.text
 
@@ -123,7 +133,7 @@ def test_e_step_zero_density_rows_get_uniform(caplog):
 
 def em_weights(gamma, weights):
     """pi_em of ``penalized_weight_update``, which does not depend on pi_old."""
-    k = gamma.shape[1]
+    k = gamma.shape[0]
     return penalized_weight_update(gamma, weights, np.full(k, 1.0 / k), 0.0)[0]
 
 
@@ -131,7 +141,7 @@ def test_em_weight_update_examples():
     gamma = np.eye(2)
     assert np.allclose(em_weights(gamma, np.array([1.0, 1.0])), [0.5, 0.5], atol=1e-15)
     assert np.allclose(em_weights(gamma, np.array([3.0, 1.0])), [0.75, 0.25], atol=1e-15)
-    uniform = np.full((6, 3), 1.0 / 3.0)
+    uniform = np.full((3, 6), 1.0 / 3.0)
     out = em_weights(uniform, np.arange(1.0, 7.0))
     assert np.allclose(out, 1.0 / 3.0, atol=1e-15)
 
@@ -143,18 +153,18 @@ def test_em_weight_update_zero_mass_raises():
 
 def test_penalized_update_beta_zero_is_plain_em():
     rng = rng_from_seed(2)
-    gamma = rng.dirichlet(np.ones(4), size=30)
+    gamma = rng.dirichlet(np.ones(4), size=30).T
     w = rng.random(30)
     pi_old = rng.dirichlet(np.ones(4))
     pi_em, pi_new = penalized_weight_update(gamma, w, pi_old, 0.0)
-    assert np.array_equal(pi_em, gamma.T @ w / (gamma.T @ w).sum())
+    assert np.array_equal(pi_em, gamma @ w / (gamma @ w).sum())
     assert np.array_equal(pi_new, pi_em)
 
 
 def test_penalized_update_uniform_pi_has_zero_penalty():
     rng = rng_from_seed(3)
     for k in (2, 4):
-        gamma = rng.dirichlet(np.ones(k), size=25)
+        gamma = rng.dirichlet(np.ones(k), size=25).T
         w = rng.random(25)
         pi_old = np.full(k, 1.0 / k)
         pi_em, out = penalized_weight_update(gamma, w, pi_old, 1.0)
@@ -178,7 +188,7 @@ def test_penalized_update_sums_to_one():
     for _ in range(20):
         k = int(rng.integers(2, 8))
         n = int(rng.integers(5, 40))
-        gamma = rng.dirichlet(np.ones(k), size=n)
+        gamma = rng.dirichlet(np.ones(k), size=n).T
         w = rng.random(n) + 0.01
         pi_old = rng.dirichlet(np.ones(k))
         beta = 2.0 * rng.random()
@@ -188,7 +198,7 @@ def test_penalized_update_sums_to_one():
 
 def test_penalized_update_weight_scale_invariance():
     rng = rng_from_seed(5)
-    gamma = rng.dirichlet(np.ones(3), size=40)
+    gamma = rng.dirichlet(np.ones(3), size=40).T
     w = rng.random(40) + 0.1
     pi_old = rng.dirichlet(np.ones(3))
     _, a = penalized_weight_update(gamma, w, pi_old, 0.7)
@@ -207,28 +217,28 @@ def test_prune_arithmetic():
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
         [1.0, 2.0, 3.0],
     )
-    gamma = np.array([[0.2, 0.3, 0.5]])
+    gamma = np.array([[0.2], [0.3], [0.5]])
     v2, gamma2 = prune(np.array([0.6, 0.5, -0.1]), gamma, v)
     assert v2.k == 2
     assert np.allclose(v2.pi, [6.0 / 11.0, 5.0 / 11.0], atol=1e-12)
-    assert np.allclose(gamma2, [[0.4, 0.6]], atol=1e-12)
+    assert np.allclose(gamma2, [[0.4], [0.6]], atol=1e-12)
     # surviving component parameters carried over in order
     assert np.array_equal(v2.m, [1.0, 2.0])
 
 
 def test_prune_all_positive_is_identity():
     v = make_params([0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    gamma = np.array([[0.25, 0.75], [0.6, 0.4]])
+    gamma = np.array([[0.25, 0.6], [0.75, 0.4]])
     v2, gamma2 = prune(np.array([0.5, 0.5]), gamma, v)
     assert v2.k == 2
     assert np.allclose(v2.pi, [0.5, 0.5])
-    assert np.allclose(gamma2, gamma)
+    assert gamma2 is gamma  # nothing pruned, nothing copied
 
 
 def test_prune_collapse_raises():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
     with pytest.raises(RuntimeError):
-        prune(np.array([-0.2]), np.ones((3, 1)), v)
+        prune(np.array([-0.2]), np.ones((1, 3)), v)
 
 
 def test_prune_rows_sum_to_one():
@@ -240,20 +250,20 @@ def test_prune_rows_sum_to_one():
         [1.0, 2.0, 3.0],
     )
     rng = rng_from_seed(6)
-    gamma = rng.dirichlet(np.ones(3), size=10)
+    gamma = rng.dirichlet(np.ones(3), size=10).T
     _, gamma2 = prune(np.array([0.7, -0.2, 0.5]), gamma, v)
-    assert np.allclose(gamma2.sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(gamma2.sum(axis=0), 1.0, atol=1e-12)
 
 
 @st.composite
 def responsibilities(draw, min_entry):
-    """(gamma, k): an (n, k) responsibility matrix with rows summing to 1,
-    or to 0 where a row drew only zeros."""
+    """(gamma, k): a (k, n) responsibility matrix with columns summing to 1,
+    or to 0 where a column drew only zeros."""
     k = draw(st.integers(1, 6))
     n = draw(st.integers(1, 30))
-    raw = draw(hnp.arrays(float, (n, k), elements=st.floats(min_entry, 1.0, allow_subnormal=False)))
-    rows = raw.sum(axis=1, keepdims=True)
-    return raw / np.where(rows > 0.0, rows, 1.0), k
+    raw = draw(hnp.arrays(float, (k, n), elements=st.floats(min_entry, 1.0, allow_subnormal=False)))
+    total = raw.sum(axis=0)
+    return raw / np.where(total > 0.0, total, 1.0), k
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +275,7 @@ def responsibilities(draw, min_entry):
 )
 def test_property_penalized_update_normalized_and_scale_invariant(resp, data, beta, scale):
     gamma, k = resp
-    w = data.draw(hnp.arrays(float, gamma.shape[0], elements=st.floats(1e-3, 1e3)))
+    w = data.draw(hnp.arrays(float, gamma.shape[1], elements=st.floats(1e-3, 1e3)))
     pi_old = data.draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1.0)))
     pi_old /= pi_old.sum()
     _, out = penalized_weight_update(gamma, w, pi_old, beta)
@@ -281,9 +291,104 @@ def test_property_prune_normalizes_survivors(resp, data):
     pi_new = data.draw(hnp.arrays(float, k, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
     assume(np.any(pi_new > 0.0))
     v2, gamma2 = prune(pi_new, gamma, start_params(k, 2))
-    assert v2.k == np.count_nonzero(pi_new > 0.0) == gamma2.shape[1]
+    assert v2.k == np.count_nonzero(pi_new > 0.0) == gamma2.shape[0]
     assert abs(v2.pi.sum() - 1.0) <= 1e-12
-    assert np.allclose(gamma2.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    if v2.k == k:
+        # e_step's columns already sum to 1, so a prune that drops nothing
+        # passes gamma through; a column of zeros reaches prune only when
+        # the components it had mass on were dropped
+        assert gamma2 is gamma
+    else:
+        assert np.allclose(gamma2.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+
+
+# ------------------------------------------------------ (K, n) layout
+
+
+def random_params(rng, k, d):
+    mu = rng.standard_normal((k, d))
+    mu /= np.linalg.norm(mu, axis=1, keepdims=True)
+    return make_params(
+        rng.dirichlet(np.ones(k)), rng.uniform(0.6, 3.0, k), rng.uniform(0.5, 3.0, k), mu, rng.uniform(0.0, 20.0, k)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 5, 20]),
+    k=st.integers(1, 20),
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    zero_density=st.booleans(),
+    dead_row=st.booleans(),
+    n_pruned=st.integers(0, 19),
+)
+def test_property_component_major_kernels_match_the_sample_major_reference(
+    d, k, n, seed, zero_density, dead_row, n_pruned
+):
+    # K runs over 1..20, so both of numpy's orders of summing K entries
+    # (sequential below 8, unrolled by 8 from there) meet the reference's
+    # row sums. A log density near 0 is a difference of terms of order
+    # kappa, so it is compared to 1e-12 of max(1, |value|). zero_density
+    # puts sample 0 at r = 1e160, where every light density is 0; dead_row
+    # gives sample 1 all its responsibility on component 0, which is then
+    # pruned; n_pruned = 0 keeps every component.
+    rng = rng_from_seed(seed)
+    s = random_samples(rng, n, d)
+    if zero_density:
+        s.r[0] = 1e160
+    v = random_params(rng, k, d)
+    m_h, omega_h = heavy_params_from_light(v)
+    for sets in ([(v.pi, v.m, v.omega, 1)], [(0.5 * v.pi, v.m, v.omega, 1), (0.5 * v.pi, m_h, omega_h, -1)]):
+        ref = reference_columns(s, v, sets).T
+        assert np.allclose(_mixture_columns(s, v, sets), ref, rtol=1e-12, atol=1e-12)
+
+    gamma, log_q = e_step(s, v)
+    gamma_ref, log_q_ref = reference_e_step(s, v)
+    assert gamma.shape == (k, n)
+    assert np.allclose(gamma, gamma_ref.T, rtol=1e-12, atol=0.0)
+    assert np.allclose(log_q, log_q_ref, rtol=1e-12, atol=1e-12)
+    assert (log_q[0] == -np.inf) == zero_density
+
+    pi_new = v.pi.copy()
+    pi_new[rng.permutation(k)[: min(n_pruned, k - 1)]] = -1.0
+    dead_row = dead_row and k > 1
+    if dead_row:
+        gamma_ref[1] = np.eye(k)[0]
+        pi_new[0] = -1.0
+        pi_new[1] = abs(pi_new[1])
+    gamma = np.ascontiguousarray(gamma_ref.T)
+    (v2, gamma2), (v2_ref, gamma2_ref) = prune(pi_new, gamma, v), reference_prune(pi_new, gamma_ref, v)
+    assert np.allclose(gamma2, gamma2_ref.T, rtol=1e-12, atol=0.0)
+    for name in ("pi", "m", "omega", "mu", "kappa"):
+        assert np.array_equal(getattr(v2, name), getattr(v2_ref, name))
+    if dead_row:
+        assert np.all(gamma2[:, 1] == 1.0 / v2.k)
+    if v2.k == k:
+        assert gamma2 is gamma
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 5, 8, 13, 20])
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 20])
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(2, 299))
+def test_property_rows_do_not_depend_on_the_batch(d, k, seed, size):
+    # a sample's gamma column, ln q and safe density are the same bits in
+    # any batch of 2 or more rows, so a run's result cannot depend on how
+    # its samples are split. A 1-row batch is left out: numpy sends its
+    # products down BLAS's matrix-vector path, which rounds otherwise.
+    rng = rng_from_seed(seed)
+    s = random_samples(rng, 300, d)
+    v = random_params(rng, k, d)
+    idx = np.sort(rng.choice(300, size, replace=False))
+    sub = PolarSamples(s.r[idx], s.a[idx])
+    gamma, log_q = e_step(s, v)
+    gamma_sub, log_q_sub = e_step(sub, v)
+    assert np.array_equal(gamma_sub, gamma[:, idx])
+    assert np.array_equal(log_q_sub, log_q[idx])
+    for lam in (0.0, 0.5, 1.0):
+        phi = SafeMixtureParams(v, lam)
+        assert np.array_equal(safe_logpdf(sub, phi), safe_logpdf(s, phi)[idx])
 
 
 # ------------------------------------------------------------------- beta
@@ -345,7 +450,7 @@ def test_beta_weight_free():
 
 def test_m_step_zero_radial_variance_clamps_m():
     s = PolarSamples(np.full(10, 2.0), np.tile([1.0, 0.0], (10, 1)))
-    gamma = np.ones((10, 1))
+    gamma = np.ones((1, 10))
     out = m_step_params(gamma, batch_statistics(s, np.ones(10)), start_params(1, 2))
     assert out.omega[0] == pytest.approx(4.0, abs=1e-12)
     assert out.m[0] == M_MAX
@@ -355,14 +460,14 @@ def test_m_step_two_radii_moment_arithmetic():
     # radii {1, sqrt(3)}: E[r^2] = 2, E[r^4] = 5, var = 1 -> m = 4
     r = np.array([1.0, np.sqrt(3.0)])
     a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    out = m_step_params(np.ones((2, 1)), batch_statistics(PolarSamples(r, a), np.ones(2)), start_params(1, 2))
+    out = m_step_params(np.ones((1, 2)), batch_statistics(PolarSamples(r, a), np.ones(2)), start_params(1, 2))
     assert out.omega[0] == pytest.approx(2.0, abs=1e-12)
     assert out.m[0] == pytest.approx(4.0, rel=1e-12)
 
 
 def test_m_step_concentrated_directions_clamp_kappa():
     s = PolarSamples(np.array([1.0, 2.0, 0.5]), np.tile([0.0, 1.0], (3, 1)))
-    out = m_step_params(np.ones((3, 1)), batch_statistics(s, np.ones(3)), start_params(1, 2))
+    out = m_step_params(np.ones((1, 3)), batch_statistics(s, np.ones(3)), start_params(1, 2))
     assert np.allclose(out.mu[0], [0.0, 1.0], atol=1e-12)
     assert out.kappa[0] == KAPPA_MAX
 
@@ -374,7 +479,7 @@ def test_m_step_recovers_moderate_concentration():
     a = vmf_sample(rng, center, 5.0, 20_000)
     r = nakagami_sample(rng, 2.0, 3.0, size=20_000)
     s = PolarSamples(r, a)
-    out = m_step_params(np.ones((20_000, 1)), batch_statistics(s, np.ones(20_000)), start_params(1, d))
+    out = m_step_params(np.ones((1, 20_000)), batch_statistics(s, np.ones(20_000)), start_params(1, d))
     assert out.omega[0] == pytest.approx(3.0, rel=0.03)
     assert out.m[0] == pytest.approx(2.0, rel=0.05)
     assert out.mu[0] @ center > 0.999
@@ -383,7 +488,7 @@ def test_m_step_recovers_moderate_concentration():
 
 def test_m_step_dead_component_flagged(caplog):
     s = PolarSamples(np.array([1.0, 2.0]), np.array([[1.0, 0.0], [0.0, 1.0]]))
-    gamma = np.array([[1.0, 0.0], [1.0, 0.0]])
+    gamma = np.array([[1.0, 1.0], [0.0, 0.0]])
     v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
     with caplog.at_level(logging.WARNING):
         out = m_step_params(gamma, batch_statistics(s, np.ones(2)), v)
@@ -400,7 +505,7 @@ def test_m_step_underflowing_resultant_keeps_row():
     # 1e-160; the squares of its resultant's entries underflow and the
     # norm is too inexact to normalize by
     s = random_samples(rng_from_seed(11), 50, 2)
-    gamma = np.column_stack([np.ones(50), np.full(50, 1e-160 / 50)])
+    gamma = np.vstack([np.ones(50), np.full(50, 1e-160 / 50)])
     v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
     out = m_step_params(gamma, batch_statistics(s, np.ones(50)), v)
     assert (out.m[1], out.omega[1], out.kappa[1]) == (3.0, 5.0, 7.0)
@@ -411,7 +516,7 @@ def test_m_step_underflowing_resultant_keeps_row():
 def test_m_step_weight_scale_invariance():
     s = random_samples(rng_from_seed(9), 100, 3)
     rng = rng_from_seed(10)
-    gamma = rng.dirichlet(np.ones(2), size=100)
+    gamma = rng.dirichlet(np.ones(2), size=100).T
     w = rng.random(100) + 0.1
     v = start_params(2, 3)
     out1 = m_step_params(gamma, batch_statistics(s, w), v)
@@ -449,7 +554,7 @@ def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
     w = np.where(rng.random(n) < 0.3, 0.0, rng.random(n))
     w[0] = 1.0
     gamma, _ = e_step(s, v)
-    assert not dead_column or np.all(gamma[:, -1] == 0.0)
+    assert not dead_column or np.all(gamma[-1] == 0.0)
     cases = [(gamma, v)]
     if k > 1:
         v_pruned, gamma_pruned = prune(np.concatenate(([-1.0], v.pi[1:])), gamma, v)
@@ -458,10 +563,10 @@ def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
     for gamma, v in cases:
         beta = float(rng.uniform(0.0, 2.0))
         for new, ref in zip(
-            penalized_weight_update(gamma, w, v.pi, beta), reference_weight_update(gamma, w, v.pi, beta)
+            penalized_weight_update(gamma, w, v.pi, beta), reference_weight_update(gamma.T, w, v.pi, beta)
         ):
             assert np.allclose(new, ref, rtol=0.0, atol=1e-15)
-        new, ref = m_step_params(gamma, stats, v), reference_m_step(s, gamma, w, v)
+        new, ref = m_step_params(gamma, stats, v), reference_m_step(s, gamma.T, w, v)
         assert np.allclose(new.omega, ref.omega, rtol=1e-12, atol=0.0)
         assert np.allclose(new.mu, ref.mu, rtol=0.0, atol=1e-12)  # unit rows
         for name in ("m", "kappa"):
@@ -576,7 +681,7 @@ def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
         [1.0, 1.0, KAPPA_MAX],
     )
-    assert np.all(e_step(s, v0)[0][:, 2] == 0.0)
+    assert np.all(e_step(s, v0)[0][2] == 0.0)
     with caplog.at_level(logging.WARNING):
         res = fit(s, np.ones(200), v0, penalized=False, em_tol=1e-4, max_iter=20)
     assert res.v.k == 2
@@ -588,7 +693,7 @@ def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
     calls = []
 
     def counting(gamma, weights, pi_old, beta):
-        calls.append(gamma.shape[1])
+        calls.append(gamma.shape[0])
         return penalized_weight_update(gamma, weights, pi_old, beta)
 
     monkeypatch.setattr(em, "penalized_weight_update", counting)
