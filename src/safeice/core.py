@@ -313,7 +313,11 @@ def run(problem, config: RunConfig) -> RunResult:
         if sigma_new >= sigma * (1.0 - 1e-12):
             stagnant += 1
             if stagnant >= 2:
-                warn("smoothing level stagnated; stopping")
+                stalled = _weight_cv(intermediate_log_weights(g, sigma, log_ratio))
+                warn(
+                    f"smoothing level stagnated, weight cv {stalled:.3g}"
+                    f" against the target {DELTA_TARGET:g}; stopping"
+                )
                 break
         else:
             stagnant = 0

@@ -236,11 +236,13 @@ def fit(
     is plain weighted EM: only components of EM weight exactly 0 are
     pruned. All updates are invariant to rescaling the weights.
     ``n_iterations`` counts the iterations run; at ``max_iter=0`` the fit
-    returns ``v_init``.
+    returns ``v_init``. Only ``v_init`` is checked: the mixtures EM
+    derives from it are valid by construction.
     """
     weights = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(weights > 0.0):
         raise ValueError("weights must be finite and nonnegative with positive total")
+    v_init.check()
     v = v_init
     beta = 1.0 if penalized else 0.0
     l_prev = np.inf

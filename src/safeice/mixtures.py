@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .distributions import (
-    _check_unit,
+    UNIT_NORM_TOL,
     _radial_coefficients,
     inv_nakagami_sample,
     nakagami_sample,
@@ -81,7 +81,9 @@ class PolarSamples:
 
 @dataclass
 class VmfnmParams:
-    """Parameters of a K-component vMFNM mixture (arrays indexed by k)."""
+    """Parameters of a K-component vMFNM mixture (arrays indexed by k), a
+    plain record: construction only casts the fields to float arrays, and
+    ``SafeMixtureParams`` and ``em.fit`` run ``check`` on what they get."""
 
     pi: np.ndarray
     m: np.ndarray
@@ -95,19 +97,29 @@ class VmfnmParams:
         self.omega = np.asarray(self.omega, dtype=float)
         self.mu = np.asarray(self.mu, dtype=float)
         self.kappa = np.asarray(self.kappa, dtype=float)
-        k = self.pi.shape[0]
-        if not (self.m.shape == self.omega.shape == self.kappa.shape == (k,)):
-            raise ValueError("component parameter arrays must share length K")
-        if self.mu.ndim != 2 or self.mu.shape[0] != k:
-            raise ValueError("mu must be (K, d)")
-        flat = np.concatenate((self.pi, self.m, self.omega, self.kappa, self.mu.ravel()))
-        if not np.isfinite(flat).all():
-            raise ValueError("mixture parameters must be finite")
+
+    def check(self) -> None:
+        """Raise a ValueError that names the first field of the wrong shape,
+        with a NaN or inf, or out of its range."""
+        k = self.pi.shape[0] if self.pi.ndim == 1 else -1
+        for name in ("pi", "m", "omega", "kappa"):
+            if getattr(self, name).shape != (k,):
+                raise ValueError(f"{name} must have shape (K,) with K = len(pi)")
+        if self.mu.ndim != 2 or self.mu.shape[0] != k or self.mu.shape[1] < 2:
+            raise ValueError(f"mu must have shape (K, d) with K = {k} and d >= 2")
+        for name in ("pi", "m", "omega", "mu", "kappa"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.pi <= 0.0) or abs(self.pi.sum() - 1.0) > 1e-9:
-            raise ValueError("weights must be positive and sum to 1")
-        if np.any(self.m < 0.5) or np.any(self.omega <= 0.0) or np.any(self.kappa < 0.0):
-            raise ValueError("invalid component shape parameters")
-        _check_unit(self.mu, "mean directions")
+            raise ValueError("pi must be positive and sum to 1")
+        if np.any(self.m < 0.5):
+            raise ValueError("m must be at least 0.5")
+        if np.any(self.omega <= 0.0):
+            raise ValueError("omega must be positive")
+        if np.any(self.kappa < 0.0):
+            raise ValueError("kappa must be nonnegative")
+        if np.any(np.abs(np.linalg.norm(self.mu, axis=1) - 1.0) > UNIT_NORM_TOL):
+            raise ValueError(f"mu must have rows of unit norm (deviation > {UNIT_NORM_TOL})")
 
     @property
     def k(self) -> int:
@@ -178,6 +190,7 @@ class SafeMixtureParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
+        self.light.check()
         self.heavy_m, self.heavy_omega = heavy_params_from_light(self.light)
         # a light m >= ~3e305 or an overflowing m / omega derives NaN or inf
         if not np.all(np.isfinite(self.heavy_omega) & (self.heavy_omega > 0.0)):

@@ -10,10 +10,8 @@ from scipy.special import logsumexp, xlogy
 from safeice import problems
 from safeice.core import _weight_cv, intermediate_log_weights
 from safeice.distributions import (
-    _check_unit,
+    UNIT_NORM_TOL,
     _radial_coefficients,
-    inv_nakagami_logpdf,
-    nakagami_logpdf,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
 )
@@ -57,6 +55,43 @@ def bessel_ratio(d: int, kappa: float) -> float:
         if abs(delta - 1.0) < 1e-15:
             break
     return f
+
+
+def _radial_logpdf(r, m, omega, side: int):
+    log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("radius must be positive")
+    # r^(2 side) overflows for r past ~1e154 (side = +1) or below ~1e-154
+    # (side = -1); the log density then saturates to -inf, the right limit
+    with np.errstate(over="ignore"):
+        return log_c + b_log * np.log(r) + b_pow * r ** (2.0 * side)
+
+
+def nakagami_logpdf(r, m, omega):
+    """Log density of the Nakagami(m, omega) law at radius r > 0.
+
+    pdf(r) = 2 m^m / (Gamma(m) omega^m) * r^(2m-1) * exp(-m r^2 / omega)
+
+    Broadcasts over all arguments; raises on r <= 0.
+    """
+    return _radial_logpdf(r, m, omega, 1)
+
+
+def inv_nakagami_logpdf(r, m, omega):
+    """Log density of the reciprocal of a Nakagami(m, omega) variable.
+
+    pdf(r) = 2 m^m / (Gamma(m) omega^m) * r^-(2m+1) * exp(-m / (omega r^2))
+
+    The polynomial tail r^-(2m+1) is what makes the safe proposal heavy.
+    """
+    return _radial_logpdf(r, m, omega, -1)
+
+
+def _check_unit(vec, name: str):
+    norms = np.linalg.norm(vec, axis=-1)
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        raise ValueError(f"{name} must have unit norm (deviation > {UNIT_NORM_TOL})")
 
 
 def vmf_logpdf(a, mu, kappa: float):

@@ -612,7 +612,15 @@ def test_run_reports_the_final_batch_se_and_ess(monkeypatch):
 @pytest.mark.parametrize(
     "name, z, seed, warned",
     [
-        ("three-mode", 3.5, 0, ["t 2 sigma 0.662788: smoothing level stagnated", "Kish ESS 1.86 < 10"]),
+        (
+            "three-mode",
+            3.5,
+            0,
+            [
+                "t 2 sigma 0.662788: smoothing level stagnated, weight cv 6.77 against the target 4",
+                "Kish ESS 1.86 < 10",
+            ],
+        ),
         ("four-branch", 0.0, 253, ["Kish ESS 9.91 < 10"]),
         ("two-mode", 3.5, 0, []),
     ],

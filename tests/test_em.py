@@ -10,7 +10,7 @@ import warnings
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from safeice import em
@@ -625,6 +625,65 @@ def test_fit_validates_weights():
     nan_weight[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
         fit(s, nan_weight, v, penalized=True, em_tol=1e-4, max_iter=20)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("m", [np.nan, 2.0], "^m must be finite"),
+        ("mu", [[1.0, 0.0], [0.0, 1.1]], "^mu must have rows of unit norm"),
+        ("pi", [0.5, 0.6], "^pi must be positive and sum to 1"),
+    ],
+)
+def test_fit_rejects_a_bad_start_by_field_before_any_e_step(monkeypatch, field, value, match):
+    calls = []
+
+    def counting(samples, v):
+        calls.append(v.k)
+        return e_step(samples, v)
+
+    monkeypatch.setattr(em, "e_step", counting)
+    fields = dict(pi=[0.5, 0.5], m=[1.0, 2.0], omega=[1.0, 2.0], mu=[[1.0, 0.0], [0.0, 1.0]], kappa=[1.0, 1.0])
+    v0 = make_params(**{**fields, field: value})
+    s = random_samples(rng_from_seed(14), 10, 2)
+    for penalized in (True, False):
+        with pytest.raises(ValueError, match=match):
+            fit(s, np.ones(10), v0, penalized=penalized)
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(2, 7),
+    k=st.integers(1, 7),
+    n=st.integers(2, 200),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.lists(st.floats(-150.0, 75.0), min_size=1, max_size=3),
+    zero_share=st.sampled_from([0.0, 0.5, 0.95]),
+    weight_decades=st.sampled_from([0.0, 30.0, 300.0]),
+    penalized=st.booleans(),
+)
+@example(d=2, k=3, n=50, seed=0, decades=[-190.0], zero_share=0.0, weight_decades=0.0, penalized=False)
+@example(d=3, k=3, n=50, seed=0, decades=[-190.0], zero_share=0.5, weight_decades=30.0, penalized=True)
+def test_property_every_fit_passes_the_parameter_check(
+    d, k, n, seed, decades, zero_share, weight_decades, penalized
+):
+    # fit checks only its start; the mixtures it derives are not checked,
+    # so they must pass by construction. Each radius lies within a decade
+    # of one of ``decades``, which span 1e-151 to 1e76: r^4 stays finite,
+    # and a fitted omega stays above m / 1.8e308, below which m / omega
+    # overflows in the radial kernel. The examples put every radius near
+    # 1e-190, where r^2 underflows to 0, so every M-step omega is 0 and
+    # each component must keep its old radial law. The weights are 0 on
+    # about zero_share of the samples and span weight_decades decades on
+    # the rest, which leaves kept components with no mass; the penalised
+    # loop prunes, and the survivors' pi must sum to 1 again.
+    rng = rng_from_seed(seed)
+    s = random_samples(rng, n, d)
+    s.r[:] = 10.0 ** (rng.choice(decades, n) + rng.uniform(-1.0, 1.0, n))
+    w = np.where(rng.random(n) < zero_share, 0.0, 10.0 ** -rng.uniform(0.0, weight_decades, n))
+    w[rng.integers(n)] = 1.0
+    fit(s, w, random_params(rng, k, d), penalized=penalized).v.check()
 
 
 def test_fit_plain_keeps_component_count():

@@ -102,22 +102,30 @@ def test_vmfnm_params_validation():
     good = two_component_2d()
     assert good.k == 2
     assert good.dim == 2
-    with pytest.raises(ValueError):
-        VmfnmParams(np.array([0.5, 0.4]), good.m, good.omega, good.mu, good.kappa)
-    with pytest.raises(ValueError):
-        VmfnmParams(good.pi, np.array([0.2, 1.0]), good.omega, good.mu, good.kappa)
-    with pytest.raises(ValueError):
-        VmfnmParams(good.pi, good.m, good.omega, 2.0 * good.mu, good.kappa)
-    with pytest.raises(ValueError):
-        VmfnmParams(good.pi, good.m, good.omega, good.mu, -good.kappa)
-    # NaN passes every comparison check, so finiteness is checked apart
+    good.check()
     fields = {"pi": good.pi, "m": good.m, "omega": good.omega, "mu": good.mu, "kappa": good.kappa}
+    invalid = {
+        "pi": np.array([0.5, 0.4]),
+        "m": np.array([0.2, 1.0]),
+        "omega": np.array([0.0, 1.0]),
+        "mu": 2.0 * good.mu,
+        "kappa": -good.kappa,
+    }
+    for name, value in invalid.items():
+        # a plain record: construction takes anything, the check names the field
+        v = VmfnmParams(**{**fields, name: value})
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            v.check()
+    # NaN passes every comparison check, so finiteness is checked apart
     for name, value in fields.items():
         for bad in (np.nan, np.inf):
             broken = value.copy()
             broken.flat[0] = bad
-            with pytest.raises(ValueError, match="finite"):
-                VmfnmParams(**{**fields, name: broken})
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                VmfnmParams(**{**fields, name: broken}).check()
+    for name, value in (("kappa", good.kappa[:1]), ("mu", good.mu[:, :1]), ("mu", good.mu[0])):
+        with pytest.raises(ValueError, match=f"^{name} must have shape"):
+            VmfnmParams(**{**fields, name: value}).check()
 
 
 # -------------------------------------------------------------- light mixture
@@ -226,6 +234,8 @@ def test_safe_params_validation():
         SafeMixtureParams(v, 1.5)
     with pytest.raises(ValueError):
         SafeMixtureParams(v, -0.1)
+    with pytest.raises(ValueError, match="^m must be at least 0.5"):
+        SafeMixtureParams(one_component(m=0.2), 0.5)
     # finite light shapes at the float limits derive a NaN or infinite spread
     for m, omega in ((1e307, 1.0), (1e300, 1e-300)):
         with pytest.raises(ValueError, match="heavy radial"):
@@ -419,8 +429,9 @@ def test_safe_sample_fields_and_determinism():
 def test_property_accepted_mixture_can_be_sampled(d, kappa, lam, stretch):
     # the mean direction sits anywhere inside the accepted norm band
     mu = np.full((1, d), (1.0 + stretch) / math.sqrt(d))
+    v = VmfnmParams(np.ones(1), np.ones(1), np.ones(1), mu, np.array([kappa]))
     try:
-        v = VmfnmParams(np.ones(1), np.ones(1), np.ones(1), mu, np.array([kappa]))
+        v.check()
     except ValueError:
         assume(False)
     s = safe_sample(rng_from_seed(0), SafeMixtureParams(v, lam), 20)
