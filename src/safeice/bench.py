@@ -23,10 +23,14 @@ def run_repetitions(
     Repetition i runs with seed config.seed + i, so results are
     reproducible.
     """
-    _check_integer("n_runs", n_runs, 2)  # the spread statistics need two
-    _check_positive("p_ref", p_ref)
+    _check_repetitions(n_runs, p_ref)
     runs = [run(problem, replace(config, seed=config.seed + i)) for i in range(n_runs)]
     return runs, summary_record(runs, p_ref)
+
+
+def _check_repetitions(n_runs, p_ref) -> None:
+    _check_integer("n_runs", n_runs, 2)  # the spread statistics need two
+    _check_positive("p_ref", p_ref)
 
 
 def summary_record(runs: list[RunResult], p_ref: float) -> dict:

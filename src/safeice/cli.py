@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 from typing import get_type_hints
 
-from .bench import json_record, persist, run_repetitions
+from .bench import _check_repetitions, json_record, persist, run_repetitions
 from .core import RunConfig, run
 from .oracle import mc_estimate
 from .problems import PROBLEMS, problem_registry
@@ -119,22 +119,25 @@ def main(argv=None) -> int:
     try:
         opts = _merge_options(args)
         problem = problem_registry(opts["problem"], opts["z"], **_given(opts, ["d"]))
+        config = None if args.command == "oracle" else _run_config(opts)
         if args.command == "bench":
-            open(opts["out"], "a").close()  # an unwritable --out fails before the first run
+            _check_repetitions(opts["reps"], opts["p_ref"])
+            # after the usage checks, so none leaves a file; before the first run
+            open(opts["out"], "a").close()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     try:
         if args.command == "estimate":
-            print(json_record(asdict(run(problem, _run_config(opts)))))
+            print(json_record(asdict(run(problem, config))))
             return 0
         if args.command == "oracle":
             est = mc_estimate(problem, **_given(opts, ["n_total", "seed"]))
             print(json_record(asdict(est)))
             return 0
         if args.command == "bench":
-            runs, summary = run_repetitions(problem, _run_config(opts), opts["reps"], opts["p_ref"])
+            runs, summary = run_repetitions(problem, config, opts["reps"], opts["p_ref"])
             persist(runs, summary, opts["out"], **({"fmt": opts["format"]} if "format" in opts else {}))
             print(json_record(summary))
             return 0

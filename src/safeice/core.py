@@ -113,9 +113,8 @@ class RunResult:
 
 
 def log_smooth_indicator(g, sigma: float):
-    """ln h_sigma(g), finite for any finite g at which -g/sigma is finite."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    """ln h_sigma(g), finite for any finite g at which -g/sigma is finite;
+    ``run`` passes a sigma > 0, the checked sigma0 or a ``select_sigma`` level."""
     # at a tiny sigma -g/sigma overflows to -inf or +inf, where ln Phi takes
     # its right limits, -inf and 0
     with np.errstate(over="ignore"):
@@ -168,10 +167,9 @@ def select_sigma(
     a step moves x by less than 1e-10, when the cell is narrower than
     1e-10 or when e is exactly 0. Without a sign change the first grid
     point with the smallest |e| is taken, which is the first one when no
-    e is finite. The result never exceeds sigma_prev.
+    e is finite. The result never exceeds sigma_prev, which ``run``
+    keeps positive.
     """
-    if sigma_prev <= 0.0:
-        raise ValueError("sigma_prev must be positive")
 
     def excess(log_sigma: float) -> float:
         return _weight_cv(intermediate_log_weights(g, np.exp(log_sigma), log_ratio)) - delta_target
@@ -251,11 +249,9 @@ def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
     Nakagami(d/2, d); directions are uniform random with kappa = 2 so the
     E-step can tell components apart (kappa = 0 would make them identical
     and freeze EM at uniform responsibilities). A single component keeps
-    kappa = 0 and reproduces the prior exactly."""
+    kappa = 0 and reproduces the prior exactly. ``RunConfig`` checks k >= 1."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     mu = vmf_sample(rng, np.eye(d)[0], 0.0, k)
     kappa = np.zeros(k) if k == 1 else np.full(k, 2.0)
     return VmfnmParams(

@@ -74,22 +74,18 @@ def inv_nakagami_sample(rng: np.random.Generator, m, omega, size=None):
 
 
 def uniform_sphere_logpdf(d: int) -> float:
-    """Log density of the uniform law on S^{d-1} (surface measure)."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    """Log density of the uniform law on S^{d-1} (surface measure), for
+    the d >= 2 of a checked mixture."""
     return gammaln(d / 2.0) - _LOG_2 - (d / 2.0) * np.log(np.pi)
 
 
-def vmf_log_normalizer(d: int, kappa):
+def vmf_log_normalizer(d: int, kappa: np.ndarray) -> np.ndarray:
     """ln C_d(kappa) with C_d(k) = k^(d/2-1) / ((2 pi)^(d/2) I_{d/2-1}(k)).
 
-    Vectorized over kappa; the kappa = 0 entries reduce to the uniform
-    sphere density. It expects a kappa that has passed
-    ``VmfnmParams.check`` (kappa >= 0).
+    Vectorized over the kappa array of a mixture that has passed
+    ``VmfnmParams.check`` (kappa >= 0, d >= 2); the kappa = 0 entries
+    reduce to the uniform sphere density.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    scalar = kappa.ndim == 0
-    kappa = np.atleast_1d(kappa)
     out = np.full(kappa.shape, uniform_sphere_logpdf(d))
     pos = kappa > 0.0
     if np.any(pos):
@@ -97,7 +93,7 @@ def vmf_log_normalizer(d: int, kappa):
         nu = d / 2.0 - 1.0
         log_i = log_bessel_i_scaled(nu, kp) + kp
         out[pos] = nu * np.log(kp) - (d / 2.0) * _LOG_2PI - log_i
-    return float(out[0]) if scalar else out
+    return out
 
 
 def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
@@ -144,9 +140,8 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
 
 def prior_radial_logpdf(r, d: int):
     """Radial log density of the standard normal prior: chi with d degrees
-    of freedom, identical to Nakagami(d/2, d)."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    of freedom, identical to Nakagami(d/2, d), for the d >= 2 of a batch
+    drawn from a checked mixture."""
     log_c, b_log, b_pow = _radial_coefficients(d / 2.0, float(d), 1)
     r = np.asarray(r, dtype=float)
     # r^2 overflows past r ~ 1e154, where the log density is -inf, its limit

@@ -85,14 +85,11 @@ def penalized_weight_update(
 
     The penalty of Yang, Lai & Lin has a factor sum_i W_i / sum_i sum_s gamma_is
     W_i, which is 1 as e_step and prune make every column of the (K, n)
-    gamma sum to 1.
+    gamma sum to 1, so the mass totals sum_i W_i > 0, which ``fit`` checks.
     pi_new sums to 1; prune() removes its entries <= 0.
     """
     mass = gamma @ weights
-    total = float(mass.sum())
-    if total <= 0.0:
-        raise ValueError("total responsibility mass is zero")
-    pi_em = mass / total
+    pi_em = mass / mass.sum()
     entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
     return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
 
@@ -106,11 +103,10 @@ def prune(
     parameters carried over) and the (K, n) responsibilities restricted to
     the surviving rows, each sample's column renormalized; a sample with no
     responsibility left on them gets uniform ones. When every component
-    survives, ``gamma`` comes back as it is.
+    survives, ``gamma`` comes back as it is. ``pi_new`` sums to 1, so
+    some entry survives.
     """
     keep = pi_new > 0.0
-    if not np.any(keep):
-        raise RuntimeError("all component weights nonpositive; mixture collapsed")
     pi = pi_new[keep]
     pi = pi / pi.sum()
     if not keep.all():
@@ -139,13 +135,10 @@ def beta_update(
                 (1 - max pi_em) / (-max(pi_old) * E) )
 
     with eta = min(1, 0.5^floor(d/2 - 1)) and E = sum pi_old ln pi_old.
-    For K = 1 the penalty is inert and beta = 0. If the second argument is
-    negative or non-finite, the first argument alone is used.
+    At K = 1, pi_old = [1] makes the penalty 0 at any beta. If the second
+    argument is negative or non-finite, the first argument alone is used.
     """
-    k = pi_old.shape[0]
-    if k == 1:
-        return 0.0
-    eta = min(1.0, 0.5 ** math.floor(d / 2.0 - 1.0)) if d >= 2 else 1.0
+    eta = min(1.0, 0.5 ** math.floor(d / 2.0 - 1.0))
     first = float(np.mean(np.exp(-eta * n_samples * np.abs(pi_new - pi_old))))
     entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
     denom = -float(np.max(pi_old)) * entropy_sum
@@ -167,7 +160,8 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     approximation kappa = rbar (d - rbar^2) / (1 - rbar^2), clamped to
     [0, 1e4]. The returned mixture keeps the weights ``v.pi``; a component
     with no responsibility mass, a resultant too small to normalize or a
-    degenerate radial moment also keeps its parameters from ``v``.
+    degenerate radial moment (omega or m / omega not finite) also keeps
+    its parameters from ``v``.
     """
     sums = gamma @ stats
     dead = sums[:, 0] <= 0.0
@@ -188,7 +182,8 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
         kappa = np.where(rbar < 1.0, rbar * (v.dim - rbar**2) / (1.0 - rbar**2), np.inf)
     kappa = np.clip(kappa, 0.0, KAPPA_MAX)
 
-    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | (omega <= 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~np.isfinite(m / omega)
     m[bad] = v.m[bad]
     omega[bad] = v.omega[bad]
     mu[bad] = v.mu[bad]

@@ -41,27 +41,20 @@ def _log_bessel_i_series(order: float, x):
     return order * (np.log(x) - np.log(2.0)) - _sc.gammaln(order + 1.0) + np.log(total) - x
 
 
-def log_bessel_i_scaled(order: float, x):
-    """ln I_order(x) - x for order >= 0 and x > 0.
+def log_bessel_i_scaled(order: float, x: np.ndarray) -> np.ndarray:
+    """ln I_order(x) - x over a float array x; ``vmf_log_normalizer``, the
+    one caller, passes x = kappa > 0 and order = d/2 - 1 >= 0.
 
     Uses the exponentially scaled Bessel function and falls back to the
     ascending series when the scaled value underflows.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("x must be positive")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-
     scaled = _sc.ive(order, x)
     ok = scaled > 0.0
     out = np.empty(x.shape)
     out[ok] = np.log(scaled[ok])
     if not ok.all():
         out[~ok] = _log_bessel_i_series(order, x[~ok])
-    return float(out[0]) if scalar else out
+    return out
 
 
 def shifted_exp(x, axis=-1):

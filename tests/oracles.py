@@ -111,7 +111,7 @@ def vmf_logpdf(a, mu, kappa: float):
     if kappa == 0.0:
         base = uniform_sphere_logpdf(d)
         return base if a.ndim == 1 else np.full(a.shape[0], base)
-    return vmf_log_normalizer(d, kappa) + kappa * (a @ mu)
+    return vmf_log_normalizer(d, np.array([kappa]))[0] + kappa * (a @ mu)
 
 
 def safe_logpdf_per_component(samples, phi):
@@ -217,7 +217,8 @@ def m_step_params(samples, gamma, weights, v):
     """Closed-form M-step from the (n, K) products c = gamma W, c r^2 and
     c r^4, reduced column by column, and the resultant c^T a; a component
     with no mass, a resultant too small to normalize or a degenerate radial
-    moment keeps its parameters from ``v``."""
+    moment (omega not finite, or m / omega not finite) keeps its parameters
+    from ``v``."""
     d = samples.dim
     c = gamma * weights[:, None]
     s0 = c.sum(axis=0)
@@ -241,7 +242,8 @@ def m_step_params(samples, gamma, weights, v):
         kappa = np.where(rbar < 1.0, rbar * (d - rbar**2) / (1.0 - rbar**2), np.inf)
     kappa = np.clip(kappa, 0.0, KAPPA_MAX)
 
-    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | (omega <= 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~np.isfinite(m / omega)
     m[bad] = v.m[bad]
     omega[bad] = v.omega[bad]
     mu[bad] = v.mu[bad]

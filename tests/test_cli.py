@@ -533,6 +533,18 @@ def test_bench_failing_before_any_run_keeps_an_existing_out_file(tmp_path, capsy
     assert out_path.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--reps", "1"), ("--p-ref", "-1"), ("--n-per-iter", "5"), ("--method", "mc")]
+)
+def test_bench_usage_error_leaves_no_out_file(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "r.jsonl"
+    rc, out, err = run_cli(capsys, BENCH_BASE + ["--reps", "2", "--out", str(out_path), flag, value])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_bench_without_failures_writes_strict_json(monkeypatch, tmp_path, capsys):
     # every pf is 0, so the cv across runs is infinite
     monkeypatch.setattr(core, "MAX_OUTER", 1)

@@ -76,13 +76,6 @@ def test_smooth_indicator_monotone_in_g():
     assert np.all((log_h > -np.inf) & (log_h < 0.0))
 
 
-def test_smooth_indicator_rejects_bad_sigma():
-    with pytest.raises(ValueError, match="sigma must be positive"):
-        stop_cv(np.array([-1.0, 1.0]), 0.0)
-    with pytest.raises(ValueError, match="sigma must be positive"):
-        log_smooth_indicator(1.0, -2.0)
-
-
 def test_log_smooth_indicator_matches_and_stays_finite():
     g = np.array([-3.0, 0.0, 2.5])
     assert np.allclose(np.exp(log_smooth_indicator(g, 1.3)), norm.cdf(-g / 1.3), rtol=1e-14)
@@ -326,11 +319,6 @@ def test_select_sigma_without_crossing_takes_the_closest_grid_point():
     assert got == min(np.exp(grid[np.argmin(np.abs(e))]), 10.0)
 
 
-def test_select_sigma_rejects_bad_previous():
-    with pytest.raises(ValueError):
-        select_sigma(np.ones(3), np.zeros(3), 0.0, 4.0)
-
-
 # -------------------------------------------------------------------- stop_cv
 
 
@@ -483,8 +471,6 @@ def test_init_light_params_rejects_bad_args():
     rng = rng_from_seed(0)
     with pytest.raises(ValueError):
         init_light_params(rng, 1, 3)
-    with pytest.raises(ValueError):
-        init_light_params(rng, 3, 0)
 
 
 # ------------------------------------------------------------------ RunConfig
