@@ -86,6 +86,8 @@ class RunConfig:
         for name, low in {"n_per_iter": 10, "k_init": 1, "seed": 0}.items():
             _check_integer(name, getattr(self, name), low)
         _check_positive("sigma0", self.sigma0)
+        if self.sigma0 < np.finfo(float).tiny:  # else 1e-8 sigma0, the floor of select_sigma, can round to 0
+            raise ValueError(f"sigma0 must be at least {np.finfo(float).tiny}, got {self.sigma0!r}")
         if self.method not in ("safe-ice", "ice"):
             raise ValueError("method must be 'safe-ice' or 'ice'")
 

@@ -208,30 +208,21 @@ class FitResult:
     n_iterations: int
 
 
-def fit(
-    samples: PolarSamples,
-    weights: np.ndarray,
-    v_init: VmfnmParams,
-    *,
-    penalized: bool,
-    em_tol: float = EM_TOL,
-    max_iter: int = MAX_EM,
-) -> FitResult:
-    """Run the weighted (penalized) EM loop for at most ``max_iter``
-    iterations.
+def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, penalized: bool) -> FitResult:
+    """Run the weighted (penalized) EM loop for at most ``MAX_EM`` iterations.
 
     Samples and weights are held fixed, so ``batch_statistics`` S is built
     once. Each iteration: weight update with the current beta, pruning of
     nonpositive weights, beta update from the pre-prune vectors, M-step,
     E-step, and the unpenalized weighted log-likelihood convergence check
-    |l_j - l_{j-1}| < em_tol * |l_j|. The E-step's normaliser is ln q(u_i; v), so l_j is
+    |l_j - l_{j-1}| < EM_TOL * |l_j|. The E-step's normaliser is ln q(u_i; v), so l_j is
     ``weighted_loglik`` without a second density evaluation, and its
     responsibilities feed the next iteration; one E-step before the loop
     starts it. beta starts at 1; with ``penalized=False`` it stays 0, which
     is plain weighted EM: only components of EM weight exactly 0 are
     pruned. All updates are invariant to rescaling the weights.
-    ``n_iterations`` counts the iterations run; at ``max_iter=0`` the fit
-    returns ``v_init``. Only ``v_init`` is checked: the mixtures EM
+    ``n_iterations`` counts the iterations run. ``MAX_EM`` and ``EM_TOL``
+    are read at each call. Only ``v_init`` is checked: the mixtures EM
     derives from it are valid by construction.
     """
     weights = np.asarray(weights, dtype=float)
@@ -244,7 +235,7 @@ def fit(
     n_iterations = 0
     stats = batch_statistics(samples, weights)
     gamma, _ = e_step(samples, v)
-    for n_iterations in range(1, max_iter + 1):
+    for n_iterations in range(1, MAX_EM + 1):
         pi_old = v.pi
         pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta)
         v, gamma = prune(pi_raw, gamma, v)
@@ -254,9 +245,9 @@ def fit(
 
         gamma, log_q = e_step(samples, v)
         l_cur = _loglik(weights, log_q)
-        if np.isfinite(l_prev) and abs(l_cur - l_prev) < em_tol * abs(l_cur):
+        if np.isfinite(l_prev) and abs(l_cur - l_prev) < EM_TOL * abs(l_cur):
             break
         l_prev = l_cur
     else:
-        logger.debug("fit: EM stopped at max_iter=%d without convergence", max_iter)
+        logger.debug("fit: EM stopped at MAX_EM=%d without convergence", MAX_EM)
     return FitResult(v=v, n_iterations=n_iterations)

@@ -116,6 +116,9 @@ class VmfnmParams:
             raise ValueError("m must be at least 0.5")
         if np.any(self.omega <= 0.0):
             raise ValueError("omega must be positive")
+        with np.errstate(over="ignore"):  # the radial kernels' coefficient -m / omega
+            if not np.isfinite(self.m / self.omega).all():
+                raise ValueError("omega must be large enough that m / omega is finite")
         if np.any(self.kappa < 0.0):
             raise ValueError("kappa must be nonnegative")
         if np.any(np.abs(np.linalg.norm(self.mu, axis=1) - 1.0) > UNIT_NORM_TOL):
@@ -192,7 +195,7 @@ class SafeMixtureParams:
             raise ValueError("lambda must lie in [0, 1]")
         self.light.check()
         self.heavy_m, self.heavy_omega = heavy_params_from_light(self.light)
-        # a light m >= ~3e305 or an overflowing m / omega derives NaN or inf
+        # a light m >= ~3e305, or an omega near the least normal float, derives NaN or inf
         if not np.all(np.isfinite(self.heavy_omega) & (self.heavy_omega > 0.0)):
             raise ValueError("invalid heavy radial parameters")
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import safeice.bench as bench
+import safeice.cli as cli
 import safeice.core as core
-from safeice.cli import _OPTIONS, _merge_options, _run_config, build_parser, main
+from safeice.cli import _OPTIONS, build_parser, main
 from safeice.core import RunConfig
 from safeice.problems import problem_registry
 
@@ -211,54 +212,20 @@ def test_out_of_range_numeric_exits_2(capsys):
         ("bench", "--p-ref", "nan", "p_ref"),
         ("estimate", "--sigma0", "inf", "sigma0"),
         ("bench", "--p-ref", "inf", "p_ref"),
+        ("estimate", "--sigma0", "1e-316", "sigma0"),
     ],
 )
 def test_nan_or_negative_seed_exits_2_naming_the_field(capsys, command, flag, value, field):
-    # a NaN or an infinity fails every range check, and a negative seed is
-    # refused before numpy can reject it in its own words
+    # a NaN or an infinity fails every range check, a negative seed is
+    # refused before numpy can reject it in its own words, and a subnormal
+    # sigma0 before the sigma search can underflow to 0
     rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + [flag, value])
     assert rc == 2
     assert out == ""
     assert err.startswith(f"error: {field} must be")
 
 
-# ---------------------------------------------------------------- config file
-
-
-def test_config_file_supplies_options(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": 9, "n_per_iter": 200, "k_init": 4}))
-    rc, out, _ = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--config", str(cfg)],
-    )
-    assert rc == 0
-    rec = json.loads(out)
-    assert rec["seed"] == 9
-    assert rec["lsf_evals"] % 200 == 0
-
-
-def test_flags_override_config_file(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"seed": 9, "n_per_iter": 200, "k_init": 4}))
-    rc, out, _ = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--config", str(cfg), "--seed", "3"],
-    )
-    assert rc == 0
-    rec = json.loads(out)
-    assert rec["seed"] == 3
-
-
-def test_config_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"frobnicate": 1}))
-    rc, _, err = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--config", str(cfg)],
-    )
-    assert rc == 2
-    assert "unknown config keys" in err
+# ---------------------------------------------------------------- option flags
 
 
 SUBCOMMAND_ARGV = {
@@ -269,58 +236,24 @@ SUBCOMMAND_ARGV = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, key",
-    [
-        ("estimate", "z"),
-        ("estimate", "problem"),
-        ("estimate", "n_total"),
-        ("estimate", "batch_size"),
-        ("estimate", "threads"),
-        ("estimate", "format"),
-        ("bench", "batch_size"),
-        ("bench", "threads"),
-        ("bench", "n_total"),
-        ("bench", "out"),
-        ("bench", "reps"),
-        ("bench", "p_ref"),
-        ("oracle", "k_init"),
-        ("oracle", "method"),
-        ("oracle", "format"),
-        ("oracle", "threads"),
-    ],
-)
-def test_config_key_outside_subcommand_exits_2(tmp_path, capsys, command, key):
-    # a key the subcommand does not read, or one a required flag always overrides
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: 1}))
-    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + ["--config", str(cfg)])
-    assert rc == 2
-    assert out == ""
-    assert "unknown config keys" in err
-
-
-# settings held in module constants, and oracle's batch size, which cannot
-# change its answer
+# settings held in module constants, oracle's batch size, which cannot
+# change its answer, bench's thread count (it runs its repetitions one
+# after another) and the config file: options come only as flags
 REMOVED = [
     (command, name)
     for command in ("estimate", "bench")
     for name in ("delta_star", "delta_target", "max_outer", "max_em", "em_tol")
-] + [("oracle", "batch_size")]
+] + [("oracle", "batch_size"), ("bench", "threads")] + [
+    (command, "config") for command in ("estimate", "bench", "oracle")
+]
 
 
 @pytest.mark.parametrize("command, name", REMOVED)
-def test_removed_setting_is_neither_flag_nor_config_key(tmp_path, capsys, command, name):
+def test_removed_setting_is_not_a_flag(capsys, command, name):
     with pytest.raises(SystemExit) as exc:
         main(SUBCOMMAND_ARGV[command] + ["--" + name.replace("_", "-"), "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({name: 1}))
-    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + ["--config", str(cfg)])
-    assert rc == 2
-    assert out == ""
-    assert "unknown config keys" in err
 
 
 def _subparsers() -> dict:
@@ -329,12 +262,12 @@ def _subparsers() -> dict:
 
 
 def test_config_options_match_parser_flags():
+    # _OPTIONS holds the optional flags of each subcommand but bench's --format
     subs = _subparsers()
-    with_config = {name for name, p in subs.items() if any(a.dest == "config" for a in p._actions)}
-    assert set(_OPTIONS) == with_config
+    assert set(_OPTIONS) == set(subs) - {"list-problems"}
     for command, options in _OPTIONS.items():
         optional = {a.dest for a in subs[command]._actions if a.option_strings and not a.required}
-        assert set(options) == optional - {"help", "config"}, command
+        assert set(options) == optional - {"help", "fmt"}, command
 
 
 # spelt out so that renaming a RunConfig field cannot rename its flag unnoticed
@@ -347,90 +280,48 @@ RUN_FLAGS = {
 }
 
 
+def _recording(monkeypatch, names):
+    """Replace each of ``names`` in the CLI by a stub that records its
+    arguments after the problem; returns the list of records."""
+    seen = []
+
+    def stub(name):
+        def callee(*args, **kwargs):
+            seen.append((name, args[1:], kwargs))
+            return [], {}
+
+        return callee
+
+    for name in names:
+        monkeypatch.setattr(cli, name, stub(name))
+    return seen
+
+
 @pytest.mark.parametrize("command", ["estimate", "bench"])
-def test_run_flags_reach_run_config(command):
+def test_run_flags_reach_run_config(monkeypatch, capsys, command):
     expected = {flag[2:].replace("-", "_"): value for flag, value in RUN_FLAGS.items()}
     assert set(expected) == {f.name for f in fields(RunConfig)}
     assert all(getattr(RunConfig(), name) != value for name, value in expected.items())
+    seen = _recording(monkeypatch, ["run", "run_repetitions", "persist"])
     argv = list(SUBCOMMAND_ARGV[command])
     for flag, value in RUN_FLAGS.items():
         argv += [flag, str(value)]
-    args = build_parser().parse_args(argv)
-    assert _run_config(_merge_options(args)) == RunConfig(**expected)
+    run_cli(capsys, argv)
+    assert seen[0][1][0] == RunConfig(**expected)
 
 
-@pytest.mark.parametrize(
-    "command, key, value",
-    [
-        ("estimate", "n_per_iter", "200"),
-        ("estimate", "n_per_iter", 200.5),
-        ("estimate", "seed", "abc"),
-        ("estimate", "k_init", True),
-        ("estimate", "sigma0", "10"),
-        ("estimate", "method", 3),
-        ("estimate", "d", 2.0),
-        ("bench", "format", "xml"),
-        ("bench", "format", 1),
-        ("oracle", "n_total", "1000"),
-    ],
-)
-def test_config_value_the_flag_rejects_exits_2(tmp_path, capsys, command, key, value):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({key: value}))
-    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + ["--config", str(cfg)])
-    assert rc == 2
-    assert out == ""
-    assert err.startswith(f"error: config key '{key}'")
-
-
-def test_config_int_for_float_flag_matches_the_flag(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"sigma0": 8}))
-    argv = SUBCOMMAND_ARGV["estimate"] + FAST
-    rc, from_file, _ = run_cli(capsys, argv + ["--config", str(cfg)])
-    assert rc == 0
-    _, from_flags, _ = run_cli(capsys, argv + ["--sigma0", "8"])
-    assert from_file == from_flags
-
-
-def test_unset_options_are_left_to_the_callee():
-    # no default lives in the CLI: an option neither flagged nor in a file
-    # is absent, so RunConfig, mc_estimate and persist apply their own
-    for command, argv in SUBCOMMAND_ARGV.items():
-        opts = _merge_options(build_parser().parse_args(argv))
-        assert set(opts).isdisjoint(_OPTIONS[command]), command
-    assert _run_config({}) == RunConfig()
-
-
-def test_config_malformed_json(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text("{not json")
-    rc, _, err = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--config", str(cfg)],
-    )
-    assert rc == 2
-    assert "error:" in err
-
-
-def test_config_not_an_object(tmp_path, capsys):
-    cfg = tmp_path / "run.json"
-    cfg.write_text("[1, 2]")
-    rc, _, err = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--config", str(cfg)],
-    )
-    assert rc == 2
-    assert "JSON object" in err
-
-
-def test_config_missing_file(capsys):
-    rc, _, err = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--config", "/no/such/file.json"],
-    )
-    assert rc == 2
-    assert "error:" in err
+def test_unset_options_are_left_to_the_callee(monkeypatch, capsys):
+    # no default lives in the CLI: an option not flagged is not passed on,
+    # so RunConfig, mc_estimate and persist apply their own
+    seen = _recording(monkeypatch, ["run", "run_repetitions", "persist", "mc_estimate"])
+    for argv in SUBCOMMAND_ARGV.values():
+        run_cli(capsys, argv)
+    assert seen == [
+        ("run", (RunConfig(),), {}),
+        ("run_repetitions", (RunConfig(), 2, 0.05), {}),
+        ("persist", ({}, "unused.jsonl"), {}),
+        ("mc_estimate", (), {}),
+    ]
 
 
 # --------------------------------------------------------------------- oracle
@@ -573,15 +464,8 @@ def test_bench_csv_format(tmp_path, capsys):
         assert se > 0.0 and ess >= 1.0
 
 
-def test_bench_threads_from_config_file(tmp_path, capsys):
-    # bench runs its repetitions one after another: a thread count is
-    # rejected both as a flag and as a config key
+def test_bench_rejects_an_unknown_format(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(SUBCOMMAND_ARGV["bench"] + ["--threads", "1"])
+        main(SUBCOMMAND_ARGV["bench"] + ["--format", "xml"])
     assert exc.value.code == 2
-    cfg = tmp_path / "bench.json"
-    cfg.write_text(json.dumps({"threads": 1}))
-    rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV["bench"] + ["--config", str(cfg)])
-    assert rc == 2
-    assert out == ""
-    assert "unknown config keys" in err
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err

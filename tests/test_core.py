@@ -507,6 +507,10 @@ def test_run_config_validation(kwargs):
         ("sigma0", float("nan")),
         ("seed", -1),
         ("sigma0", float("inf")),
+        # below the least normal float, select_sigma's floor 1e-8 sigma0
+        # can round to 0 and the weights come out NaN inside the run
+        ("sigma0", 1e-316),
+        ("sigma0", 5e-324),
     ],
 )
 def test_run_config_rejects_nan_and_negative_seed_by_name(name, value):
@@ -531,6 +535,14 @@ def test_run_config_rejects_non_integral_counts(name, value):
 def test_run_config_rejects_bools_and_non_numbers_by_name(name, value):
     with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
         RunConfig(**{name: value})
+
+
+def test_run_from_the_least_normal_sigma0_stops_cleanly():
+    problem = problem_registry("four-branch", 0.0)
+    for sigma0 in (np.finfo(float).tiny, 1e-305, 1e-300):
+        # no smoothed weight is positive at the next level: the run stops cleanly
+        result = run(problem, RunConfig(n_per_iter=100, k_init=2, sigma0=sigma0, method="ice"))
+        assert result.pf == 0.0 and not result.converged
 
 
 # ------------------------------------------------------------------ run loops

@@ -603,13 +603,13 @@ def test_fit_validates_weights():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
     s = random_samples(rng_from_seed(14), 10, 2)
     with pytest.raises(ValueError):
-        fit(s, np.zeros(10), v, penalized=True, em_tol=1e-4, max_iter=20)
+        fit(s, np.zeros(10), v, penalized=True)
     with pytest.raises(ValueError):
-        fit(s, -np.ones(10), v, penalized=True, em_tol=1e-4, max_iter=20)
+        fit(s, -np.ones(10), v, penalized=True)
     nan_weight = np.ones(10)
     nan_weight[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        fit(s, nan_weight, v, penalized=True, em_tol=1e-4, max_iter=20)
+        fit(s, nan_weight, v, penalized=True)
 
 
 @pytest.mark.parametrize(
@@ -618,6 +618,8 @@ def test_fit_validates_weights():
         ("m", [np.nan, 2.0], "^m must be finite"),
         ("mu", [[1.0, 0.0], [0.0, 1.1]], "^mu must have rows of unit norm"),
         ("pi", [0.5, 0.6], "^pi must be positive and sum to 1"),
+        # m / omega = 1e309 would make the radial coefficient -inf inside EM
+        ("omega", [1e-309, 2.0], "^omega must be large enough that m / omega is finite"),
     ],
 )
 def test_fit_rejects_a_bad_start_by_field_before_any_e_step(monkeypatch, field, value, match):
@@ -694,23 +696,25 @@ def test_property_penalty_is_inert_at_one_component(d, n, seed, zero_share, weig
         assert np.array_equal(getattr(penalized.v, name), getattr(plain.v, name))
 
 
-def test_fit_plain_keeps_component_count():
+def test_fit_plain_keeps_component_count(monkeypatch):
+    monkeypatch.setattr(em, "MAX_EM", 50)
     rng = rng_from_seed(15)
     s = random_samples(rng, 500, 2)
     v0 = make_params(
         [0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
     )
-    res = fit(s, np.ones(500), v0, penalized=False, em_tol=1e-4, max_iter=50)
+    res = fit(s, np.ones(500), v0, penalized=False)
     assert isinstance(res, FitResult)
     assert res.v.k == 2
     assert 1 <= res.n_iterations <= 50
 
 
 @pytest.mark.parametrize("penalized", [True, False])
-def test_fit_max_iter_zero_returns_the_start(penalized):
+def test_fit_max_iter_zero_returns_the_start(monkeypatch, penalized):
+    monkeypatch.setattr(em, "MAX_EM", 0)
     s = random_samples(rng_from_seed(15), 50, 2)
     v0 = make_params([0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    res = fit(s, np.ones(50), v0, penalized=penalized, em_tol=1e-4, max_iter=0)
+    res = fit(s, np.ones(50), v0, penalized=penalized)
     assert res.v is v0 and res.n_iterations == 0
 
 
@@ -728,7 +732,9 @@ def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
     )
-    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
+    monkeypatch.setattr(em, "EM_TOL", 0.0)
+    monkeypatch.setattr(em, "MAX_EM", 6)
+    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized)
     assert res.n_iterations == 6
     assert len(calls) == res.n_iterations + 1
 
@@ -750,7 +756,7 @@ def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
     )
     assert np.all(e_step(s, v0)[0][2] == 0.0)
     with caplog.at_level(logging.WARNING):
-        res = fit(s, np.ones(200), v0, penalized=False, em_tol=1e-4, max_iter=20)
+        res = fit(s, np.ones(200), v0, penalized=False)
     assert res.v.k == 2
     assert "zero responsibility mass" not in caplog.text
 
@@ -769,7 +775,9 @@ def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
     )
-    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
+    monkeypatch.setattr(em, "EM_TOL", 0.0)
+    monkeypatch.setattr(em, "MAX_EM", 6)
+    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized)
     assert res.n_iterations == 6
     assert len(calls) == res.n_iterations
 
@@ -788,12 +796,14 @@ def test_fit_builds_the_batch_statistics_once(monkeypatch, penalized):
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
     )
-    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized, em_tol=0.0, max_iter=6)
+    monkeypatch.setattr(em, "EM_TOL", 0.0)
+    monkeypatch.setattr(em, "MAX_EM", 6)
+    res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized)
     assert res.n_iterations == 6
     assert calls == [300]
 
 
-def test_fit_plain_loglik_nondecreasing():
+def test_fit_plain_loglik_nondecreasing(monkeypatch):
     rng = rng_from_seed(16)
     s = random_samples(rng, 800, 3)
     v0 = make_params(
@@ -807,9 +817,12 @@ def test_fit_plain_loglik_nondecreasing():
     # one example, not a property: the m and kappa updates are moment and
     # approximation estimators, not exact maximisers, so on some batches
     # plain EM's log-likelihood does fall
-    trace = np.array(
-        [weighted_loglik(s, w, fit(s, w, v0, penalized=False, em_tol=0.0, max_iter=j).v) for j in range(1, 31)]
-    )
+    monkeypatch.setattr(em, "EM_TOL", 0.0)
+    trace = []
+    for j in range(1, 31):
+        monkeypatch.setattr(em, "MAX_EM", j)
+        trace.append(weighted_loglik(s, w, fit(s, w, v0, penalized=False).v))
+    trace = np.array(trace)
     assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
 
 
@@ -820,8 +833,8 @@ def test_fit_weight_scale_invariance():
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
     )
-    r1 = fit(s, w, v0, penalized=True, em_tol=1e-4, max_iter=20)
-    r7 = fit(s, 7.0 * w, v0, penalized=True, em_tol=1e-4, max_iter=20)
+    r1 = fit(s, w, v0, penalized=True)
+    r7 = fit(s, 7.0 * w, v0, penalized=True)
     assert r1.v.k == r7.v.k
     assert np.allclose(r1.v.pi, r7.v.pi, atol=1e-10)
     assert np.allclose(r1.v.m, r7.v.m, rtol=1e-10)
@@ -841,12 +854,12 @@ def test_fit_penalized_weights_stay_normalized():
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
         [1.0, 1.0, 1.0, 1.0],
     )
-    res = fit(s, w, v0, penalized=True, em_tol=1e-4, max_iter=20)
+    res = fit(s, w, v0, penalized=True)
     assert abs(res.v.pi.sum() - 1.0) <= 1e-12
     assert res.v.k <= 4
 
 
-def test_fit_one_hot_weights_center_on_the_sample():
+def test_fit_one_hot_weights_center_on_the_sample(monkeypatch):
     # with all mass on one sample every surviving component collapses
     # onto it and the degeneracy clamps engage
     rng = rng_from_seed(19)
@@ -856,7 +869,8 @@ def test_fit_one_hot_weights_center_on_the_sample():
     v0 = make_params(
         [0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
     )
-    res = fit(s, w, v0, penalized=True, em_tol=1e-4, max_iter=40)
+    monkeypatch.setattr(em, "MAX_EM", 40)
+    res = fit(s, w, v0, penalized=True)
     for k in range(res.v.k):
         assert res.v.omega[k] == pytest.approx(s.r[17] ** 2, rel=1e-9)
         assert res.v.m[k] == M_MAX
@@ -864,13 +878,15 @@ def test_fit_one_hot_weights_center_on_the_sample():
         assert res.v.kappa[k] == KAPPA_MAX
 
 
-def test_fit_synthetic_recovery_prunes_to_truth():
+def test_fit_synthetic_recovery_prunes_to_truth(monkeypatch):
     # data from one vMFN component; a five-component fit with random
     # initial weights must collapse to at most two components in almost
     # every trial and recover the generating parameters
     d = 3
     true_m, true_omega, true_kappa = 3.0, 2.0, 10.0
     true_mu = np.array([1.0, 0.0, 0.0])
+    monkeypatch.setattr(em, "EM_TOL", 1e-6)
+    monkeypatch.setattr(em, "MAX_EM", 100)
     wins = 0
     for trial in range(50):
         rng = rng_from_seed(2000 + trial)
@@ -882,7 +898,7 @@ def test_fit_synthetic_recovery_prunes_to_truth():
         idx = rng.integers(0, n, size=5)
         v0 = make_params(pi0, np.full(5, 2.0), np.full(5, float(np.mean(r * r))), a[idx],
                          np.full(5, 5.0))
-        res = fit(s, np.ones(n), v0, penalized=True, em_tol=1e-6, max_iter=100)
+        res = fit(s, np.ones(n), v0, penalized=True)
         if res.v.k > 2:
             continue
         top = int(np.argmax(res.v.pi))

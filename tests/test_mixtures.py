@@ -236,8 +236,11 @@ def test_safe_params_validation():
         SafeMixtureParams(v, -0.1)
     with pytest.raises(ValueError, match="^m must be at least 0.5"):
         SafeMixtureParams(one_component(m=0.2), 0.5)
+    # an overflowing light m / omega is the light check's, by name
+    with pytest.raises(ValueError, match="^omega must"):
+        SafeMixtureParams(one_component(m=1e300, omega=1e-300), 0.5)
     # finite light shapes at the float limits derive a NaN or infinite spread
-    for m, omega in ((1e307, 1.0), (1e300, 1e-300)):
+    for m, omega in ((1e307, 1.0), (0.5, 5e-309)):
         with pytest.raises(ValueError, match="heavy radial"):
             with np.errstate(invalid="ignore", over="ignore"):
                 SafeMixtureParams(one_component(m=m, omega=omega), 0.5)
