@@ -238,7 +238,7 @@ SUBCOMMAND_ARGV = {
 
 # settings held in module constants, oracle's batch size, which cannot
 # change its answer, bench's thread count (it runs its repetitions one
-# after another) and the config file: options come only as flags
+# after another) and the config file itself
 REMOVED = [
     (command, name)
     for command in ("estimate", "bench")
@@ -249,11 +249,18 @@ REMOVED = [
 
 
 @pytest.mark.parametrize("command, name", REMOVED)
-def test_removed_setting_is_not_a_flag(capsys, command, name):
-    with pytest.raises(SystemExit) as exc:
-        main(SUBCOMMAND_ARGV[command] + ["--" + name.replace("_", "-"), "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_removed_setting_is_neither_flag_nor_config_key(tmp_path, capsys, command, name):
+    # options come only as flags: a --config file holding the setting is
+    # refused like the flag, as an unrecognized argument
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({name: 1}))
+    for extra in (["--" + name.replace("_", "-"), "1"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(SUBCOMMAND_ARGV[command] + extra)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
 
 
 def _subparsers() -> dict:
