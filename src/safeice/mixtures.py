@@ -198,6 +198,11 @@ class SafeMixtureParams:
         # a light m >= ~3e305, or an omega near the least normal float, derives NaN or inf
         if not np.all(np.isfinite(self.heavy_omega) & (self.heavy_omega > 0.0)):
             raise ValueError("invalid heavy radial parameters")
+        # a light omega near the largest float derives a heavy spread so small
+        # that the heavy kernels' coefficient -m_h / omega_h overflows
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.heavy_m / self.heavy_omega).all():
+                raise ValueError("heavy radial parameters: heavy_m / heavy_omega must be finite")
 
 
 def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:

@@ -29,10 +29,12 @@ def mc_estimate(
 ) -> McEstimate:
     """Estimate the failure probability by direct standard normal sampling.
 
-    Draws in batches from a single stream, so the result depends only on
-    the seed and the draw order, not on the batch size (batch boundaries
-    merely slice the same sequence). cv is the binomial coefficient of
-    variation sqrt((1 - pf) / (n pf)).
+    Draws in batches from a single stream, so the draws depend only on
+    the seed and not on the batch size (batch boundaries merely slice the
+    same sequence). The LSF values need not: one built on BLAS products,
+    as the oscillator's load is, may round a row differently in batches
+    of different sizes. cv is the binomial coefficient of variation
+    sqrt((1 - pf) / (n pf)).
     """
     _check_integer("n_total", n_total, 1)
     _check_integer("batch_size", batch_size, 1)

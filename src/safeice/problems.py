@@ -107,7 +107,7 @@ def oscillator_response(u):
     midpoint value.
 
     The state is one (3, n) array with rows x, v and the Bouc-Wen variable
-    z. Each RK4 stage is written through ``out=`` into a few (3, n) buffers
+    z. Each RK4 stage is written through ``out`` into a few (3, n) buffers
     made once per call. The constants are folded once per call: the load
     is built as f/m, one C-contiguous row per half step, and one (3, 3)
     matrix holds the linear part of
@@ -119,6 +119,13 @@ def oscillator_response(u):
     where |z|^(n-1) is the product z z, as n = 3. More than
     ``_OSCILLATOR_BLOCK_ROWS`` rows are integrated block by block, which
     bounds the memory of the load array.
+
+    At N = 1000 rows about half of a call is numpy's fixed cost per call,
+    of some 60 calls per step. So the loop keeps each call cheap: the
+    ufuncs are bound to locals and take ``out`` positionally; the scalars
+    (h/2, h, 3, beta/x_y, gamma/x_y) are 0-d float64 arrays, which numpy
+    does not convert again on each call; and the v and z row views of the
+    state and the stage are made once.
     """
     u = np.atleast_2d(np.asarray(u, dtype=float))
     d = OSC_DIM
@@ -149,52 +156,59 @@ def oscillator_response(u):
             [0.0, OSC_BW_A / xy, 0.0],
         ]
     )
-    beta, gam = OSC_BW_BETA / xy, OSC_BW_GAMMA / xy
+    beta = np.array(OSC_BW_BETA / xy)
+    gam = np.array(OSC_BW_GAMMA / xy)
 
     n = u.shape[0]
     s = np.zeros((3, n))
     stage, slope, step, scaled = (np.empty((3, n)) for _ in range(4))
     bw, zpow = np.empty(n), np.empty(n)
     slope_v, slope_z = slope[1], slope[2]
+    s_v, s_z, stage_v, stage_z = s[1], s[2], stage[1], stage[2]
+    mul, add, sub, absolute, matmul, div = (
+        np.multiply, np.add, np.subtract, np.abs, np.matmul, np.true_divide
+    )
 
-    def rates(y, f):
-        """Write dy/dt at state ``y`` into ``slope``; ``f`` is one row of f/m."""
-        _, v, z = y
-        np.matmul(linear, y, out=slope)
-        np.add(slope_v, f, out=slope_v)
-        np.abs(z, out=zpow)
-        np.multiply(zpow, v, out=zpow)
-        np.multiply(zpow, gam, out=zpow)
-        np.abs(v, out=bw)
-        np.multiply(bw, z, out=bw)
-        np.multiply(bw, beta, out=bw)
-        np.add(bw, zpow, out=bw)
-        np.multiply(z, z, out=zpow)
-        np.multiply(bw, zpow, out=bw)
-        np.subtract(slope_z, bw, out=slope_z)
+    def rates(y, v, z, f):
+        """Write dy/dt at state ``y`` (rows ``v`` and ``z`` are its views)
+        into ``slope``; ``f`` is one row of f/m."""
+        matmul(linear, y, slope)
+        add(slope_v, f, slope_v)
+        absolute(z, zpow)
+        mul(zpow, v, zpow)
+        mul(zpow, gam, zpow)
+        absolute(v, bw)
+        mul(bw, z, bw)
+        mul(bw, beta, bw)
+        add(bw, zpow, bw)
+        mul(z, z, zpow)
+        mul(bw, zpow, bw)
+        sub(slope_z, bw, slope_z)
 
-    h = OSC_DT
+    h = np.array(OSC_DT)
+    h_half = np.array(0.5 * OSC_DT)
+    three = np.array(3.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            f0, fm, f1 = force[2 * i : 2 * i + 3]
+        for j in range(0, 2 * n_steps, 2):
+            f0, fm, f1 = force[j], force[j + 1], force[j + 2]
             # step accumulates h/2 (k1 + 2 k2 + 2 k3 + k4)
-            rates(s, f0)
-            np.multiply(slope, 0.5 * h, out=step)
-            np.add(s, step, out=stage)
-            rates(stage, fm)
-            np.multiply(slope, 0.5 * h, out=scaled)
-            np.add(s, scaled, out=stage)
-            step += scaled
-            step += scaled
-            rates(stage, fm)
-            np.multiply(slope, h, out=scaled)
-            np.add(s, scaled, out=stage)
-            step += scaled
-            rates(stage, f1)
-            np.multiply(slope, 0.5 * h, out=scaled)
-            step += scaled
-            step /= 3.0
-            s += step
+            rates(s, s_v, s_z, f0)
+            mul(slope, h_half, step)
+            add(s, step, stage)
+            rates(stage, stage_v, stage_z, fm)
+            mul(slope, h_half, scaled)
+            add(s, scaled, stage)
+            add(step, scaled, step)
+            add(step, scaled, step)
+            rates(stage, stage_v, stage_z, fm)
+            mul(slope, h, scaled)
+            add(s, scaled, stage)
+            add(step, scaled, step)
+            rates(stage, stage_v, stage_z, f1)
+            mul(slope, h_half, scaled)
+            add(step, scaled, step)
+            div(step, three, step)
+            add(s, step, s)
     if not np.all(np.isfinite(s[0])):
         raise ValueError("oscillator state became non-finite (load too extreme)")
     return s[0]

@@ -244,6 +244,10 @@ def test_safe_params_validation():
         with pytest.raises(ValueError, match="heavy radial"):
             with np.errstate(invalid="ignore", over="ignore"):
                 SafeMixtureParams(one_component(m=m, omega=omega), 0.5)
+    # a light omega near the largest float derives a heavy spread of 1.02e-308,
+    # whose coefficient m_h / omega_h overflows
+    with pytest.raises(ValueError, match="heavy_m / heavy_omega must be finite"):
+        SafeMixtureParams(one_component(omega=1e308), 0.5)
 
 
 @st.composite

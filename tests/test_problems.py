@@ -243,8 +243,9 @@ ORACLE_U = np.random.default_rng(13).standard_normal((200, 10)) * np.repeat([[1.
 
 @pytest.mark.parametrize(
     "constants",
-    [{}, {"OSC_ALPHA": 1.0}, {"OSC_DT": 0.02}],
-    ids=["default", "alpha=1", "dt=0.02"],
+    # beta != gamma tells the two Bouc-Wen products apart
+    [{}, {"OSC_ALPHA": 1.0}, {"OSC_DT": 0.02}, {"OSC_BW_BETA": 0.7, "OSC_BW_GAMMA": 0.3}],
+    ids=["default", "alpha=1", "dt=0.02", "beta!=gamma"],
 )
 def test_oscillator_matches_the_per_stage_rk4(monkeypatch, constants):
     # the folded constants round differently, so the two integrators agree
