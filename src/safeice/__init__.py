@@ -2,14 +2,7 @@
 sampling with heavy-tail-guarded mixture proposals."""
 
 from .bench import persist, run_repetitions
-from .core import (
-    RunConfig,
-    RunResult,
-    estimate_pf,
-    lambda_schedule,
-    run,
-    run_safe_ice,
-)
+from .core import RunConfig, RunResult, estimate_pf, lambda_schedule, run
 from .em import FitResult, fit
 from .mixtures import (
     PolarSamples,
@@ -51,7 +44,6 @@ __all__ = [
     "problem_registry",
     "run",
     "run_repetitions",
-    "run_safe_ice",
     "safe_logpdf",
     "safe_sample",
     "three_mode",

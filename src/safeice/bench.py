@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, replace
@@ -66,36 +65,17 @@ def json_record(record: dict) -> str:
     return json.dumps({key: _strict(value) for key, value in record.items()}, allow_nan=False)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def persist(runs: list[RunResult], summary: dict, path: str, fmt: str = "jsonl") -> None:
-    """Write one record per run, then ``summary``.
+def persist(runs: list[RunResult], summary: dict, path: str) -> None:
+    """Write the JSON lines file: one ``json_record`` per run, then
+    ``summary``.
 
     Run i's record is ``{"run": i, **asdict(run)}``, the ``estimate``
-    record plus its index. jsonl: one ``json_record`` per line. csv: the
-    record's scalar columns, then the summary's; floats with 17
-    significant digits. Both round-trip float values bit-exactly.
+    record plus its index, traces included. Finite floats round-trip
+    bit-exactly.
     """
     if not runs:
         raise ValueError("no runs to persist")
     records = [{"run": i, **asdict(r)} for i, r in enumerate(runs)]
-    if fmt == "jsonl":
-        with open(path, "w") as fh:
-            for rec in records + [summary]:
-                fh.write(json_record(rec) + "\n")
-    elif fmt == "csv":
-        columns = [key for key, value in records[0].items() if not isinstance(value, list)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns + list(summary))
-            for rec in records:
-                writer.writerow([_fmt(rec[c]) for c in columns] + [""] * len(summary))
-            writer.writerow([""] * len(columns) + [_fmt(x) for x in summary.values()])
-    else:
-        raise ValueError("format must be 'jsonl' or 'csv'")
+    with open(path, "w") as fh:
+        for rec in records + [summary]:
+            fh.write(json_record(rec) + "\n")

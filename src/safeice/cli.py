@@ -1,11 +1,12 @@
 """Command line interface.
 
 Subcommands: estimate (one run, JSON record on stdout), bench (repeated
-runs persisted to a file, summary record on stdout), oracle (crude Monte
-Carlo), list-problems. Options come only as flags, and one left unset is
-not passed on, so its default lives in the function it configures.
-stdout carries only machine-parsable records, one strict JSON object per
-line (a non-finite float is null); diagnostics go to stderr.
+runs written to a JSON lines file, summary record on stdout), oracle
+(crude Monte Carlo), list-problems. Options come only as flags, and one
+left unset is not passed on, so its default lives in the function it
+configures. stdout carries only machine-parsable records, one strict
+JSON object per line (a non-finite float is null); diagnostics go to
+stderr.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -26,7 +27,7 @@ from .problems import PROBLEMS, problem_registry
 # one option per RunConfig field, of the field's type
 _RUN_OPTIONS = get_type_hints(RunConfig)
 
-# per subcommand, the type of each optional flag but bench's --format
+# per subcommand, the type of each optional flag
 _OPTIONS = {
     "estimate": {"d": int, **_RUN_OPTIONS},
     "bench": {"d": int, **_RUN_OPTIONS},
@@ -56,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--reps", type=int, required=True, help="number of repetitions")
     ben.add_argument("--p-ref", type=float, dest="p_ref", required=True)
     ben.add_argument("--out", required=True, help="output file path")
-    ben.add_argument("--format", dest="fmt", choices=("jsonl", "csv"), help="output file format")
 
     _add_options(sub.add_parser("oracle", help="crude Monte Carlo reference"), "oracle")
 
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "bench":
             runs, summary = run_repetitions(problem, config, opts["reps"], opts["p_ref"])
-            persist(runs, summary, opts["out"], **_given(opts, ["fmt"]))
+            persist(runs, summary, opts["out"])
             print(json_record(summary))
             return 0
     except ValueError as exc:

@@ -126,6 +126,16 @@ def test_readme_estimate_record_is_current(capsys):
     rc, out, _ = run_cli(capsys, command.split()[1:])
     assert rc == 0
     assert json.loads(out)["pf"] == float(pf)
+    # the bench example prints its summary last and shows its file byte for byte
+    command, printed, written = re.search(
+        r"\$ (safeice bench [^\n]*--out bench\.jsonl)\n(.*?)\$ cat bench\.jsonl\n(.*?)```",
+        readme,
+        re.S,
+    ).groups()
+    rc, out, _ = run_cli(capsys, command.split()[1:])
+    assert rc == 0
+    assert printed.splitlines(keepends=True)[-1] == out
+    assert Path("bench.jsonl").read_text() == written
 
 
 def test_estimate_ice_keeps_k(capsys):
@@ -238,12 +248,13 @@ SUBCOMMAND_ARGV = {
 
 # settings held in module constants, oracle's batch size, which cannot
 # change its answer, bench's thread count (it runs its repetitions one
-# after another) and the config file itself
+# after another), bench's output format (it writes JSON lines only) and
+# the config file itself
 REMOVED = [
     (command, name)
     for command in ("estimate", "bench")
     for name in ("delta_star", "delta_target", "max_outer", "max_em", "em_tol")
-] + [("oracle", "batch_size"), ("bench", "threads")] + [
+] + [("oracle", "batch_size"), ("bench", "threads"), ("bench", "format")] + [
     (command, "config") for command in ("estimate", "bench", "oracle")
 ]
 
@@ -269,12 +280,12 @@ def _subparsers() -> dict:
 
 
 def test_config_options_match_parser_flags():
-    # _OPTIONS holds the optional flags of each subcommand but bench's --format
+    # _OPTIONS holds every optional flag of each subcommand
     subs = _subparsers()
     assert set(_OPTIONS) == set(subs) - {"list-problems"}
     for command, options in _OPTIONS.items():
         optional = {a.dest for a in subs[command]._actions if a.option_strings and not a.required}
-        assert set(options) == optional - {"help", "fmt"}, command
+        assert set(options) == optional - {"help"}, command
 
 
 # spelt out so that renaming a RunConfig field cannot rename its flag unnoticed
@@ -319,7 +330,7 @@ def test_run_flags_reach_run_config(monkeypatch, capsys, command):
 
 def test_unset_options_are_left_to_the_callee(monkeypatch, capsys):
     # no default lives in the CLI: an option not flagged is not passed on,
-    # so RunConfig, mc_estimate and persist apply their own
+    # so RunConfig and mc_estimate apply their own
     seen = _recording(monkeypatch, ["run", "run_repetitions", "persist", "mc_estimate"])
     for argv in SUBCOMMAND_ARGV.values():
         run_cli(capsys, argv)
@@ -455,24 +466,3 @@ def test_bench_without_failures_writes_strict_json(monkeypatch, tmp_path, capsys
     lines = out_path.read_text().splitlines()
     assert [_strict_json(line)["pf"] for line in lines[:2]] == [0.0, 0.0]
     assert _strict_json(lines[2]) == _strict_json(out)
-
-
-def test_bench_csv_format(tmp_path, capsys):
-    out_path = tmp_path / "r.csv"
-    rc, _, _ = run_cli(
-        capsys, BENCH_BASE + ["--reps", "2", "--out", str(out_path), "--format", "csv"]
-    )
-    assert rc == 0
-    lines = out_path.read_text().splitlines()
-    assert len(lines) == 4  # header + 2 runs + summary
-    assert lines[0].startswith("run,pf,iterations,final_k,lsf_evals,converged,seed,n_failures,se,ess,")
-    for line in lines[1:3]:
-        se, ess = (float(x) for x in line.split(",")[8:10])
-        assert se > 0.0 and ess >= 1.0
-
-
-def test_bench_rejects_an_unknown_format(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(SUBCOMMAND_ARGV["bench"] + ["--format", "xml"])
-    assert exc.value.code == 2
-    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
