@@ -84,15 +84,18 @@ def vmf_log_normalizer(d: int, kappa: np.ndarray) -> np.ndarray:
 
     Vectorized over the kappa array of a mixture that has passed
     ``VmfnmParams.check`` (kappa >= 0, d >= 2); the kappa = 0 entries
-    reduce to the uniform sphere density.
+    reduce to the uniform sphere density. When every kappa is positive, as
+    at every fitted level, the formula runs on the whole array.
     """
-    out = np.full(kappa.shape, uniform_sphere_logpdf(d))
     pos = kappa > 0.0
-    if np.any(pos):
-        kp = kappa[pos]
-        nu = d / 2.0 - 1.0
-        log_i = log_bessel_i_scaled(nu, kp) + kp
-        out[pos] = nu * np.log(kp) - (d / 2.0) * _LOG_2PI - log_i
+    kp = kappa if pos.all() else kappa[pos]
+    nu = d / 2.0 - 1.0
+    log_i = log_bessel_i_scaled(nu, kp) + kp
+    log_c = nu * np.log(kp) - (d / 2.0) * _LOG_2PI - log_i
+    if kp is kappa:
+        return log_c
+    out = np.full(kappa.shape, uniform_sphere_logpdf(d))
+    out[pos] = log_c
     return out
 
 

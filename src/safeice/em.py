@@ -61,7 +61,7 @@ def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarra
     with np.errstate(divide="ignore"):
         log_q = np.log(total) + shift
     bad = ~np.isfinite(log_q)
-    if np.any(bad):
+    if bad.any():
         logger.warning("e_step: %d samples with zero density under all components", bad.sum())
         e[:, bad], total[bad] = 1.0, v.k
     e /= total
@@ -90,7 +90,7 @@ def penalized_weight_update(
     """
     mass = gamma @ weights
     pi_em = mass / mass.sum()
-    entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
+    entropy_sum = float(xlogy(pi_old, pi_old).sum())
     return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
 
 
@@ -107,17 +107,17 @@ def prune(
     some entry survives.
     """
     keep = pi_new > 0.0
+    if keep.all():
+        return VmfnmParams(pi_new / pi_new.sum(), v.m, v.omega, v.mu, v.kappa), gamma
     pi = pi_new[keep]
-    pi = pi / pi.sum()
-    if not keep.all():
-        gamma = gamma[keep]
-        total = gamma.sum(axis=0)
-        dead = total <= 0.0
-        if np.any(dead):
-            gamma[:, dead], total[dead] = 1.0 / keep.sum(), 1.0
-        gamma /= total
+    gamma = gamma[keep]
+    total = gamma.sum(axis=0)
+    dead = total <= 0.0
+    if dead.any():
+        gamma[:, dead], total[dead] = 1.0 / keep.sum(), 1.0
+    gamma /= total
     v2 = VmfnmParams(
-        pi=pi, m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep]
+        pi=pi / pi.sum(), m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep]
     )
     return v2, gamma
 
@@ -139,12 +139,12 @@ def beta_update(
     argument is negative or non-finite, the first argument alone is used.
     """
     eta = min(1.0, 0.5 ** math.floor(d / 2.0 - 1.0))
-    first = float(np.mean(np.exp(-eta * n_samples * np.abs(pi_new - pi_old))))
-    entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
-    denom = -float(np.max(pi_old)) * entropy_sum
+    first = float(np.exp(-eta * n_samples * np.abs(pi_new - pi_old)).mean())
+    entropy_sum = float(xlogy(pi_old, pi_old).sum())
+    denom = -float(pi_old.max()) * entropy_sum
     if denom > 0.0:
-        second = (1.0 - float(np.max(pi_em))) / denom
-        if np.isfinite(second) and second >= 0.0:
+        second = (1.0 - float(pi_em.max())) / denom
+        if math.isfinite(second) and second >= 0.0:
             return min(first, second)
     return first
 
@@ -165,41 +165,43 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     """
     sums = gamma @ stats
     dead = sums[:, 0] <= 0.0
-    if np.any(dead):
+    if dead.any():
         logger.warning("m_step: %d components with zero responsibility mass", dead.sum())
     s0_safe = np.where(dead, 1.0, sums[:, 0])
 
     omega, mean_r4 = sums[:, 1:3].T / s0_safe  # omega is the mean of r^2
     var_r2 = mean_r4 - omega**2
+    # neither the norm nor the clips can divide by 0 or meet an invalid
+    # operation, so this block silences only what the quotients raise
     with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.where(var_r2 > 0.0, omega**2 / var_r2, np.inf)
-    m = np.clip(m, M_MIN, M_MAX)
-
-    res_norm = np.linalg.norm(sums[:, 3:], axis=1)  # of the resultant
-    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.clip(np.where(var_r2 > 0.0, omega**2 / var_r2, np.inf), M_MIN, M_MAX)
+        res_norm = np.linalg.norm(sums[:, 3:], axis=1)  # of the resultant
         mu = sums[:, 3:] / res_norm[:, None]
         rbar = res_norm / s0_safe
         kappa = np.where(rbar < 1.0, rbar * (v.dim - rbar**2) / (1.0 - rbar**2), np.inf)
-    kappa = np.clip(kappa, 0.0, KAPPA_MAX)
+        kappa = np.clip(kappa, 0.0, KAPPA_MAX)
 
     with np.errstate(divide="ignore", over="ignore"):
         bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~np.isfinite(m / omega)
-    m[bad] = v.m[bad]
-    omega[bad] = v.omega[bad]
-    mu[bad] = v.mu[bad]
-    kappa[bad] = v.kappa[bad]
+    if bad.any():
+        m[bad] = v.m[bad]
+        omega[bad] = v.omega[bad]
+        mu[bad] = v.mu[bad]
+        kappa[bad] = v.kappa[bad]
     return VmfnmParams(v.pi, m, omega, mu, kappa)
 
 
 def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) -> float:
     """Weighted mixture log likelihood sum_i W_i ln q(u_i; v), with ln q
     the ``e_step`` normaliser: the l_j of ``fit``'s stop test."""
-    return _loglik(weights, e_step(samples, v)[1])
+    pos = weights > 0.0
+    return _loglik(weights[pos], pos, e_step(samples, v)[1])
 
 
-def _loglik(weights: np.ndarray, log_q: np.ndarray) -> float:
-    pos = weights > 0.0  # so 0 * (-inf) cannot poison the sum
-    return float(np.sum(weights[pos] * log_q[pos]))
+def _loglik(w_pos: np.ndarray, pos: np.ndarray, log_q: np.ndarray) -> float:
+    # the sum runs over the positive weights w_pos = weights[pos] only, so
+    # 0 * (-inf) cannot poison it
+    return float((w_pos * log_q[pos]).sum())
 
 
 @dataclass
@@ -226,8 +228,10 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     derives from it are valid by construction.
     """
     weights = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not np.any(weights > 0.0):
+    pos = weights > 0.0
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not pos.any():
         raise ValueError("weights must be finite and nonnegative with positive total")
+    w_pos = weights[pos]
     v_init.check()
     v = v_init
     beta = 1.0 if penalized else 0.0
@@ -244,7 +248,7 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
         v = m_step_params(gamma, stats, v)
 
         gamma, log_q = e_step(samples, v)
-        l_cur = _loglik(weights, log_q)
+        l_cur = _loglik(w_pos, pos, log_q)
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < EM_TOL * abs(l_cur):
             break
         l_prev = l_cur

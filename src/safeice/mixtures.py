@@ -54,11 +54,15 @@ class PolarSamples:
     r : (n,) positive radii
     a : (n, d) unit directions
     heavy : (n,) bool, True where the radius came from the heavy kernel
+
+    ``radial_statistics`` keeps what it computes from ``r``, so ``r`` must
+    not change after the first density read of the batch.
     """
 
     r: np.ndarray
     a: np.ndarray
     heavy: np.ndarray | None = None
+    _radial: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -77,6 +81,18 @@ class PolarSamples:
 
     def cartesian(self) -> np.ndarray:
         return self.r[:, None] * self.a
+
+    def radial_statistics(self, side: int) -> np.ndarray:
+        """(n, 2) statistics [ln r, r^(2 side)] of the radial kernels, made
+        at the first call for each side and kept: ``safe_logpdf`` and every
+        E-step of the fit that follows read the same array."""
+        stats = self._radial.get(side)
+        if stats is None:
+            # r^(2 side) overflows to inf in the tail the law decays in
+            with np.errstate(over="ignore"):
+                stats = np.stack((np.log(self.r), self.r ** (2.0 * side)), axis=1)
+            self._radial[side] = stats
+        return stats
 
 
 @dataclass
@@ -137,12 +153,11 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.n
     """(K, n) joints ln w_k + radial_k + ln vMF_k, one row per component, for
     each set (w, m, omega, side) of ``column_sets``, stacked. The radial law,
     Nakagami(m_k, omega_k) at side = +1 and its reciprocal at side = -1, is
-    the (n, 2) statistics [ln r, r^(2 side)] times (2, K) coefficients; ln r
-    and the vMF term a @ (kappa mu)^T + its normalizer are computed once per
-    call. Both products are (n, K), so each sample's row is the same in any
+    the batch's (n, 2) ``radial_statistics`` times (2, K) coefficients; the
+    vMF term a @ (kappa mu)^T + its normalizer is computed once per call.
+    Both products are (n, K), so each sample's row is the same in any
     batch; one transposed copy then lays their sum out by component."""
     n, k = len(samples), v.k
-    log_r = np.log(samples.r)
     # at K = 1 numpy takes BLAS's matrix-vector path, whose rounding of a
     # row depends on its place in the batch; one spare column keeps the
     # product on the matrix-matrix path, where it does not
@@ -150,13 +165,13 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.n
     angular = (samples.a @ np.vstack((kmu, kmu[:1])).T)[:, :k]
     log_vmf = vmf_log_normalizer(v.dim, v.kappa)
     joint = np.empty((len(column_sets) * k, n))
+    coef = np.empty((2, k))
     for i, (w, m, omega, side) in enumerate(column_sets):
-        log_c, b_log, b_pow = _radial_coefficients(m, omega, side)
-        coef = np.vstack(np.broadcast_arrays(b_log, b_pow))
-        # r^(2 side) overflows to inf in the tail the law decays in, where the
-        # product is -inf, the right limit; matmul flags an inf operand as invalid
+        log_c, coef[0], coef[1] = _radial_coefficients(m, omega, side)
+        # an inf statistic times its negative coefficient is -inf, the right
+        # limit; matmul flags an inf operand as invalid
         with np.errstate(over="ignore", invalid="ignore"):
-            out = np.stack((log_r, samples.r ** (2.0 * side)), axis=1) @ coef
+            out = samples.radial_statistics(side) @ coef
         out += angular
         rows = joint[i * k : (i + 1) * k]
         rows[...] = out.T

@@ -50,10 +50,11 @@ def log_bessel_i_scaled(order: float, x: np.ndarray) -> np.ndarray:
     """
     scaled = _sc.ive(order, x)
     ok = scaled > 0.0
+    if ok.all():
+        return np.log(scaled)
     out = np.empty(x.shape)
     out[ok] = np.log(scaled[ok])
-    if not ok.all():
-        out[~ok] = _log_bessel_i_series(order, x[~ok])
+    out[~ok] = _log_bessel_i_series(order, x[~ok])
     return out
 
 
@@ -61,10 +62,10 @@ def shifted_exp(x, axis=-1):
     """exp(x - shift) and the shift, the max of ``x`` along ``axis`` or 0
     where that max is not finite; the shift comes back with ``axis``
     removed. A sum of the exponentials is 0 only where x is all -inf."""
-    shift = np.max(x, axis=axis, keepdims=True)
+    shift = x.max(axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     e = x - shift
-    return np.exp(e, out=e), np.squeeze(shift, axis=axis)
+    return np.exp(e, out=e), shift.squeeze(axis=axis)
 
 
 def log_sum_exp(x, axis=-1):

@@ -159,6 +159,16 @@ def test_vmf_log_normalizer_zero_kappa():
     assert out[0] == uniform_sphere_logpdf(3)
 
 
+@pytest.mark.parametrize("d", [2, 3, 20])
+def test_vmf_log_normalizer_of_positive_kappas_matches_the_masked_path(d):
+    # every kappa > 0 takes the whole-array path; one kappa = 0 more sends the
+    # same values through the mask, and each entry must agree bit for bit.
+    # At d = 20, kappa = 1e-300 also takes the Bessel series route.
+    kappa = np.concatenate((rng_from_seed(d).uniform(0.01, 50.0, 12), [1e-300, 1e-8, 1e4]))
+    masked = vmf_log_normalizer(d, np.append(kappa, 0.0))
+    assert np.array_equal(vmf_log_normalizer(d, kappa), masked[:-1])
+
+
 def test_vmf_log_normalizer_d3_closed_form():
     # C_3(kappa) = kappa / (4 pi sinh kappa)
     for kappa in (0.5, 2.0, 10.0):

@@ -224,10 +224,15 @@ def test_prune_arithmetic():
 def test_prune_all_positive_is_identity():
     v = make_params([0.5, 0.5], [1.0, 1.0], [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     gamma = np.array([[0.25, 0.6], [0.75, 0.4]])
-    v2, gamma2 = prune(np.array([0.5, 0.5]), gamma, v)
-    assert v2.k == 2
-    assert np.allclose(v2.pi, [0.5, 0.5])
-    assert gamma2 is gamma  # nothing pruned, nothing copied
+    for pi_new in ([0.5, 0.5], [0.7, 0.3000000000000001], [1e-300, 1.0]):
+        pi_new = np.array(pi_new)
+        v2, gamma2 = prune(pi_new, gamma, v)
+        assert v2.k == 2
+        # the weights renormalized as the pruning path does it, bit for bit
+        assert np.array_equal(v2.pi, pi_new / pi_new.sum())
+        # nothing pruned, nothing copied
+        assert gamma2 is gamma
+        assert all(getattr(v2, f) is getattr(v, f) for f in ("m", "omega", "mu", "kappa"))
 
 
 def test_prune_rows_sum_to_one():

@@ -344,6 +344,32 @@ def test_safe_logpdf_matches_the_per_component_form(lam, d):
     np.testing.assert_allclose(safe_logpdf(s, phi), want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 20])
+@pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
+def test_a_batch_reads_its_radial_statistics_as_a_fresh_copy_would(lam, d):
+    # a run reads safe_logpdf and then every E-step of the fit on one batch,
+    # which keeps its radial statistics per side after the first read; each
+    # call must equal the same call on a copy that has kept nothing yet. At
+    # lambda = 0 the heavy side is read first, so statistics kept without
+    # their side would reach the light E-step
+    rng = rng_from_seed(d)
+    phi = SafeMixtureParams(random_mixture(rng, d), lam)
+    s = safe_sample(rng, phi, 300)
+
+    def fresh():
+        return PolarSamples(s.r.copy(), s.a.copy(), s.heavy)
+
+    assert np.array_equal(safe_logpdf(s, phi), safe_logpdf(fresh(), phi))
+    v = random_mixture(rng, d, k=3)
+    gamma, log_q = e_step(s, v)
+    gamma_fresh, log_q_fresh = e_step(fresh(), v)
+    assert np.array_equal(gamma, gamma_fresh)
+    assert np.array_equal(log_q, log_q_fresh)
+    # 0 < lambda < 1 reads the heavy side as well as the light one
+    phi2 = SafeMixtureParams(v, 0.6)
+    assert np.array_equal(safe_logpdf(s, phi2), safe_logpdf(fresh(), phi2))
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
 def test_safe_logpdf_at_extreme_radii_is_minus_inf_not_nan(lam):
     # r^2 overflows above ~1.3e154 and r^-2 below ~7.5e-155, so the light

@@ -67,6 +67,15 @@ def test_log_bessel_i_scaled_at_the_least_subnormal():
         assert log_bessel_i_scaled(order, x) == pytest.approx(leading, rel=1e-15)
 
 
+@pytest.mark.parametrize("order", [1.5, 9.0])
+def test_log_bessel_i_scaled_whole_array_path_matches_the_masked_path(order):
+    # where ive underflows nowhere the log runs on the whole array; one more
+    # x at which it underflows sends the same values through the mask
+    x = np.geomspace(1e-3, 1e4, 15)
+    masked = log_bessel_i_scaled(order, np.append(x, 1e-300))
+    assert np.array_equal(log_bessel_i_scaled(order, x), masked[:-1])
+
+
 def test_series_route_agrees_with_scaled_route():
     # where both routes are valid they must coincide
     for order, x in [(5.0, 0.5), (10.0, 2.0), (50.0, 10.0)]:
