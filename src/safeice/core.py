@@ -50,6 +50,8 @@ logger = logging.getLogger(__name__)
 DELTA_STAR = 1.5  # a run stops once stop_cv is at most this
 DELTA_TARGET = 4.0  # the cv of the weights at the next sigma
 MAX_OUTER = 20  # the most refits of one run
+_SKIP_MARGIN = 800.0  # select_sigma skips rows this far below the shift; exp(x) = 0 below about -745.13
+_SKIP_TOP_MAX = 2.0**40  # up to this |M| rounding stays far inside the 800 - 745.13 slack
 
 
 def _check_integer(name: str, value, least: int) -> None:
@@ -130,12 +132,16 @@ def cv(values) -> float:
     Returns +inf when the mean is 0 or not finite; needs two or more values.
     """
     values = np.asarray(values, dtype=float)
-    if values.size < 2:
+    n = values.size
+    if n < 2:
         raise ValueError("cv needs at least two values")
-    mean = values.mean()
+    # numpy's mean and std(ddof=1) step by step, bit for bit, with one sum for the mean
+    mean = values.sum() / n
     if mean == 0.0 or not np.isfinite(mean):
         return np.inf
-    return float(values.std(ddof=1) / mean)
+    d = values - mean
+    d *= d
+    return float(np.sqrt(d.sum() / (n - 1)) / mean)
 
 
 def intermediate_log_weights(g: np.ndarray, sigma: float, log_ratio: np.ndarray) -> np.ndarray:
@@ -148,6 +154,32 @@ def _weight_cv(log_w: np.ndarray) -> float:
     if log_w.size < 2:
         return np.inf
     return cv(shifted_exp(log_w)[0])
+
+
+def _count_thresholds(g: np.ndarray, log_ratio: np.ndarray):
+    """Per row, the sigma below which its smoothed weight is exactly 0 after
+    ``shifted_exp``, or None when no row can be skipped.
+
+    Let M be the largest ln p/q of a failing row (g <= 0). A failing row has
+    ln W >= M - ln 2, so the shift is at least that; a row with g > 0 has
+    ln W <= ln(p/q) - g^2/(2 sigma^2) - ln 2, as Phi(x) <= e^(-x^2/2)/2 for
+    x <= 0. So below s = g / sqrt(2 (ln(p/q) - M + _SKIP_MARGIN)) the row's
+    ln W - shift is below -_SKIP_MARGIN, and exp gives 0 there. Failing rows
+    and rows whose g, ln p/q or s is NaN get 0: they always count. So does
+    every row when M is not finite or above _SKIP_TOP_MAX in size, where
+    rounding in ln W - shift could eat the margin's slack.
+    """
+    fail = g <= 0.0
+    if not fail.any():
+        return None
+    top = log_ratio[fail].max()
+    if not abs(top) <= _SKIP_TOP_MAX:
+        return None
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = 2.0 * (log_ratio - (top - _SKIP_MARGIN))
+        s = np.where(c <= 0.0, np.inf, g / np.sqrt(c))
+    s[~(g > 0.0) | np.isnan(s)] = 0.0
+    return s
 
 
 def select_sigma(
@@ -171,10 +203,37 @@ def select_sigma(
     point with the smallest |e| is taken, which is the first one when no
     e is finite. The result never exceeds sigma_prev, which ``run``
     keeps positive.
+
+    Rows whose smoothed weight provably underflows to 0 are skipped: with M
+    the largest ln p/q of a failing row, a row with ln(p/q) - g^2/(2 sigma^2)
+    < M - 800 gets weight 0 without its ln Phi being evaluated (see
+    ``_count_thresholds``). The weights, their sums and the result are the
+    same bit for bit as with every row evaluated.
     """
+    thresholds = _count_thresholds(g, log_ratio)
+    if thresholds is None:
+
+        def weights(sigma: float) -> np.ndarray:
+            return shifted_exp(intermediate_log_weights(g, sigma, log_ratio))[0]
+
+    else:
+        # the rows that count at sigma are a prefix in threshold order; its
+        # max is the whole batch's shift, as every skipped row lies far below
+        order = np.argsort(thresholds)
+        g_s, log_ratio_s = g[order], log_ratio[order]
+        # shrunk a little, so that rounding only ever keeps more rows; this
+        # also widens the margin by 2e-9 (ln(p/q) - M + 800)
+        thresholds = thresholds[order] * (1.0 - 1e-9)
+        w = np.empty(g.size)
+
+        def weights(sigma: float) -> np.ndarray:
+            k = np.searchsorted(thresholds, sigma, side="right")
+            w.fill(0.0)
+            w[order[:k]] = shifted_exp(intermediate_log_weights(g_s[:k], sigma, log_ratio_s[:k]))[0]
+            return w
 
     def excess(log_sigma: float) -> float:
-        return _weight_cv(intermediate_log_weights(g, np.exp(log_sigma), log_ratio)) - delta_target
+        return (cv(weights(np.exp(log_sigma))) if g.size > 1 else np.inf) - delta_target
 
     grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
     e = [excess(grid[0])]
@@ -354,6 +413,6 @@ def run(problem, config: RunConfig) -> RunResult:
 
 def run_safe_ice(problem, config: RunConfig) -> RunResult:
     """``run`` with the method pinned to "safe-ice", the entry point the
-    benchmark calls and traces; it goes with ROADMAP item 4's benchmark
+    benchmark calls and traces; it goes with ROADMAP item 1's benchmark
     change, after which ``config.method`` is the only selector."""
     return run(problem, replace(config, method="safe-ice"))

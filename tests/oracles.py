@@ -4,6 +4,8 @@ Each computes, by its own route, a quantity the estimator obtains some
 other way, so the tests can compare the two.
 """
 
+import math
+
 import numpy as np
 from scipy.special import logsumexp, xlogy
 
@@ -340,3 +342,49 @@ def select_sigma_full_grid_reference(g, log_ratio, sigma_prev: float, delta_targ
     else:
         best_x = grid[np.argmin(np.where(finite, np.abs(e), np.inf))]
     return float(min(np.exp(best_x), sigma_prev))
+
+
+def select_sigma_sequential_reference(
+    g: np.ndarray,
+    log_ratio: np.ndarray,
+    sigma_prev: float,
+    delta_target: float,
+) -> float:
+    """``core.select_sigma`` as it was before it skipped the rows whose
+    smoothed weight underflows to 0: the same grid scan and Illinois regula
+    falsi, with every excess evaluated on all n rows."""
+
+    def excess(log_sigma: float) -> float:
+        return _weight_cv(intermediate_log_weights(g, np.exp(log_sigma), log_ratio)) - delta_target
+
+    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
+    e = [excess(grid[0])]
+    for b in grid[1:]:
+        e.append(excess(b))
+        fa, fb = e[-2:]
+        if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
+            break
+    else:
+        best = grid[np.argmin(np.where(np.isfinite(e), np.abs(e), np.inf))]
+        return float(min(np.exp(best), sigma_prev))
+
+    a = grid[len(e) - 2]
+    x, kept = np.inf, 0  # kept: the end left in place by the last step, -1 for a, +1 for b
+    while b - a >= 1e-10:
+        x_prev, x = x, min(max(b - fb * (b - a) / (fb - fa), a), b)
+        if abs(x - x_prev) < 1e-10:
+            break
+        fx = excess(x)
+        if fx == 0.0:
+            break
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, fb = x, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+    return float(min(np.exp(x), sigma_prev))

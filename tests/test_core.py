@@ -27,9 +27,9 @@ from safeice.core import (
 from safeice.distributions import rng_from_seed
 from safeice.mixtures import PolarSamples, SafeMixtureParams, prior_logpdf, safe_logpdf, safe_sample
 from safeice.problems import Problem, problem_registry
-from safeice.special import log_normal_cdf
+from safeice.special import log_normal_cdf, shifted_exp
 
-from oracles import select_sigma_full_grid_reference, subset_estimate_pf
+from oracles import select_sigma_full_grid_reference, select_sigma_sequential_reference, subset_estimate_pf
 
 
 def prior_samples(rng, problem, n):
@@ -111,6 +111,26 @@ def test_cv_zero_mean_sentinel():
 def test_cv_needs_two_values():
     with pytest.raises(ValueError):
         cv([1.0])
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 128, 129, 10**4])
+def test_cv_is_numpys_std_over_mean_bit_for_bit(n):
+    # the sizes cross the edges of numpy's pairwise summation blocks
+    rng = rng_from_seed(n)
+    for x in (
+        rng.standard_normal(n),
+        rng.standard_normal(n) + 1e3,
+        np.exp(30.0 * rng.standard_normal(n)),
+        1e-300 * rng.exponential(size=n),
+    ):
+        assert cv(x) == float(np.std(x, ddof=1) / np.mean(x))
+    zero_mean = np.zeros(n)
+    zero_mean[:2] = [1.0, -1.0]
+    assert np.mean(zero_mean) == 0.0 and cv(zero_mean) == np.inf
+    for bad in (np.inf, -np.inf, np.nan):
+        x = rng.standard_normal(n)
+        x[n // 2] = bad
+        assert not np.isfinite(np.mean(x)) and cv(x) == np.inf
 
 
 # ------------------------------------------------------ intermediate weights
@@ -317,6 +337,94 @@ def test_select_sigma_without_crossing_takes_the_closest_grid_point():
     assert np.all(e < 0.0)
     got = select_sigma(g, log_ratio, 10.0, 1000.0)
     assert got == min(np.exp(grid[np.argmin(np.abs(e))]), 10.0)
+
+
+_G_SPECIALS = [0.0, -0.0, np.inf, -np.inf]
+_LOG_RATIO_SPECIALS = [-np.inf, 1e300, -1e300, 1e20, -1e20, 2.0**40, -(2.0**40), 800.0, -800.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 2000),
+    fail_share=st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]),
+    g_scale=st.sampled_from([1e-6, 1.0, 1e3]),
+    log_ratio_offset=st.sampled_from([0.0, 1e3, -1e5, 1e12, -1e20]),
+    log_ratio_scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+    g_specials=st.lists(st.tuples(st.integers(0, 1999), st.sampled_from(_G_SPECIALS)), max_size=6),
+    log_ratio_specials=st.lists(st.tuples(st.integers(0, 1999), st.sampled_from(_LOG_RATIO_SPECIALS)), max_size=6),
+    sigma_prev=st.sampled_from([1e-3, 0.5, 10.0, 1e6]),
+    delta=st.sampled_from([1.5, 4.0, 1000.0]),
+)
+def test_select_sigma_is_the_sequential_reference_bit_for_bit(
+    seed, n, fail_share, g_scale, log_ratio_offset, log_ratio_scale, g_specials, log_ratio_specials, sigma_prev, delta
+):
+    # skipping the rows whose weight underflows to 0 changes no output bit:
+    # batches with no failing row and with only failing rows, g exactly 0 and
+    # infinite, ln p/q -inf and far from 0 in either direction
+    rng = rng_from_seed(seed)
+    g = g_scale * np.abs(rng.standard_normal(n))
+    g[rng.random(n) < fail_share] *= -1.0
+    log_ratio = log_ratio_offset + log_ratio_scale * rng.standard_normal(n)
+    for i, value in g_specials:
+        g[i % n] = value
+    for i, value in log_ratio_specials:
+        log_ratio[i % n] = value
+    got = select_sigma(g, log_ratio, sigma_prev, delta)
+    assert got == select_sigma_sequential_reference(g, log_ratio, sigma_prev, delta)
+
+
+@pytest.mark.parametrize("seed", [1024, 1083, 1097])
+def test_select_sigma_is_the_sequential_reference_at_first_levels(seed):
+    args = first_level_inputs(seed)
+    assert select_sigma(*args) == select_sigma_sequential_reference(*args)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_select_sigma_counts_a_nan_row(column):
+    # a NaN in g or ln p/q makes every weight cv +inf; a skipped NaN row
+    # would leave it finite
+    rng = rng_from_seed(5)
+    g, log_ratio = rng.standard_normal(200), 30.0 * rng.standard_normal(200)
+    g[7] = 1.0
+    (g, log_ratio)[column][7] = np.nan
+    assert select_sigma(g, log_ratio, 1.0, 4.0) == select_sigma_sequential_reference(g, log_ratio, 1.0, 4.0)
+
+
+@pytest.mark.parametrize("log_ratio", [-1e20, 1e20])
+def test_select_sigma_skips_no_row_where_ln_p_q_is_far_from_0(log_ratio):
+    # at |ln p/q| = 1e20 one unit in the last place is 16384, so ln W rounds
+    # to ln p/q and a weight of 1 survives where the bound says it is 0
+    g, log_ratio = np.linspace(-1.0, 3.0, 10), np.full(10, log_ratio)
+    assert select_sigma(g, log_ratio, 1.0, 1.5) == select_sigma_sequential_reference(g, log_ratio, 1.0, 1.5)
+
+
+def test_select_sigma_keeps_a_subnormal_weight(monkeypatch):
+    # the failing rows put the shift at 0; at the first grid point, sigma =
+    # 1e-8, row 2 has ln W = ln Phi(-1) - 720, about -721.8, a subnormal
+    # weight that the skip must keep, while rows 3 and 4 lie far below -800
+    g = np.array([-1.0, -0.5, 1e-8, 1.0, 2.0])
+    log_ratio = np.array([0.0, -0.3, -720.0, -2000.0, -5000.0])
+    sigmas, weights = [], []
+
+    def recorded(g, sigma, log_ratio):
+        sigmas.append(sigma)
+        return intermediate_log_weights(g, sigma, log_ratio)
+
+    def recorded_cv(w):
+        weights.append(w.copy())
+        return cv(w)
+
+    monkeypatch.setattr(core, "intermediate_log_weights", recorded)
+    monkeypatch.setattr(core, "cv", recorded_cv)
+    got = select_sigma(g, log_ratio, 1.0, 4.0)
+    monkeypatch.undo()
+    assert got == select_sigma_sequential_reference(g, log_ratio, 1.0, 4.0)
+    assert len(sigmas) == len(weights) > 0
+    subnormal = (weights[0] > 0.0) & (weights[0] < np.finfo(float).tiny)
+    assert subnormal.tolist() == [False, False, True, False, False]
+    for sigma, w in zip(sigmas, weights):
+        assert np.array_equal(w, shifted_exp(intermediate_log_weights(g, sigma, log_ratio))[0])
 
 
 # -------------------------------------------------------------------- stop_cv
