@@ -158,7 +158,7 @@ def _weight_cv(log_w: np.ndarray) -> float:
 
 def _count_thresholds(g: np.ndarray, log_ratio: np.ndarray):
     """Per row, the sigma below which its smoothed weight is exactly 0 after
-    ``shifted_exp``, or None when no row can be skipped.
+    ``shifted_exp``: all zeros when no row can be skipped.
 
     Let M be the largest ln p/q of a failing row (g <= 0). A failing row has
     ln W >= M - ln 2, so the shift is at least that; a row with g > 0 has
@@ -166,15 +166,16 @@ def _count_thresholds(g: np.ndarray, log_ratio: np.ndarray):
     x <= 0. So below s = g / sqrt(2 (ln(p/q) - M + _SKIP_MARGIN)) the row's
     ln W - shift is below -_SKIP_MARGIN, and exp gives 0 there. Failing rows
     and rows whose g, ln p/q or s is NaN get 0: they always count. So does
-    every row when M is not finite or above _SKIP_TOP_MAX in size, where
-    rounding in ln W - shift could eat the margin's slack.
+    every row when no row fails, or when M is not finite or above
+    _SKIP_TOP_MAX in size, where rounding in ln W - shift could eat the
+    margin's slack.
     """
     fail = g <= 0.0
     if not fail.any():
-        return None
+        return np.zeros(g.size)
     top = log_ratio[fail].max()
     if not abs(top) <= _SKIP_TOP_MAX:
-        return None
+        return np.zeros(g.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = 2.0 * (log_ratio - (top - _SKIP_MARGIN))
         s = np.where(c <= 0.0, np.inf, g / np.sqrt(c))
@@ -207,30 +208,25 @@ def select_sigma(
     Rows whose smoothed weight provably underflows to 0 are skipped: with M
     the largest ln p/q of a failing row, a row with ln(p/q) - g^2/(2 sigma^2)
     < M - 800 gets weight 0 without its ln Phi being evaluated (see
-    ``_count_thresholds``). The weights, their sums and the result are the
-    same bit for bit as with every row evaluated.
+    ``_count_thresholds``; where its thresholds are all zeros, every row
+    counts). The weights, their sums and the result are the same bit for
+    bit as with every row evaluated.
     """
+    # the rows that count at sigma are a prefix in threshold order; its
+    # max is the whole batch's shift, as every skipped row lies far below
     thresholds = _count_thresholds(g, log_ratio)
-    if thresholds is None:
+    order = np.argsort(thresholds)
+    g_s, log_ratio_s = g[order], log_ratio[order]
+    # shrunk a little, so that rounding only ever keeps more rows; this
+    # also widens the margin by 2e-9 (ln(p/q) - M + 800)
+    thresholds = thresholds[order] * (1.0 - 1e-9)
+    w = np.empty(g.size)
 
-        def weights(sigma: float) -> np.ndarray:
-            return shifted_exp(intermediate_log_weights(g, sigma, log_ratio))[0]
-
-    else:
-        # the rows that count at sigma are a prefix in threshold order; its
-        # max is the whole batch's shift, as every skipped row lies far below
-        order = np.argsort(thresholds)
-        g_s, log_ratio_s = g[order], log_ratio[order]
-        # shrunk a little, so that rounding only ever keeps more rows; this
-        # also widens the margin by 2e-9 (ln(p/q) - M + 800)
-        thresholds = thresholds[order] * (1.0 - 1e-9)
-        w = np.empty(g.size)
-
-        def weights(sigma: float) -> np.ndarray:
-            k = np.searchsorted(thresholds, sigma, side="right")
-            w.fill(0.0)
-            w[order[:k]] = shifted_exp(intermediate_log_weights(g_s[:k], sigma, log_ratio_s[:k]))[0]
-            return w
+    def weights(sigma: float) -> np.ndarray:
+        k = np.searchsorted(thresholds, sigma, side="right")
+        w.fill(0.0)
+        w[order[:k]] = shifted_exp(intermediate_log_weights(g_s[:k], sigma, log_ratio_s[:k]))[0]
+        return w
 
     def excess(log_sigma: float) -> float:
         return (cv(weights(np.exp(log_sigma))) if g.size > 1 else np.inf) - delta_target
@@ -310,9 +306,8 @@ def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
     Nakagami(d/2, d); directions are uniform random with kappa = 2 so the
     E-step can tell components apart (kappa = 0 would make them identical
     and freeze EM at uniform responsibilities). A single component keeps
-    kappa = 0 and reproduces the prior exactly. ``RunConfig`` checks k >= 1."""
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
+    kappa = 0 and reproduces the prior exactly. ``RunConfig`` checks k >= 1
+    and ``Problem`` d >= 2."""
     mu = vmf_sample(rng, np.eye(d)[0], 0.0, k)
     kappa = np.zeros(k) if k == 1 else np.full(k, 2.0)
     return VmfnmParams(
@@ -329,8 +324,8 @@ def run(problem, config: RunConfig) -> RunResult:
 
     "safe-ice" mixes the heavy inverse-Nakagami kernel into the proposal
     and prunes components through the penalized EM; "ice" keeps the light
-    mixture only, fitted by plain EM (the same loop at beta = 0). A
-    dimension below 2 fails in ``init_light_params``, before any LSF call.
+    mixture only, fitted by plain EM (the same loop at beta = 0). The
+    problem's dimension is checked where the ``Problem`` is built.
     """
     use_heavy = config.method == "safe-ice"
     rng = rng_from_seed(config.seed)

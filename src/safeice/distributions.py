@@ -30,7 +30,6 @@ __all__ = [
     "vmf_log_normalizer",
     "vmf_sample",
     "uniform_sphere_logpdf",
-    "prior_radial_logpdf",
 ]
 
 _LOG_2 = float(np.log(2.0))
@@ -59,18 +58,18 @@ def _radial_coefficients(m, omega, side: int):
     return log_c, 2.0 * side * m - 1.0, -m / omega
 
 
-def nakagami_sample(rng: np.random.Generator, m, omega, size=None):
+def nakagami_sample(rng: np.random.Generator, m, omega):
     """Draw Nakagami(m, omega) radii as sqrt of gamma(m, omega/m) variates.
 
-    ``m`` and ``omega`` broadcast, so per-sample parameter arrays draw one
-    radius each. It expects parameters that have passed
+    ``m`` and ``omega`` broadcast, and one radius is drawn per entry of
+    their broadcast shape. It expects parameters that have passed
     ``VmfnmParams.check``, or the heavy spreads ``SafeMixtureParams`` checks."""
-    return np.sqrt(rng.gamma(shape=m, scale=omega / m, size=size))
+    return np.sqrt(rng.gamma(shape=m, scale=omega / m))
 
 
-def inv_nakagami_sample(rng: np.random.Generator, m, omega, size=None):
+def inv_nakagami_sample(rng: np.random.Generator, m, omega):
     """Draw from the inverse Nakagami law as 1/X with X ~ Nakagami(m, omega)."""
-    return 1.0 / nakagami_sample(rng, m, omega, size=size)
+    return 1.0 / nakagami_sample(rng, m, omega)
 
 
 def uniform_sphere_logpdf(d: int) -> float:
@@ -140,13 +139,3 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return a
 
-
-def prior_radial_logpdf(r, d: int):
-    """Radial log density of the standard normal prior: chi with d degrees
-    of freedom, identical to Nakagami(d/2, d), for the d >= 2 of a batch
-    drawn from a checked mixture."""
-    log_c, b_log, b_pow = _radial_coefficients(d / 2.0, float(d), 1)
-    r = np.asarray(r, dtype=float)
-    # r^2 overflows past r ~ 1e154, where the log density is -inf, its limit
-    with np.errstate(over="ignore"):
-        return log_c + b_log * np.log(r) + b_pow * r**2.0

@@ -70,13 +70,14 @@ def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarra
 
 def batch_statistics(samples: PolarSamples, weights: np.ndarray) -> np.ndarray:
     """(n, d + 3) matrix S = W [1, r^2, r^4, a] of a weighted batch; row k of
-    gamma S holds component k's mass, weighted r^2 and r^4 sums and resultant."""
-    r2 = samples.r**2
+    gamma S holds component k's mass, weighted r^2 and r^4 sums and resultant.
+    r^2 is the batch's kept ``radial_statistics`` column."""
+    r2 = samples.radial_statistics(1)[:, 1]
     return weights[:, None] * np.column_stack((np.ones(len(samples)), r2, r2 * r2, samples.a))
 
 
 def penalized_weight_update(
-    gamma: np.ndarray, weights: np.ndarray, pi_old: np.ndarray, beta: float
+    gamma: np.ndarray, weights: np.ndarray, pi_old: np.ndarray, beta: float, entropy_sum: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """EM weight update plus the entropy penalty, returned as (pi_em, pi_new):
 
@@ -86,11 +87,11 @@ def penalized_weight_update(
     The penalty of Yang, Lai & Lin has a factor sum_i W_i / sum_i sum_s gamma_is
     W_i, which is 1 as e_step and prune make every column of the (K, n)
     gamma sum to 1, so the mass totals sum_i W_i > 0, which ``fit`` checks.
-    pi_new sums to 1; prune() removes its entries <= 0.
+    pi_new sums to 1; prune() removes its entries <= 0. ``entropy_sum`` is E,
+    which ``fit`` takes once per iteration for this and ``beta_update``.
     """
     mass = gamma @ weights
     pi_em = mass / mass.sum()
-    entropy_sum = float(xlogy(pi_old, pi_old).sum())
     return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
 
 
@@ -128,19 +129,19 @@ def beta_update(
     pi_em: np.ndarray,
     d: int,
     n_samples: int,
+    entropy_sum: float,
 ) -> float:
     """Adaptive penalty strength.
 
     beta = min( mean_k exp(-eta N |pi_new_k - pi_old_k|),
                 (1 - max pi_em) / (-max(pi_old) * E) )
 
-    with eta = min(1, 0.5^floor(d/2 - 1)) and E = sum pi_old ln pi_old.
+    with eta = min(1, 0.5^floor(d/2 - 1)) and ``entropy_sum`` E = sum pi_old ln pi_old.
     At K = 1, pi_old = [1] makes the penalty 0 at any beta. If the second
     argument is negative or non-finite, the first argument alone is used.
     """
     eta = min(1.0, 0.5 ** math.floor(d / 2.0 - 1.0))
     first = float(np.exp(-eta * n_samples * np.abs(pi_new - pi_old)).mean())
-    entropy_sum = float(xlogy(pi_old, pi_old).sum())
     denom = -float(pi_old.max()) * entropy_sum
     if denom > 0.0:
         second = (1.0 - float(pi_em.max())) / denom
@@ -241,10 +242,11 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     gamma, _ = e_step(samples, v)
     for n_iterations in range(1, MAX_EM + 1):
         pi_old = v.pi
-        pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta)
+        entropy_sum = float(xlogy(pi_old, pi_old).sum())
+        pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta, entropy_sum)
         v, gamma = prune(pi_raw, gamma, v)
         if penalized:
-            beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, len(samples))
+            beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, len(samples), entropy_sum)
         v = m_step_params(gamma, stats, v)
 
         gamma, log_q = e_step(samples, v)

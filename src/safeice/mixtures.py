@@ -29,7 +29,6 @@ from .distributions import (
     _radial_coefficients,
     inv_nakagami_sample,
     nakagami_sample,
-    prior_radial_logpdf,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
     vmf_sample,
@@ -264,7 +263,10 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
 
 
 def prior_logpdf(samples: PolarSamples) -> np.ndarray:
-    """Standard normal prior log density in polar form (radial chi_d times
-    uniform direction), comparable directly with the mixture densities."""
+    """Standard normal prior log density in polar form, comparable directly
+    with the mixture densities: radial chi_d = Nakagami(d/2, d) on the kept
+    ``radial_statistics``, -inf past r ~ 1e154, times uniform direction."""
     d = samples.dim
-    return prior_radial_logpdf(samples.r, d) + uniform_sphere_logpdf(d)
+    log_c, b_log, b_pow = _radial_coefficients(d / 2.0, d, 1)
+    stats = samples.radial_statistics(1)
+    return log_c + b_log * stats[:, 0] + b_pow * stats[:, 1] + uniform_sphere_logpdf(d)

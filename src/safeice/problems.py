@@ -222,11 +222,19 @@ def oscillator_lsf(u, z: float):
 @dataclass
 class Problem:
     """A named limit-state function of fixed dimension; ``evaluate`` holds
-    any threshold."""
+    any threshold. ``dim`` is checked here, before any LSF call: an integer,
+    not a bool, of at least 2, so that directions form a sphere."""
 
     name: str
     dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise ValueError(f"d must be an integer, got {self.dim!r}")
+        if self.dim < 2:
+            raise ValueError(f"{self.name} requires d >= 2")
+        self.dim = int(self.dim)
 
 
 def evaluate_lsf(problem: Problem, u: np.ndarray) -> np.ndarray:
@@ -254,19 +262,15 @@ PROBLEMS = {
 def problem_registry(name: str, z: float, d: int | None = None) -> Problem:
     """Build a benchmark problem by name, checking z and d before any
     evaluation. z must be a real number other than NaN (+-inf is allowed).
-    d must be an integer (default: the problem's fixed dimension, else 2),
-    equal to the fixed dimension where there is one, and at least 2.
-    A bool is neither."""
+    d (default: the problem's fixed dimension, else 2) must pass
+    ``Problem``'s check, then equal the fixed dimension where there is
+    one. A bool is neither a z nor a d."""
     if name not in PROBLEMS:
         raise ValueError(f"unknown problem '{name}'; known: {', '.join(PROBLEMS)}")
     fixed, lsf = PROBLEMS[name]
     if isinstance(z, bool) or not isinstance(z, numbers.Real) or math.isnan(z):
         raise ValueError(f"z must be a real number other than NaN, got {z!r}")
-    dim = (fixed or 2) if d is None else d
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-        raise ValueError(f"d must be an integer, got {d!r}")
-    if fixed not in (None, dim):
+    problem = Problem(name, (fixed or 2) if d is None else d, partial(lsf, z=z))
+    if fixed not in (None, problem.dim):
         raise ValueError(f"{name} requires d = {fixed}")
-    if dim < 2:
-        raise ValueError(f"{name} requires d >= 2")
-    return Problem(name, int(dim), partial(lsf, z=z))
+    return problem

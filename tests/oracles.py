@@ -196,6 +196,11 @@ def prune(pi_new, gamma, v):
     return v2, gamma / rows
 
 
+def entropy_sum(pi):
+    """E = sum_s pi_s ln pi_s, with 0 ln 0 = 0."""
+    return float(np.sum(xlogy(pi, pi)))
+
+
 def penalized_weight_update(gamma, weights, pi_old, beta):
     """EM weight update plus the entropy penalty with the factor of Yang,
     Lai & Lin written out and every sum taken over the (n, K) product
@@ -210,9 +215,8 @@ def penalized_weight_update(gamma, weights, pi_old, beta):
     if mass <= 0.0:
         raise ValueError("total responsibility mass is zero")
     pi_em = gamma.T @ weights / mass
-    entropy_sum = float(np.sum(xlogy(pi_old, pi_old)))
     ratio = float(weights.sum()) / mass
-    return pi_em, pi_em + beta * ratio * pi_old * (np.log(pi_old) - entropy_sum)
+    return pi_em, pi_em + beta * ratio * pi_old * (np.log(pi_old) - entropy_sum(pi_old))
 
 
 def m_step_params(samples, gamma, weights, v):

@@ -22,7 +22,7 @@ from safeice.mixtures import PolarSamples, VmfnmParams, heavy_params_from_light
 from safeice.oracle import mc_estimate
 from safeice.problems import problem_registry
 
-from oracles import bessel_ratio
+from oracles import bessel_ratio, entropy_sum
 from oracles import penalized_weight_update as reference_weight_update
 
 
@@ -142,7 +142,7 @@ def test_distribution_properties():
     n = 10**6
     # (a) heavy radial sampler follows the reciprocal law
     m, omega = 1.5, 2.0
-    draws = inv_nakagami_sample(rng_from_seed(0), m, omega, n)
+    draws = inv_nakagami_sample(rng_from_seed(0), np.full(n, m), omega)
     ks_inv = kstest(draws, lambda r: gammaincc(m, m / (omega * r * r))).statistic
     # (b) directional sampler: mean projection on mu matches the Bessel ratio
     ks_dirs = []
@@ -196,12 +196,12 @@ def test_em_algebra():
         w = rng.lognormal(size=n)
         pi_old = rng.dirichlet(np.ones(k))
         beta = float(rng.uniform())
-        _, pi_new = penalized_weight_update(gamma, w, pi_old, beta)
+        _, pi_new = penalized_weight_update(gamma, w, pi_old, beta, entropy_sum(pi_old))
         worst_sum = max(worst_sum, abs(float(pi_new.sum()) - 1.0))
-        _, plain = penalized_weight_update(gamma, w, pi_old, 0.0)
+        _, plain = penalized_weight_update(gamma, w, pi_old, 0.0, entropy_sum(pi_old))
         reference_em, _ = reference_weight_update(gamma.T, w, pi_old, beta)
         worst_plain = max(worst_plain, float(np.max(np.abs(plain - reference_em))))
-        _, scaled = penalized_weight_update(gamma, 7.0 * w, pi_old, beta)
+        _, scaled = penalized_weight_update(gamma, 7.0 * w, pi_old, beta, entropy_sum(pi_old))
         worst_scale = max(worst_scale, float(np.max(np.abs(scaled - pi_new))))
         d = int(rng.integers(2, 6))
         u = rng.standard_normal((n, d))
@@ -213,7 +213,8 @@ def test_em_algebra():
         for name in ("m", "omega", "mu", "kappa"):
             diff = getattr(params, name) - getattr(params7, name)
             worst_scale = max(worst_scale, float(np.max(np.abs(diff))))
-    _, hand = penalized_weight_update(np.eye(2), np.ones(2), np.array([0.9, 0.1]), 1.0)
+    pi_old = np.array([0.9, 0.1])
+    _, hand = penalized_weight_update(np.eye(2), np.ones(2), pi_old, 1.0, entropy_sum(pi_old))
     hand_ok = abs(hand[0] - 0.697750) <= 1e-6 and abs(hand[1] - 0.302249) <= 1e-6
     ok = worst_sum <= 1e-12 and worst_plain <= 1e-12 and worst_scale <= 1e-10 and hand_ok
     detail = (

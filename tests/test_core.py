@@ -575,12 +575,6 @@ def test_init_light_params_directions_vary():
     assert np.any(np.abs(gram - 1.0) > 0.1)  # not all identical
 
 
-def test_init_light_params_rejects_bad_args():
-    rng = rng_from_seed(0)
-    with pytest.raises(ValueError):
-        init_light_params(rng, 1, 3)
-
-
 # ------------------------------------------------------------------ RunConfig
 
 
@@ -860,12 +854,15 @@ def test_run_stops_when_no_smoothed_weight_is_positive(problem, caplog):
 
 
 def test_run_rejects_dimension_one():
-    prob = Problem("line", 1, lambda u: 1.0 - u[:, 0])
+    # the Problem is refused where it is built, so no run starts
+    def line(u):
+        raise AssertionError("the LSF must not be called")
+
     for method in ("safe-ice", "ice"):
-        with pytest.raises(ValueError, match="dimension must be at least 2"):
-            run(prob, RunConfig(method=method))
-    with pytest.raises(ValueError, match="dimension must be at least 2"):
-        run_safe_ice(prob, RunConfig())
+        with pytest.raises(ValueError, match="line requires d >= 2"):
+            run(Problem("line", 1, line), RunConfig(method=method))
+    with pytest.raises(ValueError, match="line requires d >= 2"):
+        run_safe_ice(Problem("line", 1, line), RunConfig())
 
 
 def test_run_dispatches_on_method():

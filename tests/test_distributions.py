@@ -4,6 +4,7 @@ the analytic CDFs. The radial log densities are the references in
 ``oracles``, built on the kernels' ``_radial_coefficients``."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from scipy.special import gammainc, gammaincc
 from safeice.distributions import (
     inv_nakagami_sample,
     nakagami_sample,
-    prior_radial_logpdf,
     rng_from_seed,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
     vmf_sample,
 )
+
+from safeice.mixtures import PolarSamples, prior_logpdf
 
 from oracles import bessel_ratio, inv_nakagami_logpdf, nakagami_logpdf, vmf_logpdf
 
@@ -69,20 +71,20 @@ def test_nakagami_normalizes(m, omega):
 @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (2.0, 3.0)])
 def test_nakagami_sample_second_moment(m, omega):
     rng = rng_from_seed(7)
-    r = nakagami_sample(rng, m, omega, size=1_000_000)
+    r = nakagami_sample(rng, np.full(1_000_000, m), omega)
     # E[r^2] = omega
     assert np.mean(r * r) == pytest.approx(omega, abs=0.01 * omega)
 
 
 def test_nakagami_sample_deterministic():
-    a = nakagami_sample(rng_from_seed(3), 1.5, 2.0, size=10)
-    b = nakagami_sample(rng_from_seed(3), 1.5, 2.0, size=10)
+    a = nakagami_sample(rng_from_seed(3), np.full(10, 1.5), 2.0)
+    b = nakagami_sample(rng_from_seed(3), np.full(10, 1.5), 2.0)
     assert np.array_equal(a, b)
 
 
 def test_nakagami_sample_ks():
     rng = rng_from_seed(11)
-    r = nakagami_sample(rng, 2.5, 1.3, size=100_000)
+    r = nakagami_sample(rng, np.full(100_000, 2.5), 1.3)
     stat = stats.kstest(r, lambda x: nakagami_cdf(x, 2.5, 1.3)).statistic
     assert stat < 0.005
 
@@ -138,7 +140,7 @@ def test_inv_nakagami_normalizes(m, omega):
 
 def test_inv_nakagami_sample_ks():
     rng = rng_from_seed(5)
-    r = inv_nakagami_sample(rng, 3.0, 0.8, size=100_000)
+    r = inv_nakagami_sample(rng, np.full(100_000, 3.0), 0.8)
     stat = stats.kstest(r, lambda x: inv_nakagami_cdf(x, 3.0, 0.8)).statistic
     assert stat < 0.005
 
@@ -259,18 +261,30 @@ def test_vmf_sample_concentrates():
 
 
 def test_prior_radial_is_chi():
-    # chi_d pdf: 2^{1-d/2}/Gamma(d/2) r^{d-1} exp(-r^2/2)
+    # chi_d pdf 2^{1-d/2}/Gamma(d/2) r^{d-1} exp(-r^2/2) times the uniform
+    # sphere density Gamma(d/2) / (2 pi^{d/2}); past r ~ 1e154 r^2 is inf
+    # and the log density its limit -inf, with no warning on the way
     from scipy.special import gammaln
 
     r = np.linspace(0.1, 5.0, 40)
+    far = np.array([2e154, 1e300])
     for d in (2, 3, 10):
         expected = (
             (1.0 - d / 2.0) * np.log(2.0)
             - gammaln(d / 2.0)
             + (d - 1.0) * np.log(r)
             - r * r / 2.0
+            + gammaln(d / 2.0)
+            - np.log(2.0)
+            - (d / 2.0) * np.log(np.pi)
         )
-        assert np.allclose(prior_radial_logpdf(r, d), expected, atol=1e-12)
+        radii = np.concatenate((r, far))
+        samples = PolarSamples(radii, np.tile(np.eye(d)[0], (radii.size, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = prior_logpdf(samples)
+        assert np.allclose(got[: r.size], expected, atol=1e-12)
+        assert np.all(got[r.size :] == -np.inf)
 
 
 def test_prior_radial_matches_gaussian_radii():

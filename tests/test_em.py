@@ -38,6 +38,7 @@ from safeice.mixtures import (
 )
 
 from oracles import e_step as reference_e_step
+from oracles import entropy_sum
 from oracles import m_step_params as reference_m_step
 from oracles import mixture_columns as reference_columns
 from oracles import penalized_weight_update as reference_weight_update
@@ -134,7 +135,7 @@ def test_e_step_zero_density_rows_get_uniform(caplog):
 def em_weights(gamma, weights):
     """pi_em of ``penalized_weight_update``, which does not depend on pi_old."""
     k = gamma.shape[0]
-    return penalized_weight_update(gamma, weights, np.full(k, 1.0 / k), 0.0)[0]
+    return penalized_weight_update(gamma, weights, np.full(k, 1.0 / k), 0.0, 0.0)[0]
 
 
 def test_em_weight_update_examples():
@@ -151,7 +152,7 @@ def test_penalized_update_beta_zero_is_plain_em():
     gamma = rng.dirichlet(np.ones(4), size=30).T
     w = rng.random(30)
     pi_old = rng.dirichlet(np.ones(4))
-    pi_em, pi_new = penalized_weight_update(gamma, w, pi_old, 0.0)
+    pi_em, pi_new = penalized_weight_update(gamma, w, pi_old, 0.0, entropy_sum(pi_old))
     assert np.array_equal(pi_em, gamma @ w / (gamma @ w).sum())
     assert np.array_equal(pi_new, pi_em)
 
@@ -162,14 +163,15 @@ def test_penalized_update_uniform_pi_has_zero_penalty():
         gamma = rng.dirichlet(np.ones(k), size=25).T
         w = rng.random(25)
         pi_old = np.full(k, 1.0 / k)
-        pi_em, out = penalized_weight_update(gamma, w, pi_old, 1.0)
+        pi_em, out = penalized_weight_update(gamma, w, pi_old, 1.0, entropy_sum(pi_old))
         assert np.allclose(out, pi_em, atol=1e-15)
 
 
 def test_penalized_update_hand_example():
     # gamma = I, W = (1, 1), pi_old = (0.9, 0.1), beta = 1:
     # pi_em = (1/2, 1/2), ratio = 1, E = 0.9 ln 0.9 + 0.1 ln 0.1
-    pi_em, out = penalized_weight_update(np.eye(2), np.array([1.0, 1.0]), np.array([0.9, 0.1]), 1.0)
+    pi_old = np.array([0.9, 0.1])
+    pi_em, out = penalized_weight_update(np.eye(2), np.ones(2), pi_old, 1.0, entropy_sum(pi_old))
     assert np.array_equal(pi_em, [0.5, 0.5])
     assert out[0] == pytest.approx(0.697750, abs=1e-6)
     assert out[1] == pytest.approx(0.302249, abs=1e-5)
@@ -187,7 +189,7 @@ def test_penalized_update_sums_to_one():
         w = rng.random(n) + 0.01
         pi_old = rng.dirichlet(np.ones(k))
         beta = 2.0 * rng.random()
-        _, out = penalized_weight_update(gamma, w, pi_old, beta)
+        _, out = penalized_weight_update(gamma, w, pi_old, beta, entropy_sum(pi_old))
         assert abs(out.sum() - 1.0) <= 1e-12
 
 
@@ -196,8 +198,8 @@ def test_penalized_update_weight_scale_invariance():
     gamma = rng.dirichlet(np.ones(3), size=40).T
     w = rng.random(40) + 0.1
     pi_old = rng.dirichlet(np.ones(3))
-    _, a = penalized_weight_update(gamma, w, pi_old, 0.7)
-    _, b = penalized_weight_update(gamma, 7.0 * w, pi_old, 0.7)
+    _, a = penalized_weight_update(gamma, w, pi_old, 0.7, entropy_sum(pi_old))
+    _, b = penalized_weight_update(gamma, 7.0 * w, pi_old, 0.7, entropy_sum(pi_old))
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -272,9 +274,9 @@ def test_property_penalized_update_normalized_and_scale_invariant(resp, data, be
     w = data.draw(hnp.arrays(float, gamma.shape[1], elements=st.floats(1e-3, 1e3)))
     pi_old = data.draw(hnp.arrays(float, k, elements=st.floats(1e-3, 1.0)))
     pi_old /= pi_old.sum()
-    _, out = penalized_weight_update(gamma, w, pi_old, beta)
+    _, out = penalized_weight_update(gamma, w, pi_old, beta, entropy_sum(pi_old))
     assert abs(out.sum() - 1.0) <= 1e-12
-    _, scaled = penalized_weight_update(gamma, scale * w, pi_old, beta)
+    _, scaled = penalized_weight_update(gamma, scale * w, pi_old, beta, entropy_sum(pi_old))
     assert np.allclose(scaled, out, rtol=0.0, atol=1e-12)
 
 
@@ -393,7 +395,7 @@ def test_beta_zero_change_takes_second_argument():
     # capped second argument: (1 - 0.75) / (0.9 * (-E)) with
     # E = 0.9 ln 0.9 + 0.1 ln 0.1
     pi = np.array([0.9, 0.1])
-    beta = beta_update(pi, pi, np.array([0.75, 0.25]), 2, 1000)
+    beta = beta_update(pi, pi, np.array([0.75, 0.25]), 2, 1000, entropy_sum(pi))
     assert beta == pytest.approx(0.8544827029230228, abs=1e-14)
 
 
@@ -404,8 +406,8 @@ def test_beta_eta_dimension_scaling():
     pi_old = np.array([0.5, 0.5])
     pi_new = pi_old + np.array([delta, -delta])
     pi_em = np.array([0.5, 0.5])
-    assert beta_update(pi_new, pi_old, pi_em, 2, 1) == pytest.approx(0.5, abs=1e-14)
-    assert beta_update(pi_new, pi_old, pi_em, 10, 1) == pytest.approx(
+    assert beta_update(pi_new, pi_old, pi_em, 2, 1, entropy_sum(pi_old)) == pytest.approx(0.5, abs=1e-14)
+    assert beta_update(pi_new, pi_old, pi_em, 10, 1, entropy_sum(pi_old)) == pytest.approx(
         2.0 ** (-0.0625), abs=1e-14
     )
 
@@ -414,9 +416,9 @@ def test_beta_guards_degenerate_second_argument():
     # pi_em max = 1 gives second argument 0, which is still valid; a
     # one-hot pi_old gives E = 0 and the second argument is skipped
     pi = np.array([0.9, 0.1])
-    assert beta_update(pi, pi, np.array([1.0, 0.0]), 2, 10) == 0.0
+    assert beta_update(pi, pi, np.array([1.0, 0.0]), 2, 10, entropy_sum(pi)) == 0.0
     one_hot = np.array([1.0, 0.0])
-    first_only = beta_update(one_hot, one_hot, np.array([0.6, 0.4]), 2, 10)
+    first_only = beta_update(one_hot, one_hot, np.array([0.6, 0.4]), 2, 10, 0.0)
     assert first_only == pytest.approx(1.0, abs=1e-14)
 
 
@@ -427,8 +429,8 @@ def test_beta_weight_free():
     pi_old = np.array([0.34, 0.33, 0.33])
     pi_new = pi_old + np.array([1e-4, -0.5e-4, -0.5e-4])
     pi_em = np.full(3, 1.0 / 3.0)
-    b1 = beta_update(pi_new, pi_old, pi_em, 4, 1000)
-    b2 = beta_update(pi_new, pi_old, pi_em, 4, 2000)
+    b1 = beta_update(pi_new, pi_old, pi_em, 4, 1000, entropy_sum(pi_old))
+    b2 = beta_update(pi_new, pi_old, pi_em, 4, 2000, entropy_sum(pi_old))
     assert b1 > b2  # stronger decay with more samples
     eta = 0.5  # min(1, 0.5 ** (4 // 2 - 1))
     expected1 = np.mean(np.exp(-eta * 1000 * np.abs(pi_new - pi_old)))
@@ -467,7 +469,7 @@ def test_m_step_recovers_moderate_concentration():
     d = 3
     center = np.array([0.0, 0.0, 1.0])
     a = vmf_sample(rng, center, 5.0, 20_000)
-    r = nakagami_sample(rng, 2.0, 3.0, size=20_000)
+    r = nakagami_sample(rng, np.full(20_000, 2.0), 3.0)
     s = PolarSamples(r, a)
     out = m_step_params(np.ones((1, 20_000)), batch_statistics(s, np.ones(20_000)), start_params(1, d))
     assert out.omega[0] == pytest.approx(3.0, rel=0.03)
@@ -553,7 +555,7 @@ def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
     for gamma, v in cases:
         beta = float(rng.uniform(0.0, 2.0))
         for new, ref in zip(
-            penalized_weight_update(gamma, w, v.pi, beta), reference_weight_update(gamma.T, w, v.pi, beta)
+            penalized_weight_update(gamma, w, v.pi, beta, entropy_sum(v.pi)), reference_weight_update(gamma.T, w, v.pi, beta)
         ):
             assert np.allclose(new, ref, rtol=0.0, atol=1e-15)
         new, ref = m_step_params(gamma, stats, v), reference_m_step(s, gamma.T, w, v)
@@ -770,9 +772,9 @@ def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
 def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
     calls = []
 
-    def counting(gamma, weights, pi_old, beta):
-        calls.append(gamma.shape[0])
-        return penalized_weight_update(gamma, weights, pi_old, beta)
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return penalized_weight_update(*args)
 
     monkeypatch.setattr(em, "penalized_weight_update", counting)
     rng = rng_from_seed(20)
@@ -896,7 +898,7 @@ def test_fit_synthetic_recovery_prunes_to_truth(monkeypatch):
     for trial in range(50):
         rng = rng_from_seed(2000 + trial)
         n = 2000
-        r = nakagami_sample(rng, true_m, true_omega, size=n)
+        r = nakagami_sample(rng, np.full(n, true_m), true_omega)
         a = vmf_sample(rng, true_mu, true_kappa, n)
         s = PolarSamples(r, a)
         pi0 = rng.dirichlet(np.ones(5))

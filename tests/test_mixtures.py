@@ -15,7 +15,7 @@ from scipy import integrate, stats
 from scipy.special import gammainc, gammaln, iv
 
 from safeice.distributions import UNIT_NORM_TOL, rng_from_seed
-from safeice.em import e_step
+from safeice.em import batch_statistics, e_step
 from safeice.mixtures import (
     PolarSamples,
     SafeMixtureParams,
@@ -368,6 +368,28 @@ def test_a_batch_reads_its_radial_statistics_as_a_fresh_copy_would(lam, d):
     # 0 < lambda < 1 reads the heavy side as well as the light one
     phi2 = SafeMixtureParams(v, 0.6)
     assert np.array_equal(safe_logpdf(s, phi2), safe_logpdf(fresh(), phi2))
+
+
+def test_prior_mixture_and_em_statistics_read_one_kept_array_per_side():
+    # a level takes ln p, ln q and the M-step's S from one batch; once each
+    # side's statistics are kept, none of the three takes ln r or r^2 again:
+    # with r overwritten by NaN they return the same bits, from the same arrays
+    rng = rng_from_seed(9)
+    phi = SafeMixtureParams(random_mixture(rng, 3), 0.6)
+    s = safe_sample(rng, phi, 200)
+    w = rng.random(len(s))
+
+    def read():
+        return prior_logpdf(s), safe_logpdf(s, phi), batch_statistics(s, w)
+
+    first = read()
+    kept = dict(s._radial)
+    assert sorted(kept) == [-1, 1]
+    s.r = np.full(len(s), np.nan)
+    for a, b in zip(first, read()):
+        assert np.array_equal(a, b)
+    assert s._radial.keys() == kept.keys()
+    assert all(s._radial[side] is kept[side] for side in kept)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])

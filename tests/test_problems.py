@@ -10,8 +10,11 @@ from scipy.stats import norm
 
 from oracles import oscillator_response_rk4_reference
 from safeice import problems
+from safeice.core import RunConfig, run
+from safeice.oracle import mc_estimate
 from safeice.problems import (
     PROBLEMS,
+    Problem,
     four_branch,
     oscillator_lsf,
     oscillator_response,
@@ -337,6 +340,32 @@ def test_registry_names_a_bad_z_or_d(z, d, message):
     # string z as numpy's UFuncTypeError from inside g, and d=True as d = 1
     with pytest.raises(ValueError, match=re.escape(message)):
         problem_registry("two-mode", z, d)
+
+
+@pytest.mark.parametrize("entry", ["run", "mc_estimate"])
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (2.5, "d must be an integer, got 2.5"),
+        ("3", "d must be an integer, got '3'"),
+        (True, "d must be an integer, got True"),
+        (1, "plane requires d >= 2"),
+        (0, "plane requires d >= 2"),
+    ],
+)
+def test_problem_rejects_a_bad_dimension(d, message, entry):
+    # a hand-built Problem refuses its d where it is built, so neither entry
+    # point starts and the LSF is never called
+    calls = []
+
+    def plane(u):
+        calls.append(len(u))
+        return 3.0 - u[:, 0]
+
+    start = {"run": lambda p: run(p, RunConfig()), "mc_estimate": lambda p: mc_estimate(p, 100)}[entry]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        start(Problem("plane", d, plane))
+    assert calls == []
 
 
 def test_registry_takes_a_numpy_integer_dimension():
