@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, replace
 
 import numpy as np
 
-from .core import RunConfig, RunResult, _check_integer, _check_positive, cv, run
+from .core import RunConfig, RunResult, _check_integer, cv, run
 
 __all__ = ["run_repetitions", "summary_record", "json_record", "persist"]
 
@@ -29,7 +30,9 @@ def run_repetitions(
 
 def _check_repetitions(n_runs, p_ref) -> None:
     _check_integer("n_runs", n_runs, 2)  # the spread statistics need two
-    _check_positive("p_ref", p_ref)
+    # a bool, a non-number and a value outside (0, inf), NaN too
+    if isinstance(p_ref, bool) or not isinstance(p_ref, numbers.Real) or not 0.0 < p_ref < np.inf:
+        raise ValueError(f"p_ref must be a positive finite number, got {p_ref!r}")
 
 
 def summary_record(runs: list[RunResult], p_ref: float) -> dict:

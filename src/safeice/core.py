@@ -4,9 +4,10 @@ Both methods anneal a smoothed failure indicator h_sigma(g) = Phi(-g/sigma)
 toward the sharp indicator, refitting the proposal each level from weighted
 samples; ``RunConfig.method`` picks one. The safe variant mixes a
 heavy-tailed radial kernel into the proposal with weight 1 - lambda(sigma),
-where lambda rises on a cosine schedule from 0 at sigma0 to 1 at sigma = 0,
-and prunes mixture components through the penalized EM. The baseline has
-no heavy kernel and runs the same EM with zero penalty.
+where lambda rises on a cosine schedule from 0 at the start level SIGMA0
+to 1 at sigma = 0, and prunes mixture components through the penalized
+EM. The baseline has no heavy kernel and runs the same EM with zero
+penalty.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ logger = logging.getLogger(__name__)
 DELTA_STAR = 1.5  # a run stops once stop_cv is at most this
 DELTA_TARGET = 4.0  # the cv of the weights at the next sigma
 MAX_OUTER = 20  # the most refits of one run
+SIGMA0 = 10.0  # the start level, in units of g, and the horizon of lambda_schedule
 _SKIP_MARGIN = 800.0  # select_sigma skips rows this far below the shift; exp(x) = 0 below about -745.13
 _SKIP_TOP_MAX = 2.0**40  # up to this |M| rounding stays far inside the 800 - 745.13 slack
 
@@ -62,34 +64,25 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def _check_positive(name: str, value) -> None:
-    """Reject a bool, a non-number or a value not in (0, inf), NaN too, by name."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < np.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-
-
 @dataclass
 class RunConfig:
     """Settings for one estimation run.
 
     ``method`` selects the safe variant or the light-only baseline. The
-    heavy kernel fades out from ``sigma0``, so the first safe proposal is
-    fully heavy. The targets and iteration limits are the constants
-    ``DELTA_STAR``, ``DELTA_TARGET``, ``MAX_OUTER``, ``em.MAX_EM`` and ``em.EM_TOL``.
+    heavy kernel fades out from the start level ``SIGMA0``, so the first
+    safe proposal is fully heavy. The start level, targets and iteration
+    limits are the constants ``SIGMA0``, ``DELTA_STAR``, ``DELTA_TARGET``,
+    ``MAX_OUTER``, ``em.MAX_EM`` and ``em.EM_TOL``.
     """
 
     n_per_iter: int = 1000
     k_init: int = 20
-    sigma0: float = 10.0
     seed: int = 0
     method: str = "safe-ice"
 
     def __post_init__(self):
         for name, low in {"n_per_iter": 10, "k_init": 1, "seed": 0}.items():
             _check_integer(name, getattr(self, name), low)
-        _check_positive("sigma0", self.sigma0)
-        if self.sigma0 < np.finfo(float).tiny:  # else 1e-8 sigma0, the floor of select_sigma, can round to 0
-            raise ValueError(f"sigma0 must be at least {np.finfo(float).tiny}, got {self.sigma0!r}")
         if self.method not in ("safe-ice", "ice"):
             raise ValueError("method must be 'safe-ice' or 'ice'")
 
@@ -118,7 +111,7 @@ class RunResult:
 
 def log_smooth_indicator(g, sigma: float):
     """ln h_sigma(g), finite for any finite g at which -g/sigma is finite;
-    ``run`` passes a sigma > 0, the checked sigma0 or a ``select_sigma`` level."""
+    ``run`` passes a sigma > 0, ``SIGMA0`` or a ``select_sigma`` level."""
     # at a tiny sigma -g/sigma overflows to -inf or +inf, where ln Phi takes
     # its right limits, -inf and 0
     with np.errstate(over="ignore"):
@@ -276,29 +269,31 @@ def stop_cv(g: np.ndarray, sigma: float) -> float:
     return _weight_cv(np.where(g <= 0.0, -log_smooth_indicator(g, sigma), -np.inf))
 
 
-def lambda_schedule(sigma: float, horizon: float) -> float:
+def lambda_schedule(sigma: float) -> float:
     """Cosine annealing weight for the light kernel.
 
-    lambda = 0 for sigma > horizon, else (1 + cos(pi sigma / horizon)) / 2;
-    rises from 0 at sigma = horizon to 1 at sigma = 0.
+    lambda = 0 for sigma > SIGMA0, else (1 + cos(pi sigma / SIGMA0)) / 2;
+    rises from 0 at the start level sigma = SIGMA0 to 1 at sigma = 0.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
     if sigma < 0.0:
         raise ValueError("sigma must be nonnegative")
-    if sigma > horizon:
+    if sigma > SIGMA0:
         return 0.0
-    return float(0.5 * (1.0 + np.cos(np.pi * sigma / horizon)))
+    return float(0.5 * (1.0 + np.cos(np.pi * sigma / SIGMA0)))
 
 
-def estimate_pf(g: np.ndarray, log_ratio: np.ndarray) -> float:
-    """Importance sampling estimate (1/N) sum_i I{g_i <= 0} p(u_i)/q(u_i)
-    from the batch's log ratio ln p - ln q, read at the failure samples."""
+def estimate_pf(g: np.ndarray, log_ratio: np.ndarray) -> tuple[float, float, float]:
+    """``(pf, se, ess)`` of a batch from its log ratio ln p - ln q: the
+    estimate (1/N) sum_i I{g_i <= 0} p(u_i)/q(u_i) with the error bar and
+    ESS that ``RunResult`` defines; all three are 0 when no sample fails."""
     fail = g <= 0.0
-    if not np.any(fail):
-        return 0.0
-    w, shift = shifted_exp(log_ratio[fail])
-    return float(np.exp(shift) * w.sum() / g.size)
+    if not fail.any():
+        return 0.0, 0.0, 0.0
+    w, shift = shifted_exp(np.where(fail, log_ratio, -np.inf))
+    # pf sums the failing entries alone: a sum over all N rounds differently
+    pf = float(np.exp(shift) * w[fail].sum() / g.size)
+    se = float(np.exp(shift) * w.std(ddof=1) / math.sqrt(g.size))
+    return pf, se, float(w.sum() ** 2 / np.sum(w * w))
 
 
 def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
@@ -333,7 +328,7 @@ def run(problem, config: RunConfig) -> RunResult:
     n = config.n_per_iter
 
     v = init_light_params(rng, d, config.k_init)
-    sigma = config.sigma0
+    sigma = SIGMA0
 
     sigma_trace: list = []
     lambda_trace: list = []
@@ -346,7 +341,7 @@ def run(problem, config: RunConfig) -> RunResult:
 
     # on every exit, g and log_ratio belong to the final batch
     for t in range(MAX_OUTER + 1):
-        phi = SafeMixtureParams(v, lambda_schedule(sigma, config.sigma0) if use_heavy else 1.0)
+        phi = SafeMixtureParams(v, lambda_schedule(sigma) if use_heavy else 1.0)
         samples = safe_sample(rng, phi, n)
         g = evaluate_lsf(problem, samples.cartesian())
         log_ratio = prior_logpdf(samples) - safe_logpdf(samples, phi)
@@ -381,11 +376,8 @@ def run(problem, config: RunConfig) -> RunResult:
         v = fit(samples, weights, v, penalized=use_heavy).v
         sigma = sigma_new
 
-    pf = estimate_pf(g, log_ratio)
-    fail = g <= 0.0
-    n_failures = int(np.count_nonzero(fail))
-    w, shift = shifted_exp(np.where(fail, log_ratio, -np.inf))
-    ess = float(w.sum() ** 2 / np.sum(w * w)) if n_failures else 0.0
+    pf, se, ess = estimate_pf(g, log_ratio)
+    n_failures = int(np.count_nonzero(g <= 0.0))
     if not n_failures:
         warn("no failure samples; pf is 0")
     elif ess < 10.0:
@@ -401,7 +393,7 @@ def run(problem, config: RunConfig) -> RunResult:
         lambda_trace=lambda_trace,
         k_trace=k_trace,
         n_failures=n_failures,
-        se=float(np.exp(shift) * w.std(ddof=1) / math.sqrt(g.size)),
+        se=se,
         ess=ess,
     )
 

@@ -11,10 +11,12 @@ checkout of the parent commit's ``src`` to make the "before" table.
 
 ``compare`` prints the runs whose structure (iterations, final_k,
 lsf_evals, converged) changed, the largest relative pf difference in each
-set with its seed, and for each four-branch 600-seed set the relative RMSE
-against the reference pf of perfbench/references.json, the RMSE without
-the 6 largest errors, the runs above twice the reference, the largest
+set with its seed, and for each set with a reference pf the relative
+RMSE against it, the RMSE without the largest 1% of errors (5% in a set
+of fewer than 600 runs), the runs above twice the reference, the largest
 ratio pf / reference and the mean of that ratio with its standard error.
+The reference is the exact 2 Phi(-z) for two-mode and the pf of
+perfbench/references.json for four-branch.
 
 pytest does not collect this file; a full ``run`` takes a few minutes on
 one core.
@@ -37,19 +39,32 @@ from pathlib import Path
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 STRUCTURE = ("iterations", "final_k", "lsf_evals", "converged")
-N_TRIMMED = 6
 
-# name: (problem, z, d, method, n_per_iter, seeds)
+
+def two_mode_pf(z: float) -> float:
+    """The exact two-mode pf, 2 Phi(-z), in any dimension."""
+    return math.erfc(z / math.sqrt(2.0))
+
+
+FOUR_BRANCH_PF = json.loads(REFERENCES.read_text())["four-branch"]["pf"]
+
+# name: (problem, z, d, method, n_per_iter, seeds, reference pf or None)
 SETS = {
-    "four-branch safe-ice 10000-10599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(10000, 10600)),
-    "four-branch safe-ice 0-599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(600)),
-    "four-branch ice 1000-1099": ("four-branch", 0.0, 2, "ice", 1000, range(1000, 1100)),
-    "two-mode z=3.5 d=2 ice 0-59": ("two-mode", 3.5, 2, "ice", 1000, range(60)),
-    "two-mode-rare 1000-1009": ("two-mode", 5.5, 20, "safe-ice", 10_000, range(1000, 1010)),
-    "oscillator 1000-1009": ("oscillator", 0.05, 10, "safe-ice", 1000, range(1000, 1010)),
+    "four-branch safe-ice 10000-10599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(10000, 10600), FOUR_BRANCH_PF),
+    "four-branch safe-ice 0-599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(600), FOUR_BRANCH_PF),
+    "four-branch ice 1000-1099": ("four-branch", 0.0, 2, "ice", 1000, range(1000, 1100), FOUR_BRANCH_PF),
+    "two-mode z=3.5 d=2 ice 0-59": ("two-mode", 3.5, 2, "ice", 1000, range(60), two_mode_pf(3.5)),
+    "two-mode-rare 1000-1009": ("two-mode", 5.5, 20, "safe-ice", 10_000, range(1000, 1010), two_mode_pf(5.5)),
+    "oscillator 1000-1009": ("oscillator", 0.05, 10, "safe-ice", 1000, range(1000, 1010), None),
 }
-# the sets whose accuracy against the reference pf is reported
-ACCURACY_SETS = ("four-branch safe-ice 10000-10599", "four-branch safe-ice 0-599")
+# Safe-ICE against ICE on two-mode at the default N, at d = 2 and at d = 20
+SETS.update(
+    {
+        f"two-mode z={z:g} d={d} {method} 0-{n_seeds - 1}": ("two-mode", z, d, method, 1000, range(n_seeds), two_mode_pf(z))
+        for d, z, n_seeds in ((2, 5.5, 20), (20, 3.5, 100), (20, 5.5, 100), (20, 7.0, 100))
+        for method in ("safe-ice", "ice")
+    }
+)
 
 
 def make_table(path: str) -> None:
@@ -58,7 +73,7 @@ def make_table(path: str) -> None:
 
     logging.getLogger("safeice").setLevel(logging.ERROR)
     with open(path, "w") as fh:
-        for name, (problem, z, d, method, n, seeds) in SETS.items():
+        for name, (problem, z, d, method, n, seeds, _) in SETS.items():
             prob = problem_registry(problem, z, d)
             for seed in seeds:
                 r = run(prob, RunConfig(seed=seed, method=method, n_per_iter=n))
@@ -80,14 +95,21 @@ def relative_change(before: float, after: float) -> float:
     return abs(after - before) / abs(before) if before else math.inf
 
 
+def n_trimmed(n_runs: int) -> int:
+    """The largest errors left out of the trimmed RMSE: 1% of a set of
+    600 runs or more, else 5%."""
+    return n_runs // 100 if n_runs >= 600 else n_runs // 20
+
+
 def accuracy(pfs: list, ref: float) -> tuple:
-    """(relative RMSE, the same without the N_TRIMMED largest errors,
+    """(relative RMSE, the same without the n_trimmed largest errors,
     runs above 2x, largest ratio, mean ratio, its standard error) of
     ``pfs`` against ``ref``."""
     ratios = [pf / ref for pf in pfs]
     errors = sorted((ratio - 1.0) ** 2 for ratio in ratios)
     rmse = math.sqrt(sum(errors) / len(errors))
-    trimmed = math.sqrt(sum(errors[:-N_TRIMMED]) / (len(errors) - N_TRIMMED))
+    kept = len(errors) - n_trimmed(len(errors))
+    trimmed = math.sqrt(sum(errors[:kept]) / kept)
     mean = sum(ratios) / len(ratios)
     se = math.sqrt(sum((ratio - mean) ** 2 for ratio in ratios) / (len(ratios) - 1) / len(ratios))
     return rmse, trimmed, sum(ratio > 2.0 for ratio in ratios), max(ratios), mean, se
@@ -97,7 +119,6 @@ def compare(path_a: str, path_b: str) -> None:
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
         raise SystemExit("the two tables hold different runs")
-    ref = json.loads(REFERENCES.read_text())["four-branch"]["pf"]
     changed = [key for key in a if any(a[key][f] != b[key][f] for f in STRUCTURE)]
     print(f"structure changed in {len(changed)} of {len(a)} runs")
     for key in changed:
@@ -111,11 +132,12 @@ def compare(path_a: str, path_b: str) -> None:
         worst = max(keys, key=lambda key: rel[key])
         n_same = sum(pf_a[key] == pf_b[key] for key in keys)
         print(f"{name}: pf bit-equal in {n_same} of {len(keys)}; largest rel pf diff {rel[worst]:.3g} (seed {worst[1]})")
-        if name in ACCURACY_SETS:
+        ref = SETS[name][-1] if name in SETS else None
+        if ref is not None:
             for label, pfs in (("before", pf_a), ("after", pf_b)):
                 rmse, trimmed, above, ratio, mean, se = accuracy(list(pfs.values()), ref)
                 print(
-                    f"  {label}: rel RMSE {rmse:.4f}, without {N_TRIMMED} largest {trimmed:.4f},"
+                    f"  {label}: rel RMSE {rmse:.4f}, without {n_trimmed(len(pfs))} largest {trimmed:.4f},"
                     f" runs > 2x {above}, largest ratio {ratio:.2f}, mean pf/ref {mean:.4f} ± {se:.4f}"
                 )
 

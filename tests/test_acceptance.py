@@ -229,9 +229,9 @@ def test_schedule_and_sigma_decrease(
     two_mode_z35, two_mode_z45, two_mode_z55, four_branch_safe, four_branch_ice, oscillator_pair
 ):
     exact = (
-        lambda_schedule(10.0, 10.0) == 0.0
-        and lambda_schedule(5.0, 10.0) == 0.5
-        and lambda_schedule(0.0, 10.0) == 1.0
+        lambda_schedule(10.0) == 0.0
+        and lambda_schedule(5.0) == 0.5
+        and lambda_schedule(0.0) == 1.0
     )
     batches = [
         two_mode_z35,

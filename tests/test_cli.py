@@ -207,28 +207,18 @@ def test_out_of_range_numeric_exits_2(capsys):
     assert rc == 2
     assert "error:" in err
 
-    rc, _, err = run_cli(
-        capsys,
-        ["estimate", "--problem", "two-mode", "--z", "2.0", "--sigma0", "-1"],
-    )
-    assert rc == 2
-    assert "error:" in err
-
 
 @pytest.mark.parametrize(
     "command, flag, value, field",
     [
         ("estimate", "--seed", "-1", "seed"),
         ("bench", "--p-ref", "nan", "p_ref"),
-        ("estimate", "--sigma0", "inf", "sigma0"),
         ("bench", "--p-ref", "inf", "p_ref"),
-        ("estimate", "--sigma0", "1e-316", "sigma0"),
     ],
 )
 def test_nan_or_negative_seed_exits_2_naming_the_field(capsys, command, flag, value, field):
-    # a NaN or an infinity fails every range check, a negative seed is
-    # refused before numpy can reject it in its own words, and a subnormal
-    # sigma0 before the sigma search can underflow to 0
+    # a NaN or an infinity fails every range check, and a negative seed is
+    # refused before numpy can reject it in its own words
     rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV[command] + [flag, value])
     assert rc == 2
     assert out == ""
@@ -253,7 +243,7 @@ SUBCOMMAND_ARGV = {
 REMOVED = [
     (command, name)
     for command in ("estimate", "bench")
-    for name in ("delta_star", "delta_target", "max_outer", "max_em", "em_tol")
+    for name in ("sigma0", "delta_star", "delta_target", "max_outer", "max_em", "em_tol")
 ] + [("oracle", "batch_size"), ("bench", "threads"), ("bench", "format")] + [
     (command, "config") for command in ("estimate", "bench", "oracle")
 ]
@@ -292,7 +282,6 @@ def test_config_options_match_parser_flags():
 RUN_FLAGS = {
     "--n-per-iter": 200,
     "--k-init": 4,
-    "--sigma0": 5.0,
     "--seed": 7,
     "--method": "ice",
 }

@@ -85,7 +85,7 @@ def test_log_smooth_indicator_matches_and_stays_finite():
 
 
 def test_log_smooth_indicator_takes_the_limits_where_g_over_sigma_overflows():
-    # select_sigma's grid floor is 1e-8 sigma_prev, so a tiny sigma0 gets here
+    # select_sigma's grid floor is 1e-8 sigma_prev, so a level can get this small
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lw = log_smooth_indicator(np.array([3.5, -3.5]), 1e-308)
@@ -459,28 +459,26 @@ def test_stop_cv_no_failures():
 
 
 def test_lambda_schedule_exact_points():
-    assert lambda_schedule(10.0, 10.0) == 0.0
-    assert lambda_schedule(5.0, 10.0) == 0.5
-    assert lambda_schedule(0.0, 10.0) == 1.0
+    assert lambda_schedule(10.0) == 0.0
+    assert lambda_schedule(5.0) == 0.5
+    assert lambda_schedule(0.0) == 1.0
 
 
 def test_lambda_schedule_above_horizon():
-    assert lambda_schedule(11.0, 10.0) == 0.0
-    assert lambda_schedule(1e9, 10.0) == 0.0
+    assert lambda_schedule(11.0) == 0.0
+    assert lambda_schedule(1e9) == 0.0
 
 
 def test_lambda_schedule_monotone_decreasing_in_sigma():
     sig = np.linspace(0.0, 10.0, 200)
-    lam = np.array([lambda_schedule(x, 10.0) for x in sig])
+    lam = np.array([lambda_schedule(x) for x in sig])
     assert np.all(np.diff(lam) < 0.0 + 1e-15)
     assert np.all((lam >= 0.0) & (lam <= 1.0))
 
 
 def test_lambda_schedule_rejects_bad_args():
     with pytest.raises(ValueError):
-        lambda_schedule(1.0, 0.0)
-    with pytest.raises(ValueError):
-        lambda_schedule(-0.1, 1.0)
+        lambda_schedule(-0.1)
 
 
 # ----------------------------------------------------------------- estimate_pf
@@ -490,15 +488,17 @@ def test_estimate_pf_prior_proposal_is_failure_fraction():
     rng = rng_from_seed(21)
     prob = problem_registry("two-mode", 2.0, 2)
     s, g = prior_samples(rng, prob, 5000)
-    est = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, prior_proposal(2)))
-    frac = np.count_nonzero(g <= 0.0) / len(s)
-    assert est == frac  # unit weights make this exact
+    est, se, ess = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, prior_proposal(2)))
+    n_fail = np.count_nonzero(g <= 0.0)
+    assert est == n_fail / len(s)  # unit weights make this exact
+    assert ess == pytest.approx(n_fail, rel=1e-12)
+    assert se == pytest.approx(np.sqrt(est * (1.0 - est) / (len(s) - 1)), rel=1e-9)
 
 
 def test_estimate_pf_no_failures(caplog):
     # the run that gets this 0 warns, naming itself; estimate_pf is silent
     with caplog.at_level("WARNING"):
-        assert estimate_pf(np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 0.0
+        assert estimate_pf(np.array([1.0, 2.0, 3.0]), np.zeros(3)) == (0.0, 0.0, 0.0)
     assert not caplog.records
 
 
@@ -507,7 +507,7 @@ def test_estimate_pf_two_mode_reference():
     prob = problem_registry("two-mode", 2.5, 2)
     n = 10**5
     s, g = prior_samples(rng, prob, n)
-    est = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, prior_proposal(2)))
+    est, _, _ = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, prior_proposal(2)))
     ref = 2.0 * norm.cdf(-2.5)
     se = np.sqrt(ref * (1.0 - ref) / n)
     assert abs(est - ref) <= 3.0 * se
@@ -524,7 +524,7 @@ def test_estimate_pf_consistency_over_seeds():
     hits = 0
     for seed in range(50):
         s, g = prior_samples(rng_from_seed(seed), prob, n)
-        est = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, phi))
+        est, _, _ = estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, phi))
         assert est == np.count_nonzero(g <= 0.0) / n
         if abs(est - ref) <= 4.0 * se:
             hits += 1
@@ -543,7 +543,7 @@ def test_estimate_pf_matches_the_subset_path(d, k, lam):
     g = problem_registry("two-mode", 1.5, d).evaluate(s.cartesian())
     expect = subset_estimate_pf(s, g, phi)
     assert expect > 0.0
-    assert estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, phi)) == expect
+    assert estimate_pf(g, prior_logpdf(s) - safe_logpdf(s, phi))[0] == expect
 
 
 # ------------------------------------------------------------ initialization
@@ -579,12 +579,12 @@ def test_init_light_params_directions_vary():
 
 
 def test_run_config_defaults():
-    assert [f.name for f in fields(RunConfig)] == ["n_per_iter", "k_init", "sigma0", "seed", "method"]
+    assert [f.name for f in fields(RunConfig)] == ["n_per_iter", "k_init", "seed", "method"]
     c = RunConfig()
     assert c.n_per_iter == 1000 and c.k_init == 20
-    assert c.sigma0 == 10.0
+    assert c.seed == 0 and c.method == "safe-ice"
     # the settings no caller varies are constants
-    assert (core.DELTA_STAR, core.DELTA_TARGET, core.MAX_OUTER) == (1.5, 4.0, 20)
+    assert (core.SIGMA0, core.DELTA_STAR, core.DELTA_TARGET, core.MAX_OUTER) == (10.0, 1.5, 4.0, 20)
     assert (em.EM_TOL, em.MAX_EM) == (1e-4, 20)
 
 
@@ -593,8 +593,6 @@ def test_run_config_defaults():
     [
         {"n_per_iter": 5},
         {"k_init": 0},
-        {"sigma0": 0.0},
-        {"sigma0": -2.0},
         {"method": "mc"},
     ],
 )
@@ -605,15 +603,7 @@ def test_run_config_validation(kwargs):
 
 @pytest.mark.parametrize(
     "name, value",
-    [
-        ("sigma0", float("nan")),
-        ("seed", -1),
-        ("sigma0", float("inf")),
-        # below the least normal float, select_sigma's floor 1e-8 sigma0
-        # can round to 0 and the weights come out NaN inside the run
-        ("sigma0", 1e-316),
-        ("sigma0", 5e-324),
-    ],
+    [("seed", -1)],
 )
 def test_run_config_rejects_nan_and_negative_seed_by_name(name, value):
     with pytest.raises(ValueError, match=f"{name} must be"):
@@ -630,23 +620,6 @@ def test_run_config_rejects_non_integral_counts(name, value):
         RunConfig(**{name: value})
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [("sigma0", "10")],
-)
-def test_run_config_rejects_bools_and_non_numbers_by_name(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be a positive finite number"):
-        RunConfig(**{name: value})
-
-
-def test_run_from_the_least_normal_sigma0_stops_cleanly():
-    problem = problem_registry("four-branch", 0.0)
-    for sigma0 in (np.finfo(float).tiny, 1e-305, 1e-300):
-        # no smoothed weight is positive at the next level: the run stops cleanly
-        result = run(problem, RunConfig(n_per_iter=100, k_init=2, sigma0=sigma0, method="ice"))
-        assert result.pf == 0.0 and not result.converged
-
-
 # ------------------------------------------------------------------ run loops
 
 
@@ -658,9 +631,9 @@ def test_run_safe_ice_smoke_and_traces():
     assert res.iterations == len(res.sigma_trace) - 1
     assert len(res.lambda_trace) == len(res.sigma_trace) == len(res.k_trace)
     assert res.lsf_evals == 1000 * (res.iterations + 1)
-    assert res.sigma_trace[0] == 10.0
-    assert res.lambda_trace[0] == 0.0  # the schedule fades the heavy kernel out from sigma0
-    assert res.lambda_trace == [lambda_schedule(sigma, cfg.sigma0) for sigma in res.sigma_trace]
+    assert res.sigma_trace[0] == core.SIGMA0
+    assert res.lambda_trace[0] == 0.0  # the schedule fades the heavy kernel out from the start level
+    assert res.lambda_trace == [lambda_schedule(sigma) for sigma in res.sigma_trace]
     assert np.all(np.diff(res.sigma_trace) < 0.0)
     assert np.all(np.diff(res.lambda_trace) >= 0.0)
     assert 1 <= res.final_k <= 20
