@@ -112,7 +112,8 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
 
     if kappa == 0.0:
         z = rng.standard_normal((n, d))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+        z /= _row_norms(z, np.empty((n, d)))[:, None]
+        return z
 
     b = (d - 1.0) / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2))
     x0 = (1.0 - b) / (1.0 + b)
@@ -129,13 +130,23 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
         w[todo[ok]] = cand[ok]
         todo = todo[~ok]
 
-    tangent = rng.standard_normal((n, d))
-    tangent -= np.outer(tangent @ mu, mu)
-    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+    # the projection, both norms and w mu share one (n, d) buffer; the
+    # returned array is the tangent draw, finished in place
+    a = rng.standard_normal((n, d))
+    buf = np.multiply((a @ mu)[:, None], mu, out=np.empty((n, d)))
+    a -= buf
+    norms = _row_norms(a, buf)
     norms[norms == 0.0] = 1.0
-    tangent /= norms
+    a /= norms[:, None]
 
-    a = w[:, None] * mu[None, :] + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * tangent
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    a *= np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None]
+    a += np.multiply(w[:, None], mu, out=buf)
+    a /= _row_norms(a, buf)[:, None]
     return a
+
+
+def _row_norms(x: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of a real (n, d) ``x``, the bits of
+    ``np.linalg.norm(x, axis=1)``, with the squares written into ``buf``."""
+    return np.sqrt(np.add.reduce(np.multiply(x, x, out=buf), axis=1))
 

@@ -47,16 +47,23 @@ KAPPA_MAX = 1e4
 RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
 
 
-def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarray]:
+def e_step(
+    samples: PolarSamples, v: VmfnmParams, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(K, n) responsibilities gamma[k, i] = pi_k q_k(u_i) / sum_s pi_s q_s(u_i)
     and their normaliser, the mixture log density ln q(u_i; v).
 
     Both come from one shifted exponential of the (K, n) joint log
-    densities, so the max, exp, sum and divide run over K rows of length n.
+    densities, taken in place, so the max, exp, sum and divide run over K
+    rows of length n. The joint and then gamma go into ``out``, a
+    C-contiguous (K, n) array, when given, and else into a new array.
     Samples with zero density under every component get uniform
     responsibilities (with a diagnostic warning) so the M-step stays defined.
     """
-    e, shift = shifted_exp(_mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)]), axis=0)
+    if out is None:
+        out = np.empty((v.k, len(samples)))
+    joint = _mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)], out=out)
+    e, shift = shifted_exp(joint, axis=0, out=joint)
     total = e.sum(axis=0)
     with np.errstate(divide="ignore"):
         log_q = np.log(total) + shift
@@ -71,9 +78,16 @@ def e_step(samples: PolarSamples, v: VmfnmParams) -> tuple[np.ndarray, np.ndarra
 def batch_statistics(samples: PolarSamples, weights: np.ndarray) -> np.ndarray:
     """(n, d + 3) matrix S = W [1, r^2, r^4, a] of a weighted batch; row k of
     gamma S holds component k's mass, weighted r^2 and r^4 sums and resultant.
-    r^2 is the batch's kept ``radial_statistics`` column."""
+    r^2 is the batch's kept ``radial_statistics`` column. Each column is
+    written in place: W * 1 is W, and W r^4 is W (r^2 r^2)."""
     r2 = samples.radial_statistics(1)[:, 1]
-    return weights[:, None] * np.column_stack((np.ones(len(samples)), r2, r2 * r2, samples.a))
+    stats = np.empty((len(samples), samples.dim + 3))
+    stats[:, 0] = weights
+    np.multiply(weights, r2, out=stats[:, 1])
+    np.multiply(r2, r2, out=stats[:, 2])
+    stats[:, 2] *= weights
+    np.multiply(weights[:, None], samples.a, out=stats[:, 3:])
+    return stats
 
 
 def penalized_weight_update(
@@ -221,12 +235,16 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     |l_j - l_{j-1}| < EM_TOL * |l_j|. The E-step's normaliser is ln q(u_i; v), so l_j is
     ``weighted_loglik`` without a second density evaluation, and its
     responsibilities feed the next iteration; one E-step before the loop
-    starts it. beta starts at 1; with ``penalized=False`` it stays 0, which
-    is plain weighted EM: only components of EM weight exactly 0 are
-    pruned. All updates are invariant to rescaling the weights.
-    ``n_iterations`` counts the iterations run. ``MAX_EM`` and ``EM_TOL``
-    are read at each call. Only ``v_init`` is checked: the mixtures EM
-    derives from it are valid by construction.
+    starts it. Iteration ``MAX_EM`` ends at its M-step, as what its E-step
+    gives cannot change the result, so the debug line "stopped at MAX_EM"
+    is logged whenever the limit is hit. Every E-step writes its (K, n)
+    responsibilities into the leading rows of one (K0, n) buffer per fit.
+    beta starts at 1; with ``penalized=False`` it stays 0, which is plain
+    weighted EM: only components of EM weight exactly 0 are pruned. All
+    updates are invariant to rescaling the weights. ``n_iterations``
+    counts the iterations run. ``MAX_EM`` and ``EM_TOL`` are read at each
+    call. Only ``v_init`` is checked: the mixtures EM derives from it are
+    valid by construction.
     """
     weights = np.asarray(weights, dtype=float)
     pos = weights > 0.0
@@ -239,7 +257,8 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     l_prev = np.inf
     n_iterations = 0
     stats = batch_statistics(samples, weights)
-    gamma, _ = e_step(samples, v)
+    gamma_buf = np.empty((v.k, len(samples)))
+    gamma, _ = e_step(samples, v, out=gamma_buf)
     for n_iterations in range(1, MAX_EM + 1):
         pi_old = v.pi
         entropy_sum = float(xlogy(pi_old, pi_old).sum())
@@ -248,12 +267,13 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
         if penalized:
             beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, len(samples), entropy_sum)
         v = m_step_params(gamma, stats, v)
+        if n_iterations == MAX_EM:
+            logger.debug("fit: EM stopped at MAX_EM=%d", MAX_EM)
+            break
 
-        gamma, log_q = e_step(samples, v)
+        gamma, log_q = e_step(samples, v, out=gamma_buf[: v.k])
         l_cur = _loglik(w_pos, pos, log_q)
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < EM_TOL * abs(l_cur):
             break
         l_prev = l_cur
-    else:
-        logger.debug("fit: EM stopped at MAX_EM=%d without convergence", MAX_EM)
     return FitResult(v=v, n_iterations=n_iterations)

@@ -19,6 +19,7 @@ weight lambda pi_k and K heavy components of weight (1 - lambda) pi_k.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,33 +149,53 @@ class VmfnmParams:
         return self.mu.shape[1]
 
 
-def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets) -> np.ndarray:
+_SCRATCH = threading.local()
+
+
+def _scratch(size: int) -> np.ndarray:
+    """A flat float buffer of ``size`` entries, kept per thread and grown on
+    demand, for temporaries that do not outlive the call that takes it."""
+    buf = getattr(_SCRATCH, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH.buf = np.empty(size)
+    return buf[:size]
+
+
+def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=None) -> np.ndarray:
     """(K, n) joints ln w_k + radial_k + ln vMF_k, one row per component, for
-    each set (w, m, omega, side) of ``column_sets``, stacked. The radial law,
-    Nakagami(m_k, omega_k) at side = +1 and its reciprocal at side = -1, is
-    the batch's (n, 2) ``radial_statistics`` times (2, K) coefficients; the
-    vMF term a @ (kappa mu)^T + its normalizer is computed once per call.
-    Both products are (n, K), so each sample's row is the same in any
-    batch; one transposed copy then lays their sum out by component."""
+    each set (w, m, omega, side) of ``column_sets``, stacked, in the
+    C-contiguous ``out`` when given and else in the thread's scratch, which
+    the next call overwrites. The radial law, Nakagami(m_k, omega_k) at
+    side = +1 and its reciprocal at side = -1, is the batch's (n, 2)
+    ``radial_statistics`` times (2, K) coefficients; the vMF term
+    a @ (kappa mu)^T + its normalizer is computed once per call. Both
+    products are (n, K), so each sample's row is the same in any batch;
+    one transposed add then lays their sum out by component.
+
+    Both products go into C-contiguous scratch views: matmul into a
+    strided ``out`` leaves BLAS and rounds differently."""
     n, k = len(samples), v.k
+    rows_total = len(column_sets) * k
+    buf = _scratch(n * (2 * k + 1) + (rows_total * n if out is None else 0))
     # at K = 1 numpy takes BLAS's matrix-vector path, whose rounding of a
     # row depends on its place in the batch; one spare column keeps the
     # product on the matrix-matrix path, where it does not
     kmu = v.kappa[:, None] * v.mu
-    angular = (samples.a @ np.vstack((kmu, kmu[:1])).T)[:, :k]
+    angular = buf[: n * (k + 1)].reshape(n, k + 1)
+    np.matmul(samples.a, np.vstack((kmu, kmu[:1])).T, out=angular)
+    angular = angular[:, :k]
+    radial = buf[n * (k + 1) : n * (2 * k + 1)].reshape(n, k)
+    joint = buf[n * (2 * k + 1) :].reshape(rows_total, n) if out is None else out
     log_vmf = vmf_log_normalizer(v.dim, v.kappa)
-    joint = np.empty((len(column_sets) * k, n))
     coef = np.empty((2, k))
     for i, (w, m, omega, side) in enumerate(column_sets):
         log_c, coef[0], coef[1] = _radial_coefficients(m, omega, side)
         # an inf statistic times its negative coefficient is -inf, the right
         # limit; matmul flags an inf operand as invalid
         with np.errstate(over="ignore", invalid="ignore"):
-            out = samples.radial_statistics(side) @ coef
-        out += angular
-        rows = joint[i * k : (i + 1) * k]
-        rows[...] = out.T
-        rows += (np.log(w) + log_c + log_vmf)[:, None]
+            np.matmul(samples.radial_statistics(side), coef, out=radial)
+        radial += angular
+        np.add(radial.T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
     return joint
 
 
@@ -226,7 +247,8 @@ def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
     v, lam = phi.light, phi.lam
     sides = ((lam, v.m, v.omega, 1), (1.0 - lam, phi.heavy_m, phi.heavy_omega, -1))
     columns = [(w * v.pi, *radial) for w, *radial in sides if w > 0.0]
-    return log_sum_exp(_mixture_columns(samples, v, columns), axis=0)
+    joint = _mixture_columns(samples, v, columns)
+    return log_sum_exp(joint, axis=0, out=joint)
 
 
 def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> PolarSamples:

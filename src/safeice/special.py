@@ -58,18 +58,26 @@ def log_bessel_i_scaled(order: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def shifted_exp(x, axis=-1):
+def shifted_exp(x, axis=-1, out=None):
     """exp(x - shift) and the shift, the max of ``x`` along ``axis`` or 0
     where that max is not finite; the shift comes back with ``axis``
-    removed. A sum of the exponentials is 0 only where x is all -inf."""
+    removed. A sum of the exponentials is 0 only where x is all -inf.
+    The exponentials go into ``out`` when given, which may be ``x`` itself.
+    Where the max is NaN or +inf, other entries of the slice may overflow
+    to +inf, silently."""
     shift = x.max(axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
-    e = x - shift
-    return np.exp(e, out=e), shift.squeeze(axis=axis)
+    e = np.subtract(x, shift, out=out)
+    # a slice with a finite max has x - shift <= 0 and cannot overflow, so
+    # this silences the slices whose max was NaN or +inf only
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    return e, shift.squeeze(axis=axis)
 
 
-def log_sum_exp(x, axis=-1):
-    """ln sum exp(x) along ``axis``; -inf where every entry is -inf."""
-    e, shift = shifted_exp(x, axis)
+def log_sum_exp(x, axis=-1, out=None):
+    """ln sum exp(x) along ``axis``; -inf where every entry is -inf. The
+    exponentials go into ``out`` when given, which may be ``x`` itself."""
+    e, shift = shifted_exp(x, axis, out)
     with np.errstate(divide="ignore"):
         return np.log(e.sum(axis=axis)) + shift

@@ -257,6 +257,51 @@ def m_step_params(samples, gamma, weights, v):
     return VmfnmParams(v.pi, m, omega, mu, kappa)
 
 
+def vmf_sample_reference(rng, mu, kappa: float, n: int):
+    """``distributions.vmf_sample`` as it was before it shared one (n, d)
+    buffer: Wood's rejection method for the cosine w, then the tangent
+    projection by ``np.outer``, both norms by ``np.linalg.norm`` and the
+    final combination w mu + sqrt(1 - w^2) t in fresh arrays."""
+    mu = np.asarray(mu, dtype=float)
+    d = mu.size
+
+    if kappa == 0.0:
+        z = rng.standard_normal((n, d))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+    b = (d - 1.0) / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2))
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + (d - 1.0) * np.log1p(-x0 * x0)
+
+    w = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        k = todo.size
+        z = rng.beta((d - 1.0) / 2.0, (d - 1.0) / 2.0, size=k)
+        cand = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        u = rng.random(k)
+        ok = kappa * cand + (d - 1.0) * np.log1p(-x0 * cand) - c >= np.log(u)
+        w[todo[ok]] = cand[ok]
+        todo = todo[~ok]
+
+    tangent = rng.standard_normal((n, d))
+    tangent -= np.outer(tangent @ mu, mu)
+    norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    tangent /= norms
+
+    a = w[:, None] * mu[None, :] + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * tangent
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    return a
+
+
+def batch_statistics_reference(samples, weights):
+    """``em.batch_statistics`` as it was before it wrote each column in
+    place: W [1, r^2, r^4, a] by ``np.column_stack`` and one product."""
+    r2 = samples.radial_statistics(1)[:, 1]
+    return weights[:, None] * np.column_stack((np.ones(len(samples)), r2, r2 * r2, samples.a))
+
+
 def oscillator_response_rk4_reference(u):
     """Displacement x(t_end) for each row of ``u`` (shape (n, d)), by the
     per-stage RK4 that ``problems.oscillator_response`` replaced: each

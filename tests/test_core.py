@@ -391,6 +391,16 @@ def test_select_sigma_counts_a_nan_row(column):
     assert select_sigma(g, log_ratio, 1.0, 4.0) == select_sigma_sequential_reference(g, log_ratio, 1.0, 4.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_select_sigma_with_a_nan_g_and_a_huge_ln_p_q_raises_no_overflow():
+    # the NaN row makes the shift NaN, which is reset to 0, and the weight
+    # of ln p/q = 1e300 then overflows to +inf: silently, with cv +inf
+    g, log_ratio = np.array([np.nan, 5.5e-6]), np.array([0.0, 1e300])
+    got = select_sigma(g, log_ratio, 1e-3, 1.5)
+    assert got == select_sigma_sequential_reference(g, log_ratio, 1e-3, 1.5)
+    assert 0.0 < got <= 1e-3
+
+
 @pytest.mark.parametrize("log_ratio", [-1e20, 1e20])
 def test_select_sigma_skips_no_row_where_ln_p_q_is_far_from_0(log_ratio):
     # at |ln p/q| = 1e20 one unit in the last place is 16384, so ln W rounds

@@ -632,9 +632,9 @@ def test_fit_validates_weights():
 def test_fit_rejects_a_bad_start_by_field_before_any_e_step(monkeypatch, field, value, match):
     calls = []
 
-    def counting(samples, v):
+    def counting(samples, v, **kwargs):
         calls.append(v.k)
-        return e_step(samples, v)
+        return e_step(samples, v, **kwargs)
 
     monkeypatch.setattr(em, "e_step", counting)
     fields = dict(pi=[0.5, 0.5], m=[1.0, 2.0], omega=[1.0, 2.0], mu=[[1.0, 0.0], [0.0, 1.0]], kappa=[1.0, 1.0])
@@ -729,9 +729,9 @@ def test_fit_max_iter_zero_returns_the_start(monkeypatch, penalized):
 def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
     calls = []
 
-    def counting(samples, v, column_sets):
+    def counting(samples, v, column_sets, **kwargs):
         calls.append(v.k)
-        return _mixture_columns(samples, v, column_sets)
+        return _mixture_columns(samples, v, column_sets, **kwargs)
 
     monkeypatch.setattr(em, "_mixture_columns", counting)
     rng = rng_from_seed(20)
@@ -743,7 +743,28 @@ def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
     monkeypatch.setattr(em, "MAX_EM", 6)
     res = fit(s, rng.random(300) + 0.05, v0, penalized=penalized)
     assert res.n_iterations == 6
-    assert len(calls) == res.n_iterations + 1
+    # one E-step before the loop and one after each M-step but the last
+    assert len(calls) == res.n_iterations
+
+
+@pytest.mark.parametrize("penalized", [True, False])
+def test_fit_at_max_em_ends_at_the_m_step_and_says_so(monkeypatch, caplog, penalized):
+    # the last iteration's E-step cannot change v, so it is not run; a fit
+    # that stops on the tolerance first logs nothing
+    rng = rng_from_seed(20)
+    s = random_samples(rng, 300, 2)
+    w = rng.random(300) + 0.05
+    v0 = make_params([0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0])
+    monkeypatch.setattr(em, "MAX_EM", 6)
+    with caplog.at_level(logging.DEBUG, logger="safeice.em"):
+        res = fit(s, w, v0, penalized=penalized)
+    assert res.n_iterations == 6
+    assert "stopped at MAX_EM=6" in caplog.text
+    caplog.clear()
+    monkeypatch.setattr(em, "MAX_EM", 100)
+    with caplog.at_level(logging.DEBUG, logger="safeice.em"):
+        assert fit(s, w, v0, penalized=penalized).n_iterations < 100
+    assert "stopped at MAX_EM" not in caplog.text
 
 
 def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):

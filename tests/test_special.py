@@ -159,3 +159,29 @@ def test_shifted_exp_is_exp_of_the_max_difference_exactly():
     e, shift = shifted_exp(x)
     assert shift == x.max()
     assert np.array_equal(e, np.exp(x - x.max()))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shifted_exp_of_an_inf_max_overflows_silently():
+    # the shift of a slice whose max is +inf or NaN is reset to 0, and
+    # exp(800) then overflows to +inf without a warning
+    e, shift = shifted_exp(np.array([np.inf, 800.0, 1.0]))
+    assert shift == 0.0
+    assert np.array_equal(e, [np.inf, np.inf, np.exp(1.0)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shifted_exp_leaves_slices_with_a_finite_max_bit_equal():
+    rng = np.random.default_rng(8)
+    x = rng.normal(0.0, 300.0, (6, 50))
+    x[1, 3], x[4, 0], x[5] = np.inf, np.nan, -np.inf
+    e, shift = shifted_exp(x, axis=1)
+    finite = [0, 2, 3]
+    want = np.exp(x[finite] - x[finite].max(axis=1, keepdims=True))
+    assert np.array_equal(e[finite], want)
+    assert np.array_equal(shift, np.where(np.isin(np.arange(6), finite), x.max(axis=1), 0.0))
+    assert e[1, 3] == np.inf and np.isnan(e[4, 0]) and np.all(e[5] == 0.0)
+    # the same along axis 0, written into x itself
+    xt = x.T.copy()
+    e0, shift0 = shifted_exp(xt, axis=0, out=xt)
+    assert e0 is xt and np.array_equal(e0, e.T, equal_nan=True) and np.array_equal(shift0, shift)
