@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .distributions import rng_from_seed, vmf_sample
 from .em import fit
 from .mixtures import (
     SafeMixtureParams,
@@ -27,6 +26,7 @@ from .mixtures import (
     prior_logpdf,
     safe_logpdf,
     safe_sample,
+    vmf_sample,
 )
 from .problems import evaluate_lsf
 from .special import log_normal_cdf, shifted_exp
@@ -323,7 +323,7 @@ def run(problem, config: RunConfig) -> RunResult:
     problem's dimension is checked where the ``Problem`` is built.
     """
     use_heavy = config.method == "safe-ice"
-    rng = rng_from_seed(config.seed)
+    rng = np.random.default_rng(config.seed)
     d = problem.dim
     n = config.n_per_iter
 
@@ -349,7 +349,7 @@ def run(problem, config: RunConfig) -> RunResult:
         lambda_trace.append(phi.lam)
         k_trace.append(v.k)
 
-        if stop_cv(g[~samples.heavy], sigma) <= DELTA_STAR:
+        if stop_cv(g[: samples.n_light], sigma) <= DELTA_STAR:
             converged = True
             break
         if t == MAX_OUTER:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_integer
-from .distributions import rng_from_seed
 from .problems import evaluate_lsf
 
 __all__ = ["McEstimate", "mc_estimate"]
@@ -39,7 +38,7 @@ def mc_estimate(
     _check_integer("n_total", n_total, 1)
     _check_integer("batch_size", batch_size, 1)
     _check_integer("seed", seed, 0)
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     d = problem.dim
     n_failures = 0
     done = 0

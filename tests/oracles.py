@@ -11,14 +11,17 @@ from scipy.special import logsumexp, xlogy
 
 from safeice import problems
 from safeice.core import _weight_cv, intermediate_log_weights
-from safeice.distributions import (
+from safeice.em import KAPPA_MAX, M_MAX, M_MIN, RESULTANT_MIN
+from safeice.mixtures import (
     UNIT_NORM_TOL,
+    PolarSamples,
+    VmfnmParams,
     _radial_coefficients,
+    prior_logpdf,
+    safe_logpdf,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
 )
-from safeice.em import KAPPA_MAX, M_MAX, M_MIN, RESULTANT_MIN
-from safeice.mixtures import PolarSamples, VmfnmParams, prior_logpdf, safe_logpdf
 from safeice.special import shifted_exp
 
 
@@ -142,7 +145,7 @@ def subset_estimate_pf(samples, g, phi):
     fail = g <= 0.0
     if not np.any(fail):
         return 0.0
-    sub = PolarSamples(samples.r[fail], samples.a[fail], samples.heavy[fail])
+    sub = PolarSamples(samples.r[fail], samples.a[fail], int(np.count_nonzero(fail[: samples.n_light])))
     w, shift = shifted_exp(prior_logpdf(sub) - safe_logpdf(sub, phi))
     return float(np.exp(shift) * w.sum() / len(samples))
 
@@ -258,7 +261,7 @@ def m_step_params(samples, gamma, weights, v):
 
 
 def vmf_sample_reference(rng, mu, kappa: float, n: int):
-    """``distributions.vmf_sample`` as it was before it shared one (n, d)
+    """``mixtures.vmf_sample`` as it was before it shared one (n, d)
     buffer: Wood's rejection method for the cosine w, then the tangent
     projection by ``np.outer``, both norms by ``np.linalg.norm`` and the
     final combination w mu + sqrt(1 - w^2) t in fresh arrays."""

@@ -16,9 +16,14 @@ from scipy.stats import kstest, norm
 
 from safeice.bench import run_repetitions
 from safeice.core import RunConfig, lambda_schedule
-from safeice.distributions import inv_nakagami_sample, rng_from_seed, vmf_sample
 from safeice.em import batch_statistics, m_step_params, penalized_weight_update
-from safeice.mixtures import PolarSamples, VmfnmParams, heavy_params_from_light
+from safeice.mixtures import (
+    PolarSamples,
+    VmfnmParams,
+    heavy_params_from_light,
+    inv_nakagami_sample,
+    vmf_sample,
+)
 from safeice.oracle import mc_estimate
 from safeice.problems import problem_registry
 
@@ -142,25 +147,25 @@ def test_distribution_properties():
     n = 10**6
     # (a) heavy radial sampler follows the reciprocal law
     m, omega = 1.5, 2.0
-    draws = inv_nakagami_sample(rng_from_seed(0), np.full(n, m), omega)
+    draws = inv_nakagami_sample(np.random.default_rng(0), np.full(n, m), omega)
     ks_inv = kstest(draws, lambda r: gammaincc(m, m / (omega * r * r))).statistic
     # (b) directional sampler: mean projection on mu matches the Bessel ratio
     ks_dirs = []
     for d, kappa in ((3, 2.0), (5, 1.0), (10, 5.0)):
         mu = np.zeros(d)
         mu[0] = 1.0
-        t = vmf_sample(rng_from_seed(d), mu, kappa, n) @ mu
+        t = vmf_sample(np.random.default_rng(d), mu, kappa, n) @ mu
         se = t.std(ddof=1) / np.sqrt(n)
         ks_dirs.append(abs(t.mean() - bessel_ratio(d, kappa)) / se)
     resultant_ok = max(ks_dirs) <= 3.0
     # (c) the radius of a standard normal vector follows the prior radial law
     ks_prior = []
     for d in (2, 5, 10):
-        u = rng_from_seed(100 + d).standard_normal((n, d))
+        u = np.random.default_rng(100 + d).standard_normal((n, d))
         radii = np.linalg.norm(u, axis=1)
         ks_prior.append(kstest(radii, lambda r, d=d: 1.0 - gammaincc(d / 2.0, r * r / 2.0)).statistic)
     # (d) heavy spread identity: heavy mode equals light radial mean
-    rng = rng_from_seed(7)
+    rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(50):
         d = int(rng.integers(2, 51))
@@ -186,7 +191,7 @@ def test_distribution_properties():
 
 
 def test_em_algebra():
-    rng = rng_from_seed(12)
+    rng = np.random.default_rng(12)
     worst_sum = 0.0
     worst_plain = 0.0
     worst_scale = 0.0

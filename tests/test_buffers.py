@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from safeice import core
-from safeice.distributions import rng_from_seed, vmf_sample
 from safeice.em import batch_statistics, e_step, fit
-from safeice.mixtures import PolarSamples, SafeMixtureParams, VmfnmParams, safe_logpdf, safe_sample
+from safeice.mixtures import (
+    PolarSamples,
+    SafeMixtureParams,
+    VmfnmParams,
+    safe_logpdf,
+    safe_sample,
+    vmf_sample,
+)
 from safeice.problems import problem_registry
 
 from oracles import batch_statistics_reference, vmf_sample_reference
@@ -31,7 +37,7 @@ def random_mixture(rng, d, k):
 
 
 def batch(seed, d, k, n, lam=0.5):
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     phi = SafeMixtureParams(random_mixture(rng, d, k), lam)
     return phi, safe_sample(rng, phi, n)
 
@@ -56,10 +62,10 @@ def assert_same_fit(got, want):
 @pytest.mark.parametrize("kappa", [0.0, 2.0, 500.0])
 def test_vmf_sample_equals_the_fresh_array_sampler_bit_for_bit(kappa, n, d):
     for seed in range(4):
-        mu = rng_from_seed(100 + seed).standard_normal(d)
+        mu = np.random.default_rng(100 + seed).standard_normal(d)
         mu /= np.linalg.norm(mu)
-        got = vmf_sample(rng_from_seed(seed), mu, kappa, n)
-        want = vmf_sample_reference(rng_from_seed(seed), mu, kappa, n)
+        got = vmf_sample(np.random.default_rng(seed), mu, kappa, n)
+        want = vmf_sample_reference(np.random.default_rng(seed), mu, kappa, n)
         assert got.shape == (n, d) and got.flags.c_contiguous
         assert np.array_equal(got, want)
 
@@ -68,7 +74,7 @@ def test_vmf_sample_equals_the_fresh_array_sampler_bit_for_bit(kappa, n, d):
 @pytest.mark.parametrize("n", [1, 7, 1500])
 def test_batch_statistics_equals_the_stacked_product_bit_for_bit(n, d):
     for seed in range(4):
-        rng = rng_from_seed(seed)
+        rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, d))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
         s = PolarSamples(np.exp(rng.uniform(-3.0, 3.0, n)), a)
@@ -81,8 +87,8 @@ def test_kernels_carry_no_state_from_one_batch_to_the_next():
     # equals the same call in a new thread, which starts with no scratch
     phi_a, a = batch(1, 20, 3, 500)
     phi_b, b = batch(2, 20, 12, 2000)
-    w_a = rng_from_seed(3).random(len(a))
-    w_b = rng_from_seed(4).random(len(b))
+    w_a = np.random.default_rng(3).random(len(a))
+    w_b = np.random.default_rng(4).random(len(b))
     for phi, s, w in ((phi_a, a, w_a), (phi_b, b, w_b), (phi_a, a, w_a)):
         v = phi.light
         assert np.array_equal(safe_logpdf(s, phi), in_fresh_thread(lambda: safe_logpdf(s, phi)))

@@ -212,6 +212,7 @@ def test_out_of_range_numeric_exits_2(capsys):
     "command, flag, value, field",
     [
         ("estimate", "--seed", "-1", "seed"),
+        ("estimate", "--z", "nan", "z"),
         ("bench", "--p-ref", "nan", "p_ref"),
         ("bench", "--p-ref", "inf", "p_ref"),
     ],

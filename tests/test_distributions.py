@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import gammainc, gammaincc
 
-from safeice.distributions import (
+from safeice.mixtures import (
+    PolarSamples,
     inv_nakagami_sample,
     nakagami_sample,
-    rng_from_seed,
+    prior_logpdf,
     uniform_sphere_logpdf,
     vmf_log_normalizer,
     vmf_sample,
 )
-
-from safeice.mixtures import PolarSamples, prior_logpdf
 
 from oracles import bessel_ratio, inv_nakagami_logpdf, nakagami_logpdf, vmf_logpdf
 
@@ -70,20 +69,20 @@ def test_nakagami_normalizes(m, omega):
 
 @pytest.mark.parametrize("m,omega", [(1.0, 1.0), (2.0, 3.0)])
 def test_nakagami_sample_second_moment(m, omega):
-    rng = rng_from_seed(7)
+    rng = np.random.default_rng(7)
     r = nakagami_sample(rng, np.full(1_000_000, m), omega)
     # E[r^2] = omega
     assert np.mean(r * r) == pytest.approx(omega, abs=0.01 * omega)
 
 
 def test_nakagami_sample_deterministic():
-    a = nakagami_sample(rng_from_seed(3), np.full(10, 1.5), 2.0)
-    b = nakagami_sample(rng_from_seed(3), np.full(10, 1.5), 2.0)
+    a = nakagami_sample(np.random.default_rng(3), np.full(10, 1.5), 2.0)
+    b = nakagami_sample(np.random.default_rng(3), np.full(10, 1.5), 2.0)
     assert np.array_equal(a, b)
 
 
 def test_nakagami_sample_ks():
-    rng = rng_from_seed(11)
+    rng = np.random.default_rng(11)
     r = nakagami_sample(rng, np.full(100_000, 2.5), 1.3)
     stat = stats.kstest(r, lambda x: nakagami_cdf(x, 2.5, 1.3)).statistic
     assert stat < 0.005
@@ -96,7 +95,7 @@ def test_inv_nakagami_logpdf_value():
 
 def test_inv_nakagami_reciprocal_identity():
     # change of variables r -> 1/r: pdf_inv(r) = pdf(1/r) / r^2
-    rng = rng_from_seed(0)
+    rng = np.random.default_rng(0)
     for _ in range(5):
         m = 0.5 + 3.0 * rng.random()
         omega = 0.1 + 4.0 * rng.random()
@@ -139,7 +138,7 @@ def test_inv_nakagami_normalizes(m, omega):
 
 
 def test_inv_nakagami_sample_ks():
-    rng = rng_from_seed(5)
+    rng = np.random.default_rng(5)
     r = inv_nakagami_sample(rng, np.full(100_000, 3.0), 0.8)
     stat = stats.kstest(r, lambda x: inv_nakagami_cdf(x, 3.0, 0.8)).statistic
     assert stat < 0.005
@@ -166,7 +165,7 @@ def test_vmf_log_normalizer_of_positive_kappas_matches_the_masked_path(d):
     # every kappa > 0 takes the whole-array path; one kappa = 0 more sends the
     # same values through the mask, and each entry must agree bit for bit.
     # At d = 20, kappa = 1e-300 also takes the Bessel series route.
-    kappa = np.concatenate((rng_from_seed(d).uniform(0.01, 50.0, 12), [1e-300, 1e-8, 1e4]))
+    kappa = np.concatenate((np.random.default_rng(d).uniform(0.01, 50.0, 12), [1e-300, 1e-8, 1e4]))
     masked = vmf_log_normalizer(d, np.append(kappa, 0.0))
     assert np.array_equal(vmf_log_normalizer(d, kappa), masked[:-1])
 
@@ -226,15 +225,15 @@ def test_vmf_normalizes_on_sphere(kappa):
 
 def test_vmf_sample_unit_norm_and_determinism():
     mu = np.array([0.0, 1.0, 0.0, 0.0])
-    a = vmf_sample(rng_from_seed(2), mu, 5.0, 500)
+    a = vmf_sample(np.random.default_rng(2), mu, 5.0, 500)
     assert a.shape == (500, 4)
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
-    b = vmf_sample(rng_from_seed(2), mu, 5.0, 500)
+    b = vmf_sample(np.random.default_rng(2), mu, 5.0, 500)
     assert np.array_equal(a, b)
 
 
 def test_vmf_sample_uniform_case():
-    a = vmf_sample(rng_from_seed(9), np.array([1.0, 0.0, 0.0, 0.0, 0.0]), 0.0, 200_000)
+    a = vmf_sample(np.random.default_rng(9), np.array([1.0, 0.0, 0.0, 0.0, 0.0]), 0.0, 200_000)
     assert np.linalg.norm(a.mean(axis=0)) <= 0.006
 
 
@@ -242,7 +241,7 @@ def test_vmf_sample_uniform_case():
 def test_vmf_sample_resultant_matches_bessel_ratio(d, kappa):
     mu = np.zeros(d)
     mu[0] = 1.0
-    a = vmf_sample(rng_from_seed(17), mu, kappa, 200_000)
+    a = vmf_sample(np.random.default_rng(17), mu, kappa, 200_000)
     t = a @ mu
     se = t.std(ddof=1) / np.sqrt(t.size)
     assert abs(t.mean() - bessel_ratio(d, kappa)) <= 3.0 * se
@@ -253,7 +252,7 @@ def test_vmf_sample_resultant_matches_bessel_ratio(d, kappa):
 
 def test_vmf_sample_concentrates():
     mu = np.array([0.0, 0.0, 1.0])
-    a = vmf_sample(rng_from_seed(4), mu, 1e4, 1000)
+    a = vmf_sample(np.random.default_rng(4), mu, 1e4, 1000)
     assert np.min(a @ mu) > 0.98
 
 
@@ -288,7 +287,7 @@ def test_prior_radial_is_chi():
 
 
 def test_prior_radial_matches_gaussian_radii():
-    rng = rng_from_seed(21)
+    rng = np.random.default_rng(21)
     for d in (2, 5, 10):
         u = rng.standard_normal((100_000, d))
         radii = np.linalg.norm(u, axis=1)

@@ -14,7 +14,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from safeice import em
-from safeice.distributions import nakagami_sample, rng_from_seed, vmf_sample
 from safeice.em import (
     KAPPA_MAX,
     M_MAX,
@@ -34,7 +33,9 @@ from safeice.mixtures import (
     VmfnmParams,
     _mixture_columns,
     heavy_params_from_light,
+    nakagami_sample,
     safe_logpdf,
+    vmf_sample,
 )
 
 from oracles import e_step as reference_e_step
@@ -73,7 +74,7 @@ def random_samples(rng, n, d):
 
 def test_e_step_single_component():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
-    s = random_samples(rng_from_seed(0), 20, 2)
+    s = random_samples(np.random.default_rng(0), 20, 2)
     gamma, _ = e_step(s, v)
     assert np.array_equal(gamma, np.ones((1, 20)))
 
@@ -86,7 +87,7 @@ def test_e_step_rows_sum_to_one():
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
         [2.0, 1.0, 0.0],
     )
-    s = random_samples(rng_from_seed(1), 50, 2)
+    s = random_samples(np.random.default_rng(1), 50, 2)
     gamma, _ = e_step(s, v)
     assert np.allclose(gamma.sum(axis=0), 1.0, atol=1e-12)
     assert np.all(gamma >= 0.0)
@@ -148,7 +149,7 @@ def test_em_weight_update_examples():
 
 
 def test_penalized_update_beta_zero_is_plain_em():
-    rng = rng_from_seed(2)
+    rng = np.random.default_rng(2)
     gamma = rng.dirichlet(np.ones(4), size=30).T
     w = rng.random(30)
     pi_old = rng.dirichlet(np.ones(4))
@@ -158,7 +159,7 @@ def test_penalized_update_beta_zero_is_plain_em():
 
 
 def test_penalized_update_uniform_pi_has_zero_penalty():
-    rng = rng_from_seed(3)
+    rng = np.random.default_rng(3)
     for k in (2, 4):
         gamma = rng.dirichlet(np.ones(k), size=25).T
         w = rng.random(25)
@@ -181,7 +182,7 @@ def test_penalized_update_hand_example():
 
 
 def test_penalized_update_sums_to_one():
-    rng = rng_from_seed(4)
+    rng = np.random.default_rng(4)
     for _ in range(20):
         k = int(rng.integers(2, 8))
         n = int(rng.integers(5, 40))
@@ -194,7 +195,7 @@ def test_penalized_update_sums_to_one():
 
 
 def test_penalized_update_weight_scale_invariance():
-    rng = rng_from_seed(5)
+    rng = np.random.default_rng(5)
     gamma = rng.dirichlet(np.ones(3), size=40).T
     w = rng.random(40) + 0.1
     pi_old = rng.dirichlet(np.ones(3))
@@ -245,7 +246,7 @@ def test_prune_rows_sum_to_one():
         [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
         [1.0, 2.0, 3.0],
     )
-    rng = rng_from_seed(6)
+    rng = np.random.default_rng(6)
     gamma = rng.dirichlet(np.ones(3), size=10).T
     _, gamma2 = prune(np.array([0.7, -0.2, 0.5]), gamma, v)
     assert np.allclose(gamma2.sum(axis=0), 1.0, atol=1e-12)
@@ -329,7 +330,7 @@ def test_property_component_major_kernels_match_the_sample_major_reference(
     # puts sample 0 at r = 1e160, where every light density is 0; dead_row
     # gives sample 1 all its responsibility on component 0, which is then
     # pruned; n_pruned = 0 keeps every component.
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     s = random_samples(rng, n, d)
     if zero_density:
         s.r[0] = 1e160
@@ -373,7 +374,7 @@ def test_property_rows_do_not_depend_on_the_batch(d, k, seed, size):
     # any batch of 2 or more rows, so a run's result cannot depend on how
     # its samples are split. A 1-row batch is left out: numpy sends its
     # products down BLAS's matrix-vector path, which rounds otherwise.
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     s = random_samples(rng, 300, d)
     v = random_params(rng, k, d)
     idx = np.sort(rng.choice(300, size, replace=False))
@@ -465,7 +466,7 @@ def test_m_step_concentrated_directions_clamp_kappa():
 
 
 def test_m_step_recovers_moderate_concentration():
-    rng = rng_from_seed(8)
+    rng = np.random.default_rng(8)
     d = 3
     center = np.array([0.0, 0.0, 1.0])
     a = vmf_sample(rng, center, 5.0, 20_000)
@@ -496,7 +497,7 @@ def test_m_step_underflowing_resultant_keeps_row():
     # a component can keep a tiny positive responsibility mass, here near
     # 1e-160; the squares of its resultant's entries underflow and the
     # norm is too inexact to normalize by
-    s = random_samples(rng_from_seed(11), 50, 2)
+    s = random_samples(np.random.default_rng(11), 50, 2)
     gamma = np.vstack([np.ones(50), np.full(50, 1e-160 / 50)])
     v = make_params([0.5, 0.5], [1.0, 3.0], [1.0, 5.0], [[1.0, 0.0], [0.0, -1.0]], [1.0, 7.0])
     out = m_step_params(gamma, batch_statistics(s, np.ones(50)), v)
@@ -506,8 +507,8 @@ def test_m_step_underflowing_resultant_keeps_row():
 
 
 def test_m_step_weight_scale_invariance():
-    s = random_samples(rng_from_seed(9), 100, 3)
-    rng = rng_from_seed(10)
+    s = random_samples(np.random.default_rng(9), 100, 3)
+    rng = np.random.default_rng(10)
     gamma = rng.dirichlet(np.ones(2), size=100).T
     w = rng.random(100) + 0.1
     v = start_params(2, 3)
@@ -533,7 +534,7 @@ def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
     # differences of nearly equal numbers, and both routes lose about
     # log10(m) and log10(kappa) digits there, so their relative bound
     # scales with max(1, value).
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     center = np.eye(d)[0]
     s = PolarSamples(np.exp(rng.uniform(-1.0, 1.0, n)), vmf_sample(rng, center, 20.0, n))
     mu = rng.standard_normal((k, d))
@@ -571,15 +572,15 @@ def test_property_em_algebra_matches_the_reference(d, k, n, seed, dead_column):
 
 def test_weighted_loglik_unit_weights():
     v = make_params([1.0], [1.5], [2.0], [[0.0, 1.0]], [1.0])
-    s = random_samples(rng_from_seed(11), 30, 2)
+    s = random_samples(np.random.default_rng(11), 30, 2)
     expected = float(np.sum(safe_logpdf(s, SafeMixtureParams(v, 1.0))))
     assert weighted_loglik(s, np.ones(30), v) == pytest.approx(expected, rel=1e-12)
 
 
 def test_weighted_loglik_linearity_in_weights():
     v = make_params([1.0], [1.5], [2.0], [[0.0, 1.0]], [1.0])
-    s = random_samples(rng_from_seed(12), 30, 2)
-    w = rng_from_seed(13).random(30)
+    s = random_samples(np.random.default_rng(12), 30, 2)
+    w = np.random.default_rng(13).random(30)
     assert weighted_loglik(s, 3.0 * w, v) == pytest.approx(
         3.0 * weighted_loglik(s, w, v), rel=1e-12
     )
@@ -608,7 +609,7 @@ def test_weighted_loglik_skips_zero_weight_rows():
 
 def test_fit_validates_weights():
     v = make_params([1.0], [1.0], [1.0], [[1.0, 0.0]], [0.0])
-    s = random_samples(rng_from_seed(14), 10, 2)
+    s = random_samples(np.random.default_rng(14), 10, 2)
     with pytest.raises(ValueError):
         fit(s, np.zeros(10), v, penalized=True)
     with pytest.raises(ValueError):
@@ -639,7 +640,7 @@ def test_fit_rejects_a_bad_start_by_field_before_any_e_step(monkeypatch, field, 
     monkeypatch.setattr(em, "e_step", counting)
     fields = dict(pi=[0.5, 0.5], m=[1.0, 2.0], omega=[1.0, 2.0], mu=[[1.0, 0.0], [0.0, 1.0]], kappa=[1.0, 1.0])
     v0 = make_params(**{**fields, field: value})
-    s = random_samples(rng_from_seed(14), 10, 2)
+    s = random_samples(np.random.default_rng(14), 10, 2)
     for penalized in (True, False):
         with pytest.raises(ValueError, match=match):
             fit(s, np.ones(10), v0, penalized=penalized)
@@ -673,7 +674,7 @@ def test_property_every_fit_passes_the_parameter_check(
     # are 0 on about zero_share of the samples and span weight_decades
     # decades on the rest, which leaves kept components with no mass; the
     # penalised loop prunes, and the survivors' pi must sum to 1 again.
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     s = random_samples(rng, n, d)
     s.r[:] = 10.0 ** (rng.choice(decades, n) + rng.uniform(-1.0, 1.0, n))
     w = np.where(rng.random(n) < zero_share, 0.0, 10.0 ** -rng.uniform(0.0, weight_decades, n))
@@ -692,7 +693,7 @@ def test_property_every_fit_passes_the_parameter_check(
 def test_property_penalty_is_inert_at_one_component(d, n, seed, zero_share, weight_decades):
     # at K = 1 every pi is [1], so the penalty beta pi (ln pi - E) is 0
     # whatever beta_update returns: the penalized loop is plain EM, bit for bit
-    rng = rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     s = random_samples(rng, n, d)
     w = np.where(rng.random(n) < zero_share, 0.0, 10.0 ** -rng.uniform(0.0, weight_decades, n))
     w[rng.integers(n)] = 1.0
@@ -705,7 +706,7 @@ def test_property_penalty_is_inert_at_one_component(d, n, seed, zero_share, weig
 
 def test_fit_plain_keeps_component_count(monkeypatch):
     monkeypatch.setattr(em, "MAX_EM", 50)
-    rng = rng_from_seed(15)
+    rng = np.random.default_rng(15)
     s = random_samples(rng, 500, 2)
     v0 = make_params(
         [0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]
@@ -719,7 +720,7 @@ def test_fit_plain_keeps_component_count(monkeypatch):
 @pytest.mark.parametrize("penalized", [True, False])
 def test_fit_max_iter_zero_returns_the_start(monkeypatch, penalized):
     monkeypatch.setattr(em, "MAX_EM", 0)
-    s = random_samples(rng_from_seed(15), 50, 2)
+    s = random_samples(np.random.default_rng(15), 50, 2)
     v0 = make_params([0.5, 0.5], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     res = fit(s, np.ones(50), v0, penalized=penalized)
     assert res.v is v0 and res.n_iterations == 0
@@ -734,7 +735,7 @@ def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
         return _mixture_columns(samples, v, column_sets, **kwargs)
 
     monkeypatch.setattr(em, "_mixture_columns", counting)
-    rng = rng_from_seed(20)
+    rng = np.random.default_rng(20)
     s = random_samples(rng, 300, 2)
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
@@ -751,7 +752,7 @@ def test_fit_evaluates_the_densities_once_per_iteration(monkeypatch, penalized):
 def test_fit_at_max_em_ends_at_the_m_step_and_says_so(monkeypatch, caplog, penalized):
     # the last iteration's E-step cannot change v, so it is not run; a fit
     # that stops on the tolerance first logs nothing
-    rng = rng_from_seed(20)
+    rng = np.random.default_rng(20)
     s = random_samples(rng, 300, 2)
     w = rng.random(300) + 0.05
     v0 = make_params([0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0])
@@ -771,7 +772,7 @@ def test_fit_plain_prunes_a_component_of_zero_em_weight(caplog):
     # the third component points away from every sample with kappa 1e4,
     # so its responsibilities underflow to exactly 0 and so does its EM
     # weight; plain EM drops it rather than keep a dead column
-    rng = rng_from_seed(22)
+    rng = np.random.default_rng(22)
     theta = rng.uniform(-0.5, 0.5, 200)
     a = np.column_stack([np.cos(theta), np.sin(theta)])
     s = PolarSamples(np.exp(rng.uniform(-1, 1, 200)), a)
@@ -798,7 +799,7 @@ def test_fit_updates_the_em_weights_once_per_iteration(monkeypatch, penalized):
         return penalized_weight_update(*args)
 
     monkeypatch.setattr(em, "penalized_weight_update", counting)
-    rng = rng_from_seed(20)
+    rng = np.random.default_rng(20)
     s = random_samples(rng, 300, 2)
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
@@ -819,7 +820,7 @@ def test_fit_builds_the_batch_statistics_once(monkeypatch, penalized):
         return batch_statistics(samples, weights)
 
     monkeypatch.setattr(em, "batch_statistics", counting)
-    rng = rng_from_seed(20)
+    rng = np.random.default_rng(20)
     s = random_samples(rng, 300, 2)
     v0 = make_params(
         [0.3, 0.7], [1.0, 2.0], [1.0, 2.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 2.0]
@@ -832,7 +833,7 @@ def test_fit_builds_the_batch_statistics_once(monkeypatch, penalized):
 
 
 def test_fit_plain_loglik_nondecreasing(monkeypatch):
-    rng = rng_from_seed(16)
+    rng = np.random.default_rng(16)
     s = random_samples(rng, 800, 3)
     v0 = make_params(
         [0.5, 0.5],
@@ -855,7 +856,7 @@ def test_fit_plain_loglik_nondecreasing(monkeypatch):
 
 
 def test_fit_weight_scale_invariance():
-    rng = rng_from_seed(17)
+    rng = np.random.default_rng(17)
     s = random_samples(rng, 400, 2)
     w = rng.random(400) + 0.05
     v0 = make_params(
@@ -872,7 +873,7 @@ def test_fit_weight_scale_invariance():
 
 
 def test_fit_penalized_weights_stay_normalized():
-    rng = rng_from_seed(18)
+    rng = np.random.default_rng(18)
     s = random_samples(rng, 600, 2)
     w = rng.random(600)
     v0 = make_params(
@@ -890,7 +891,7 @@ def test_fit_penalized_weights_stay_normalized():
 def test_fit_one_hot_weights_center_on_the_sample(monkeypatch):
     # with all mass on one sample every surviving component collapses
     # onto it and the degeneracy clamps engage
-    rng = rng_from_seed(19)
+    rng = np.random.default_rng(19)
     s = random_samples(rng, 50, 2)
     w = np.zeros(50)
     w[17] = 1.0
@@ -917,7 +918,7 @@ def test_fit_synthetic_recovery_prunes_to_truth(monkeypatch):
     monkeypatch.setattr(em, "MAX_EM", 100)
     wins = 0
     for trial in range(50):
-        rng = rng_from_seed(2000 + trial)
+        rng = np.random.default_rng(2000 + trial)
         n = 2000
         r = nakagami_sample(rng, np.full(n, true_m), true_omega)
         a = vmf_sample(rng, true_mu, true_kappa, n)
