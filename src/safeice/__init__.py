@@ -1,7 +1,6 @@
 """Rare-event failure probability estimation by adaptive importance
 sampling with heavy-tail-guarded mixture proposals."""
 
-from .bench import persist, run_repetitions
 from .core import RunConfig, RunResult, lambda_schedule, run
 from .em import fit
 from .mixtures import PolarSamples, SafeMixtureParams, VmfnmParams, safe_sample
@@ -20,10 +19,8 @@ __all__ = [
     "fit",
     "lambda_schedule",
     "mc_estimate",
-    "persist",
     "problem_registry",
     "run",
-    "run_repetitions",
     "safe_sample",
     "__version__",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -398,8 +398,5 @@ def run(problem, config: RunConfig) -> RunResult:
     )
 
 
-def run_safe_ice(problem, config: RunConfig) -> RunResult:
-    """``run`` with the method pinned to "safe-ice", the entry point the
-    benchmark calls and traces; it goes with ROADMAP item 1's benchmark
-    change, after which ``config.method`` is the only selector."""
-    return run(problem, replace(config, method="safe-ice"))
+# perfbench calls and traces this name; config.method selects the method
+run_safe_ice = run

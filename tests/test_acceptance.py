@@ -14,7 +14,7 @@ import pytest
 from scipy.special import gammaincc, gammaln
 from scipy.stats import kstest, norm
 
-from safeice.bench import run_repetitions
+from safeice.cli import run_repetitions
 from safeice.core import RunConfig, lambda_schedule
 from safeice.em import batch_statistics, m_step_params, penalized_weight_update
 from safeice.mixtures import (

@@ -6,8 +6,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-import safeice.bench as bench
-from safeice.bench import persist, run_repetitions, summary_record
+import safeice.cli as cli
+from safeice.cli import persist, run_repetitions, summary_record
 from safeice.core import RunConfig, RunResult, run
 from safeice.problems import problem_registry
 
@@ -40,7 +40,7 @@ PROB = problem_registry("two-mode", 2.0, 2)
 
 def test_identical_runs_zero_error(monkeypatch):
     table = {i: 4.6527e-4 for i in range(4)}
-    monkeypatch.setattr(bench, "run", stub_runner(table))
+    monkeypatch.setattr(cli, "run", stub_runner(table))
     _, summary = run_repetitions(PROB, RunConfig(seed=0), 4, p_ref=4.6527e-4)
     assert summary["rel_error"] == 0.0
     assert summary["cv"] == 0.0
@@ -49,7 +49,7 @@ def test_identical_runs_zero_error(monkeypatch):
 
 def test_two_run_arithmetic(monkeypatch):
     table = {0: 1e-4, 1: 3e-4}
-    monkeypatch.setattr(bench, "run", stub_runner(table))
+    monkeypatch.setattr(cli, "run", stub_runner(table))
     _, summary = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=2e-4)
     assert summary["rel_error"] <= 1e-12
     assert summary["cv"] == pytest.approx(np.sqrt(2.0) * 1e-4 / 2e-4, rel=1e-12)
@@ -59,7 +59,7 @@ def test_two_run_arithmetic(monkeypatch):
 def test_zero_pf_runs_included(monkeypatch):
     # estimates of zero are kept and show up as an honest error
     table = {0: 0.0, 1: 0.0}
-    monkeypatch.setattr(bench, "run", stub_runner(table))
+    monkeypatch.setattr(cli, "run", stub_runner(table))
     runs, summary = run_repetitions(PROB, RunConfig(seed=0), 2, p_ref=1e-3)
     assert summary["rel_error"] == 1.0
     assert summary["cv"] == np.inf
@@ -70,9 +70,9 @@ def test_statistics_permutation_invariant(monkeypatch):
     values = [2.1e-4, 1.7e-4, 2.6e-4, 1.2e-4, 2.0e-4]
     table_a = dict(enumerate(values))
     table_b = dict(enumerate(values[::-1]))
-    monkeypatch.setattr(bench, "run", stub_runner(table_a))
+    monkeypatch.setattr(cli, "run", stub_runner(table_a))
     _, sa = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
-    monkeypatch.setattr(bench, "run", stub_runner(table_b))
+    monkeypatch.setattr(cli, "run", stub_runner(table_b))
     _, sb = run_repetitions(PROB, RunConfig(seed=0), 5, p_ref=2e-4)
     assert sa["rel_error"] == pytest.approx(sb["rel_error"], rel=1e-12)
     assert sa["cv"] == pytest.approx(sb["cv"], rel=1e-12)
@@ -84,7 +84,7 @@ def test_mean_iteration_and_k(monkeypatch):
         i = config.seed
         return make_result(i, 2e-4, iterations=i + 1, final_k=i + 2)
 
-    monkeypatch.setattr(bench, "run", run)
+    monkeypatch.setattr(cli, "run", run)
     _, summary = run_repetitions(PROB, RunConfig(seed=0), 3, p_ref=2e-4)
     assert summary["mean_t"] == 2.0
     assert summary["mean_k"] == 3.0
@@ -97,7 +97,7 @@ def test_doubling_runs_is_stable(monkeypatch):
         noise = np.random.default_rng(config.seed).normal(scale=0.1)
         return make_result(config.seed, 2e-4 * (1.0 + noise))
 
-    monkeypatch.setattr(bench, "run", run)
+    monkeypatch.setattr(cli, "run", run)
     ok = 0
     for trial in range(20):
         base = 1000 * trial

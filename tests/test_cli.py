@@ -1,14 +1,17 @@
-"""Tests for the command line interface (all in-process via main(argv))."""
+"""Tests for the command line interface, in-process via main(argv) but for
+one run of ``python -m safeice.cli`` in a subprocess."""
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-import safeice.bench as bench
 import safeice.cli as cli
 import safeice.core as core
 from safeice.cli import _OPTIONS, build_parser, main
@@ -60,6 +63,20 @@ def test_list_problems_matches_registry(capsys):
         assert problem_registry(rec["name"], 0.0, rec["d"]).dim == rec["d"]
         with pytest.raises(ValueError, match=f"requires d = {rec['d']}"):
             problem_registry(rec["name"], 0.0, rec["d"] + 1)
+
+
+def test_module_runs_without_a_runtime_warning():
+    # runpy warns when the package root has already imported safeice.cli,
+    # so the root must not import it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "safeice.cli", "list-problems"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ------------------------------------------------------------------- estimate
@@ -416,7 +433,7 @@ def test_bench_rejects_a_bad_argument_before_any_run(monkeypatch, capsys, flag, 
     def no_run(problem, config):
         raise AssertionError("a repetition ran")
 
-    monkeypatch.setattr(bench, "run", no_run)
+    monkeypatch.setattr(cli, "run", no_run)
     rc, out, err = run_cli(capsys, SUBCOMMAND_ARGV["bench"] + [flag, value])
     assert rc == 2
     assert out == ""

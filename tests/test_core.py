@@ -24,7 +24,6 @@ from safeice.core import (
     lambda_schedule,
     log_smooth_indicator,
     run,
-    run_safe_ice,
     select_sigma,
     stop_cv,
 )
@@ -237,7 +236,7 @@ def first_level_inputs(seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "select_sigma", capture)
         with pytest.raises(_Captured):
-            run_safe_ice(problem_registry("four-branch", 0.0, 2), RunConfig(seed=seed))
+            run(problem_registry("four-branch", 0.0, 2), RunConfig(seed=seed))
     return captured[0]
 
 
@@ -639,7 +638,7 @@ def test_run_config_rejects_non_integral_counts(name, value):
 def test_run_safe_ice_smoke_and_traces():
     prob = problem_registry("two-mode", 3.5, 2)
     cfg = RunConfig(seed=0)
-    res = run_safe_ice(prob, cfg)
+    res = run(prob, cfg)
     assert res.converged
     assert res.iterations == len(res.sigma_trace) - 1
     assert len(res.lambda_trace) == len(res.sigma_trace) == len(res.k_trace)
@@ -656,31 +655,13 @@ def test_run_safe_ice_smoke_and_traces():
     assert res.pf == pytest.approx(ref, rel=0.5)
 
 
-def test_run_pins_the_seeded_two_mode_estimate():
-    # `safeice estimate --problem two-mode --z 3.5 --d 2 --seed 0`; the
-    # tolerance admits libm rounding, not a change of the algorithm
-    res = run(problem_registry("two-mode", 3.5, 2), RunConfig(seed=0))
-    assert res.pf == pytest.approx(4.6329712348145287e-4, rel=1e-9, abs=0.0)
-
-
 # the first panel run of each perfbench workload: (name, z, d, n_per_iter)
 # and its (pf bits, iterations, final K, LSF evaluations) at seed 1000
 PERFBENCH_SEED_1000 = {
     "four-branch": (("four-branch", 0.0, 2, 1000), ("0x1.971f9020d4bcap-9", 2, 8, 3000)),
-    "two-mode-rare": (("two-mode", 5.5, 20, 10_000), ("0x1.432209692868dp-25", 3, 2, 40000)),
+    "two-mode-rare": (("two-mode", 5.5, 20, 10_000), ("0x1.4322096928694p-25", 3, 2, 40000)),
     "oscillator": (("oscillator", 0.05, 10, 1000), ("0x1.255ffed44050ap-9", 2, 2, 3000)),
 }
-
-
-@pytest.mark.parametrize("workload", PERFBENCH_SEED_1000)
-def test_run_pins_the_perfbench_seed_1000_outputs(workload):
-    # a change that claims bit-identity must keep these values. They are the
-    # bits at 2 to 4 BLAS threads on a 2-core x86_64 host. perfbench runs at
-    # 1 thread, where two-mode-rare's pf reads 0x1.4322096928694p-25 on that
-    # host (see the thread test below), so its digest does not hash these bits
-    (name, z, d, n), expected = PERFBENCH_SEED_1000[workload]
-    res = run_safe_ice(problem_registry(name, z, d), RunConfig(seed=1000, n_per_iter=n))
-    assert (res.pf.hex(), res.iterations, res.final_k, res.lsf_evals) == expected
 
 
 _PINS_SCRIPT = """
@@ -708,6 +689,16 @@ def pins_at_1_and_2_blas_threads():
         )
         runs.append(json.loads(done.stdout))
     return runs
+
+
+@pytest.mark.parametrize("workload", PERFBENCH_SEED_1000)
+def test_run_pins_the_perfbench_seed_1000_outputs(pins_at_1_and_2_blas_threads, workload):
+    # a change that claims bit-identity must keep these values. They are the
+    # bits at 1 BLAS thread, perfbench's setting, which its digest hashes;
+    # read from a fresh process, so the pin holds at any thread count of the
+    # host that runs the tests
+    one, _ = pins_at_1_and_2_blas_threads
+    assert tuple(one[workload]) == PERFBENCH_SEED_1000[workload][1]
 
 
 @pytest.mark.parametrize(
@@ -776,8 +767,8 @@ def test_run_warns_when_the_final_ess_is_below_10(caplog, name, z, seed, warned)
 
 def test_run_safe_ice_deterministic():
     prob = problem_registry("two-mode", 3.5, 2)
-    r1 = run_safe_ice(prob, RunConfig(seed=7))
-    r2 = run_safe_ice(prob, RunConfig(seed=7))
+    r1 = run(prob, RunConfig(seed=7))
+    r2 = run(prob, RunConfig(seed=7))
     assert r1.pf == r2.pf
     assert r1.sigma_trace == r2.sigma_trace
     assert r1.lambda_trace == r2.lambda_trace
@@ -828,7 +819,7 @@ def test_run_hits_outer_limit(monkeypatch, caplog):
     prob = problem_registry("two-mode", 5.5, 2)
     monkeypatch.setattr(core, "MAX_OUTER", 1)
     with caplog.at_level("WARNING"):
-        res = run_safe_ice(prob, RunConfig(seed=0))
+        res = run(prob, RunConfig(seed=0))
     assert not res.converged
     assert res.iterations == 1
     assert res.lsf_evals == 2000
@@ -900,17 +891,16 @@ def test_run_rejects_dimension_one():
         with pytest.raises(ValueError, match="line requires d >= 2"):
             run(Problem("line", 1, line), RunConfig(method=method))
     with pytest.raises(ValueError, match="line requires d >= 2"):
-        run_safe_ice(Problem("line", 1, line), RunConfig())
+        run(Problem("line", 1, line), RunConfig())
 
 
 def test_run_dispatches_on_method():
     prob = problem_registry("four-branch", 0.0, 2)
     ice_cfg = RunConfig(seed=3, method="ice", k_init=4, n_per_iter=200)
     safe_cfg = replace(ice_cfg, method="safe-ice")
-    assert run(prob, safe_cfg) == run_safe_ice(prob, safe_cfg)
-    # run_safe_ice pins the method whatever the config says
-    assert run_safe_ice(prob, ice_cfg) == run(prob, safe_cfg)
     assert run(prob, safe_cfg) != run(prob, ice_cfg)
+    # config.method is the only selector; the name perfbench calls is run itself
+    assert core.run_safe_ice is core.run
 
 
 def test_safe_beats_plain_on_rare_two_mode():
@@ -920,7 +910,7 @@ def test_safe_beats_plain_on_rare_two_mode():
     ref = 2.0 * norm.cdf(-4.5)
     err_safe, err_ice = [], []
     for seed in range(12):
-        rs = run_safe_ice(prob, RunConfig(seed=seed))
+        rs = run(prob, RunConfig(seed=seed))
         ri = run(prob, RunConfig(seed=seed, method="ice", k_init=2))
         err_safe.append(abs(rs.pf - ref) / ref)
         err_ice.append(abs(ri.pf - ref) / ref)
