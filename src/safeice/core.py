@@ -54,6 +54,7 @@ MAX_OUTER = 20  # the most refits of one run
 SIGMA0 = 10.0  # the start level, in units of g, and the horizon of lambda_schedule
 _SKIP_MARGIN = 800.0  # select_sigma skips rows this far below the shift; exp(x) = 0 below about -745.13
 _SKIP_TOP_MAX = 2.0**40  # up to this |M| rounding stays far inside the 800 - 745.13 slack
+_GRID_FLOOR = 1e-8  # select_sigma's grid starts at this share of the current sigma
 
 
 def _check_integer(name: str, value, least: int) -> None:
@@ -176,6 +177,40 @@ def _count_thresholds(g: np.ndarray, log_ratio: np.ndarray):
     return s
 
 
+def _decided_rows(n: int, delta_target: float) -> int:
+    """The most rows of positive weight at which the weights' cv provably
+    exceeds ``delta_target``: k such weights among n give
+    cv(W)^2 >= n (n - k) / (k (n - 1)), which is above
+    t = (delta_target (1 + 1e-6))^2 for every k < n^2 / (t (n - 1) + n).
+    The 1e-6 keeps the bound clear of rounding in the cv. 0 where no k is
+    decided, and where delta_target is not positive and finite."""
+    if n < 2 or not 0.0 < delta_target < math.inf:
+        return 0
+    t = (delta_target * (1.0 + 1e-6)) ** 2
+    return math.ceil(n * n / (t * (n - 1) + n)) - 1
+
+
+def _smoothed_weights(w, rows, neg_g, log_ratio, sigma) -> np.ndarray:
+    """``w`` set to 0 and, at ``rows``, to the shifted smoothed weights
+    exp(ln W - max ln W) with ln W = ln Phi(neg_g / sigma) + log_ratio:
+    ``shifted_exp`` of ``intermediate_log_weights`` bit for bit, without its
+    reset and errstate where the max is finite."""
+    # at a tiny sigma neg_g / sigma overflows to +-inf, where ln Phi takes its limits
+    with np.errstate(over="ignore"):
+        x = neg_g / sigma
+    log_w = log_normal_cdf(x)
+    log_w += log_ratio
+    top = log_w.max()
+    if math.isfinite(top):
+        log_w -= top
+        np.exp(log_w, out=log_w)
+    else:
+        log_w = shifted_exp(log_w)[0]
+    w.fill(0.0)
+    w[rows] = log_w
+    return w
+
+
 def select_sigma(
     g: np.ndarray,
     log_ratio: np.ndarray,
@@ -202,36 +237,52 @@ def select_sigma(
     the largest ln p/q of a failing row, a row with ln(p/q) - g^2/(2 sigma^2)
     < M - 800 gets weight 0 without its ln Phi being evaluated (see
     ``_count_thresholds``; where its thresholds are all zeros, every row
-    counts). The weights, their sums and the result are the same bit for
-    bit as with every row evaluated.
+    counts). Grid points are skipped too where so few rows count that
+    e > 0 or e = +inf follows from their number alone (``_decided_rows``):
+    such a point is evaluated only if its neighbour reads negative, or if no
+    cell crosses. The weights, their sums and the result are the same bit
+    for bit as with every row and every grid point evaluated.
     """
     # the rows that count at sigma are a prefix in threshold order; its
     # max is the whole batch's shift, as every skipped row lies far below
     thresholds = _count_thresholds(g, log_ratio)
     order = np.argsort(thresholds)
-    g_s, log_ratio_s = g[order], log_ratio[order]
+    neg_g_s, log_ratio_s = -g[order], log_ratio[order]
     # shrunk a little, so that rounding only ever keeps more rows; this
     # also widens the margin by 2e-9 (ln(p/q) - M + 800)
     thresholds = thresholds[order] * (1.0 - 1e-9)
     w = np.empty(g.size)
 
-    def weights(sigma: float) -> np.ndarray:
-        k = np.searchsorted(thresholds, sigma, side="right")
-        w.fill(0.0)
-        w[order[:k]] = shifted_exp(intermediate_log_weights(g_s[:k], sigma, log_ratio_s[:k]))[0]
-        return w
+    def counted(log_sigma: float):
+        sigma = np.exp(log_sigma)
+        return sigma, np.searchsorted(thresholds, sigma, side="right")
 
     def excess(log_sigma: float) -> float:
-        return (cv(weights(np.exp(log_sigma))) if g.size > 1 else np.inf) - delta_target
+        if g.size < 2:
+            return np.inf - delta_target
+        sigma, k = counted(log_sigma)
+        return cv(_smoothed_weights(w, order[:k], neg_g_s[:k], log_ratio_s[:k], sigma)) - delta_target
 
-    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
-    e = [excess(grid[0])]
-    for b in grid[1:]:
+    grid = np.linspace(np.log(_GRID_FLOOR * sigma_prev), np.log(sigma_prev), 50)
+    # the rows that count grow with sigma, so the grid points whose row
+    # count decides e > 0 are a prefix; +inf stands in for their e
+    decided = _decided_rows(g.size, delta_target)
+    low = 0
+    while low < grid.size and counted(grid[low])[1] <= decided:
+        low += 1
+    e = [np.inf] * low
+    for b in grid[low:]:
         e.append(excess(b))
+        if len(e) < 2:
+            continue
+        if len(e) == low + 1 and e[-1] < 0.0:
+            # the last decided point and its negative neighbour cross where its e is finite
+            e[-2] = excess(grid[low - 1])
         fa, fb = e[-2:]
         if math.isfinite(fa) and math.isfinite(fb) and fa * fb < 0.0:
             break
     else:
+        e[:low] = [excess(x) for x in grid[:low]]
         best = grid[np.argmin(np.where(np.isfinite(e), np.abs(e), np.inf))]
         return float(min(np.exp(best), sigma_prev))
 
@@ -335,6 +386,7 @@ def run(problem, config: RunConfig) -> RunResult:
     k_trace: list = []
     converged = False
     stagnant = 0
+    floored = 0  # levels where sigma fell to select_sigma's grid floor
 
     def warn(message: str) -> None:
         logger.warning(f"run: problem '{problem.name}' seed {config.seed} t {t} sigma {sigma:g}: {message}")
@@ -353,7 +405,8 @@ def run(problem, config: RunConfig) -> RunResult:
             converged = True
             break
         if t == MAX_OUTER:
-            warn("outer iteration limit reached without convergence")
+            floor = f"; {floored} of {t} levels cut sigma by select_sigma's full factor {_GRID_FLOOR:g}"
+            warn("outer iteration limit reached without convergence" + (floor if floored else ""))
             break
 
         sigma_new = select_sigma(g, log_ratio, sigma, DELTA_TARGET)
@@ -368,6 +421,7 @@ def run(problem, config: RunConfig) -> RunResult:
                 break
         else:
             stagnant = 0
+        floored += sigma_new <= _GRID_FLOOR * sigma * (1.0 + 1e-9)
 
         weights, _ = shifted_exp(intermediate_log_weights(g, sigma_new, log_ratio))
         if not weights.any():

@@ -59,18 +59,28 @@ def e_step(
     C-contiguous (K, n) array, when given, and else into a new array.
     Samples with zero density under every component get uniform
     responsibilities (with a diagnostic warning) so the M-step stays defined.
+    Where every column's max is finite, each column total lies in [1, K],
+    and the reset of non-finite maxima, the errstate blocks and that check
+    are skipped; the results are the same bits.
     """
     if out is None:
         out = np.empty((v.k, len(samples)))
     joint = _mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)], out=out)
-    e, shift = shifted_exp(joint, axis=0, out=joint)
-    total = e.sum(axis=0)
-    with np.errstate(divide="ignore"):
+    shift = joint.max(axis=0)
+    if np.isfinite(shift).all():
+        # each column's largest term is exp(0) = 1, so its total lies in [1, K]
+        e = np.exp(np.subtract(joint, shift, out=joint), out=joint)
+        total = e.sum(axis=0)
         log_q = np.log(total) + shift
-    bad = ~np.isfinite(log_q)
-    if bad.any():
-        logger.warning("e_step: %d samples with zero density under all components", bad.sum())
-        e[:, bad], total[bad] = 1.0, v.k
+    else:
+        e, shift = shifted_exp(joint, axis=0, out=joint)
+        total = e.sum(axis=0)
+        with np.errstate(divide="ignore"):
+            log_q = np.log(total) + shift
+        bad = ~np.isfinite(log_q)
+        if bad.any():
+            logger.warning("e_step: %d samples with zero density under all components", bad.sum())
+            e[:, bad], total[bad] = 1.0, v.k
     e /= total
     return e, log_q
 

@@ -119,10 +119,11 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
     """Draw ``n`` unit vectors from vMF(mu, kappa) by Wood's rejection method.
 
     The cosine w of the angle to ``mu`` is sampled through the beta envelope
-    with the standard acceptance test; the orthogonal part is an isotropic
-    direction in the tangent space. It expects a ``mu`` and ``kappa`` that
-    have passed ``VmfnmParams.check``: a unit ``mu`` with d >= 2 and
-    kappa >= 0.
+    with the standard acceptance test (``_vmf_cosines``); the orthogonal part
+    is an isotropic direction in the tangent space, from n x d standard
+    normals drawn after the cosines (``_vmf_finish``). It expects a ``mu`` and
+    ``kappa`` that have passed ``VmfnmParams.check``: a unit ``mu`` with
+    d >= 2 and kappa >= 0.
     """
     mu = np.asarray(mu, dtype=float)
     d = mu.size
@@ -132,6 +133,14 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
         z /= _row_norms(z, np.empty((n, d)))[:, None]
         return z
 
+    w = _vmf_cosines(rng, d, kappa, n)
+    a = rng.standard_normal((n, d))
+    return _vmf_finish(a, a @ mu, w, mu, np.empty((n, d)))
+
+
+def _vmf_cosines(rng: np.random.Generator, d: int, kappa: float, n: int) -> np.ndarray:
+    """``n`` cosines w of vMF(mu, kappa > 0) draws in dimension d, by Wood's
+    beta envelope and acceptance test."""
     b = (d - 1.0) / (2.0 * kappa + np.sqrt(4.0 * kappa * kappa + (d - 1.0) ** 2))
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + (d - 1.0) * np.log1p(-x0 * x0)
@@ -146,12 +155,16 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
         ok = kappa * cand + (d - 1.0) * np.log1p(-x0 * cand) - c >= np.log(u)
         w[todo[ok]] = cand[ok]
         todo = todo[~ok]
+    return w
 
-    # the projection, both norms and w mu share one (n, d) buffer; the
-    # returned array is the tangent draw, finished in place
-    a = rng.standard_normal((n, d))
-    buf = np.multiply((a @ mu)[:, None], mu, out=np.empty((n, d)))
-    a -= buf
+
+def _vmf_finish(a, proj, w, mu, buf) -> np.ndarray:
+    """The directions w mu + sqrt(1 - w^2) t, row by row, with t the unit
+    tangent part of the standard normals ``a`` and ``proj`` their products
+    with ``mu``; ``mu`` is one (d,) direction or one per row. The (n, d)
+    ``a`` is finished in place, with the projection and both norms in the
+    (n, d) ``buf``, and returned."""
+    a -= np.multiply(proj[:, None], mu, out=buf)
     norms = _row_norms(a, buf)
     norms[norms == 0.0] = 1.0
     a /= norms[:, None]
@@ -295,29 +308,36 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     one transposed add then lays their sum out by component.
 
     Both products go into C-contiguous scratch views: matmul into a
-    strided ``out`` leaves BLAS and rounds differently."""
+    strided ``out`` leaves BLAS and rounds differently. Each has a spare
+    column that repeats column 0, so that they add as whole arrays. The
+    radial product has none at K = 1, where (n, 2) @ (2, 1) rounds
+    otherwise than the padded (n, 2) @ (2, 2), nor at n = 1, where
+    (1, 2) @ (2, K + 1) rounds otherwise than (1, 2) @ (2, K) at K = 3, 7,
+    11, ..."""
     n, k = len(samples), v.k
+    width = k + 1 if k > 1 and n > 1 else k  # of the radial product
     rows_total = len(column_sets) * k
-    buf = _scratch(n * (2 * k + 1) + (rows_total * n if out is None else 0))
+    buf = _scratch(n * (k + 1 + width) + (rows_total * n if out is None else 0))
     # at K = 1 numpy takes BLAS's matrix-vector path, whose rounding of a
     # row depends on its place in the batch; one spare column keeps the
     # product on the matrix-matrix path, where it does not
     kmu = v.kappa[:, None] * v.mu
     angular = buf[: n * (k + 1)].reshape(n, k + 1)
-    np.matmul(samples.a, np.vstack((kmu, kmu[:1])).T, out=angular)
-    angular = angular[:, :k]
-    radial = buf[n * (k + 1) : n * (2 * k + 1)].reshape(n, k)
-    joint = buf[n * (2 * k + 1) :].reshape(rows_total, n) if out is None else out
+    np.matmul(samples.a, np.concatenate((kmu, kmu[:1])).T, out=angular)
+    angular = angular[:, :width]
+    radial = buf[n * (k + 1) : n * (k + 1 + width)].reshape(n, width)
+    joint = buf[n * (k + 1 + width) :].reshape(rows_total, n) if out is None else out
     log_vmf = vmf_log_normalizer(v.dim, v.kappa)
-    coef = np.empty((2, k))
+    coef = np.empty((2, width))
     for i, (w, m, omega, side) in enumerate(column_sets):
-        log_c, coef[0], coef[1] = _radial_coefficients(m, omega, side)
+        log_c, coef[0, :k], coef[1, :k] = _radial_coefficients(m, omega, side)
+        coef[:, k:] = coef[:, :1]
         # an inf statistic times its negative coefficient is -inf, the right
         # limit; matmul flags an inf operand as invalid
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(samples.radial_statistics(side), coef, out=radial)
         radial += angular
-        np.add(radial.T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
+        np.add(radial[:, :k].T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
     return joint
 
 
@@ -379,7 +399,11 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
     The first round(lambda * n) samples take the light Nakagami radius;
     the rest take the heavy inverse-Nakagami radius. Components are drawn per
     sample with probabilities pi_k, and directions come from the matching
-    vMF kernel regardless of radial origin.
+    vMF kernel regardless of radial origin: component by component, each
+    draws its cosines and then its standard normals, as ``vmf_sample`` does,
+    and one pass over all rows finishes the directions in the thread's
+    scratch. A component with kappa = 0 calls ``vmf_sample``. The returned
+    arrays are new.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -395,12 +419,32 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
         heavy_comp = comp[n_light:]
         r[n_light:] = inv_nakagami_sample(rng, float(phi.heavy_m), phi.heavy_omega[heavy_comp])
 
-    a = np.empty((n, v.dim))
-    for k in range(v.k):
-        idx = np.nonzero(comp == k)[0]
-        if idx.size:
-            a[idx] = vmf_sample(rng, v.mu[k], float(v.kappa[k]), idx.size)
-
+    d = v.dim
+    a = np.empty((n, d))
+    # the rows of each component in turn, less those of kappa = 0, which
+    # vmf_sample draws whole; the rest are drawn into the scratch in this order
+    uniform = v.kappa == 0.0
+    order = np.argsort(comp, kind="stable")
+    if uniform.any():
+        order = order[~uniform[comp[order]]]
+    flat = _scratch(n * (3 * d + 2))
+    z, mu_rows, buf = (flat[i * n * d : (i + 1) * n * d].reshape(n, d) for i in range(3))
+    w, proj = flat[3 * n * d : (3 * d + 1) * n], flat[(3 * d + 1) * n :]
+    filled = 0
+    for k, count in enumerate(np.bincount(comp, minlength=v.k).tolist()):
+        if not count:
+            continue
+        if uniform[k]:
+            a[comp == k] = vmf_sample(rng, v.mu[k], 0.0, count)
+            continue
+        rows = slice(filled, filled + count)
+        w[rows] = _vmf_cosines(rng, d, float(v.kappa[k]), count)
+        rng.standard_normal(out=z[rows])
+        proj[rows] = z[rows] @ v.mu[k]
+        mu_rows[rows] = v.mu[k]
+        filled += count
+    if filled:
+        a[order] = _vmf_finish(z[:filled], proj[:filled], w[:filled], mu_rows[:filled], buf[:filled])
     return PolarSamples(r=r, a=a, n_light=n_light)
 
 

@@ -64,12 +64,19 @@ def shifted_exp(x, axis=-1, out=None):
     removed. A sum of the exponentials is 0 only where x is all -inf.
     The exponentials go into ``out`` when given, which may be ``x`` itself.
     Where the max is NaN or +inf, other entries of the slice may overflow
-    to +inf, silently."""
+    to +inf, silently. When every max is finite, the reset and the
+    errstate block are skipped."""
     shift = x.max(axis=axis, keepdims=True)
-    shift[~np.isfinite(shift)] = 0.0
+    finite = np.isfinite(shift)
+    if finite.all():
+        # x - shift <= 0 everywhere, so exp cannot overflow
+        e = np.subtract(x, shift, out=out)
+        np.exp(e, out=e)
+        return e, shift.squeeze(axis=axis)
+    shift[~finite] = 0.0
     e = np.subtract(x, shift, out=out)
-    # a slice with a finite max has x - shift <= 0 and cannot overflow, so
-    # this silences the slices whose max was NaN or +inf only
+    # a slice with a finite max cannot overflow, so this silences the
+    # slices whose max was NaN or +inf only
     with np.errstate(over="ignore"):
         np.exp(e, out=e)
     return e, shift.squeeze(axis=axis)

@@ -17,6 +17,8 @@ from safeice.mixtures import (
     PolarSamples,
     VmfnmParams,
     _radial_coefficients,
+    inv_nakagami_sample,
+    nakagami_sample,
     prior_logpdf,
     safe_logpdf,
     uniform_sphere_logpdf,
@@ -296,6 +298,88 @@ def vmf_sample_reference(rng, mu, kappa: float, n: int):
     a = w[:, None] * mu[None, :] + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * tangent
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     return a
+
+
+def safe_sample_reference(rng, phi, n: int):
+    """``mixtures.safe_sample`` as it was before it finished all directions
+    in one pass: one ``vmf_sample_reference`` call per component drawn,
+    written into the rows of that component."""
+    v = phi.light
+    comp = rng.choice(v.k, size=n, p=v.pi)
+    n_light = int(round(phi.lam * n))
+
+    r = np.empty(n)
+    if n_light:
+        light_comp = comp[:n_light]
+        r[:n_light] = nakagami_sample(rng, v.m[light_comp], v.omega[light_comp])
+    if n_light < n:
+        heavy_comp = comp[n_light:]
+        r[n_light:] = inv_nakagami_sample(rng, float(phi.heavy_m), phi.heavy_omega[heavy_comp])
+
+    a = np.empty((n, v.dim))
+    for k in range(v.k):
+        idx = np.nonzero(comp == k)[0]
+        if idx.size:
+            a[idx] = vmf_sample_reference(rng, v.mu[k], float(v.kappa[k]), idx.size)
+
+    return PolarSamples(r=r, a=a, n_light=n_light)
+
+
+def shifted_exp_reference(x, axis=-1):
+    """``special.shifted_exp`` as it was before its path for finite maxima:
+    every non-finite max reset to 0, then exp(x - shift) under errstate."""
+    shift = x.max(axis=axis, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    e = np.subtract(x, shift)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    return e, shift.squeeze(axis=axis)
+
+
+def mixture_columns_reference(samples, v, column_sets):
+    """``mixtures._mixture_columns`` as it was before its radial product had
+    a spare column: (K, n) joints from an (n, K + 1) angular product, its
+    first K columns added to an unpadded (n, K) radial product, in fresh
+    arrays."""
+    n, k = len(samples), v.k
+    kmu = v.kappa[:, None] * v.mu
+    angular = np.matmul(samples.a, np.vstack((kmu, kmu[:1])).T, out=np.empty((n, k + 1)))[:, :k]
+    radial = np.empty((n, k))
+    joint = np.empty((len(column_sets) * k, n))
+    log_vmf = vmf_log_normalizer(v.dim, v.kappa)
+    coef = np.empty((2, k))
+    for i, (w, m, omega, side) in enumerate(column_sets):
+        log_c, coef[0], coef[1] = _radial_coefficients(m, omega, side)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(samples.radial_statistics(side), coef, out=radial)
+        radial += angular
+        np.add(radial.T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
+    return joint
+
+
+def e_step_reference(samples, v):
+    """``em.e_step`` as it was before its path for finite column maxima:
+    the (K, n) responsibilities and ln q from ``mixture_columns_reference``,
+    with every column checked for zero density."""
+    joint = mixture_columns_reference(samples, v, [(v.pi, v.m, v.omega, 1)])
+    e, shift = shifted_exp_reference(joint, axis=0)
+    total = e.sum(axis=0)
+    with np.errstate(divide="ignore"):
+        log_q = np.log(total) + shift
+    bad = ~np.isfinite(log_q)
+    e[:, bad], total[bad] = 1.0, v.k
+    return e / total, log_q
+
+
+def safe_logpdf_reference(samples, phi):
+    """``mixtures.safe_logpdf`` on ``mixture_columns_reference`` and
+    ``shifted_exp_reference``."""
+    v, lam = phi.light, phi.lam
+    sides = ((lam, v.m, v.omega, 1), (1.0 - lam, phi.heavy_m, phi.heavy_omega, -1))
+    joint = mixture_columns_reference(samples, v, [(w * v.pi, *radial) for w, *radial in sides if w > 0.0])
+    e, shift = shifted_exp_reference(joint, axis=0)
+    with np.errstate(divide="ignore"):
+        return np.log(e.sum(axis=0)) + shift
 
 
 def batch_statistics_reference(samples, weights):

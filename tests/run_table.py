@@ -16,7 +16,9 @@ RMSE against it, the RMSE without the largest 1% of errors (5% in a set
 of fewer than 600 runs), the runs above twice the reference, the largest
 ratio pf / reference and the mean of that ratio with its standard error.
 The reference is the exact 2 Phi(-z) for two-mode and the pf of
-perfbench/references.json for four-branch.
+perfbench/references.json for four-branch. ``compare`` exits with status
+1 when any run's pf bits or structure changed and 0 otherwise, so one
+command's status says whether a change is bit for bit over every set.
 
 pytest does not collect this file; a full ``run`` takes a few minutes on
 one core.
@@ -35,6 +37,7 @@ import argparse
 import json
 import logging
 import math
+import sys
 from pathlib import Path
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -115,7 +118,9 @@ def accuracy(pfs: list, ref: float) -> tuple:
     return rmse, trimmed, sum(ratio > 2.0 for ratio in ratios), max(ratios), mean, se
 
 
-def compare(path_a: str, path_b: str) -> None:
+def compare(path_a: str, path_b: str) -> bool:
+    """Print the comparison; True when every run has the same pf bits and
+    structure in both tables."""
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
         raise SystemExit("the two tables hold different runs")
@@ -140,9 +145,10 @@ def compare(path_a: str, path_b: str) -> None:
                     f"  {label}: rel RMSE {rmse:.4f}, without {n_trimmed(len(pfs))} largest {trimmed:.4f},"
                     f" runs > 2x {above}, largest ratio {ratio:.2f}, mean pf/ref {mean:.4f} ± {se:.4f}"
                 )
+    return not changed and all(a[key]["pf"] == b[key]["pf"] for key in a)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run").add_argument("out")
@@ -152,9 +158,9 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.command == "run":
         make_table(args.out)
-    else:
-        compare(args.before, args.after)
+        return 0
+    return 0 if compare(args.before, args.after) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -9,19 +9,27 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from safeice import core
+from safeice import core, mixtures
 from safeice.em import batch_statistics, e_step, fit
 from safeice.mixtures import (
     PolarSamples,
     SafeMixtureParams,
     VmfnmParams,
+    _mixture_columns,
     safe_logpdf,
     safe_sample,
     vmf_sample,
 )
 from safeice.problems import problem_registry
 
-from oracles import batch_statistics_reference, vmf_sample_reference
+from oracles import (
+    batch_statistics_reference,
+    e_step_reference,
+    mixture_columns_reference,
+    safe_logpdf_reference,
+    safe_sample_reference,
+    vmf_sample_reference,
+)
 
 
 def random_mixture(rng, d, k):
@@ -68,6 +76,75 @@ def test_vmf_sample_equals_the_fresh_array_sampler_bit_for_bit(kappa, n, d):
         want = vmf_sample_reference(np.random.default_rng(seed), mu, kappa, n)
         assert got.shape == (n, d) and got.flags.c_contiguous
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("d", [2, 10, 20])
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_safe_sample_equals_the_per_component_sampler_bit_for_bit(k, d, lam):
+    # seeds 1 and 3 set one kappa to 0 among positive ones (the only one at
+    # K = 1); one component of weight 1e-12 is never drawn, and batches of
+    # 1, 3 and 40 rows draw some components once
+    counts = set()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        v = random_mixture(rng, d, k)
+        if seed % 2:
+            v.kappa[0] = 0.0
+        if k > 1:
+            v.pi[-1] = 1e-12
+            v.pi /= v.pi.sum()
+        phi = SafeMixtureParams(v, lam)
+        for n in (1, 3, 40, 700):
+            got_rng, want_rng = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+            counts.update(np.bincount(np.random.default_rng([seed, n]).choice(k, n, p=v.pi), minlength=k).tolist())
+            got, want = safe_sample(got_rng, phi, n), safe_sample_reference(want_rng, phi, n)
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.a, want.a)
+            assert got.n_light == want.n_light
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert not np.shares_memory(got.a, mixtures._SCRATCH.buf)
+    assert {0, 1} <= counts if k > 1 else 1 in counts
+
+
+def mixture_batch(rng, n, d):
+    """n unit directions and radii over six decades; from 7 rows on, row 0
+    at r = 1e160 and row 1 at r = 1e-160, where every light or every heavy
+    density is 0."""
+    a = rng.standard_normal((n, d))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    r = np.exp(rng.uniform(-3.0, 3.0, n))
+    if n >= 7:
+        r[:2] = 1e160, 1e-160
+    return PolarSamples(r, a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("d", [2, 10, 20])
+@pytest.mark.parametrize("k", [1, 2, 3, 20])
+def test_mixture_kernels_equal_the_unpadded_reference_bit_for_bit(k, d, n):
+    # the radial product's spare column, absent at K = 1, changes no bit of
+    # the joints on either side, of safe_logpdf or of e_step, with or
+    # without an out array; seed 1 sets one kappa to 0
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        s = mixture_batch(rng, n, d)
+        v = random_mixture(rng, d, k)
+        if seed == 1:
+            v.kappa[0] = 0.0
+        phi = SafeMixtureParams(v, 0.5)
+        light, heavy = (v.pi, v.m, v.omega, 1), (v.pi, phi.heavy_m, phi.heavy_omega, -1)
+        for sets in ([light], [heavy], [light, heavy]):
+            want = mixture_columns_reference(s, v, sets)
+            assert np.array_equal(_mixture_columns(s, v, sets), want)
+            out = np.empty_like(want)
+            assert _mixture_columns(s, v, sets, out=out) is out and np.array_equal(out, want)
+        for lam in (0.0, 0.5, 1.0):
+            phi = SafeMixtureParams(v, lam)
+            assert np.array_equal(safe_logpdf(s, phi), safe_logpdf_reference(s, phi))
+        want_gamma, want_log_q = e_step_reference(s, v)
+        for out in (None, np.empty((k, n))):
+            gamma, log_q = e_step(s, v, out=out)
+            assert np.array_equal(gamma, want_gamma) and np.array_equal(log_q, want_log_q)
 
 
 @pytest.mark.parametrize("d", [2, 10, 20])

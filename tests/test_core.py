@@ -265,30 +265,53 @@ def test_select_sigma_takes_the_smallest_crossing(seed):
     assert not np.any(crossing[grid[1:] < np.log(got)])
 
 
-def test_select_sigma_scans_the_grid_up_to_the_first_crossing(monkeypatch):
-    # the grid is evaluated from below up to the first crossing cell
-    # (i, i + 1), i + 2 points, and rooting that cell takes at most 12 more
-    # evaluations, each one log_normal_cdf pass
-    args = first_level_inputs(1024)
-    grid, e = excess_on_grid(*args)
-    i = np.flatnonzero(e[:-1] * e[1:] < 0.0)[0]
-    sigmas, cdf_calls = [], []
+def record_smoothed_weights(monkeypatch):
+    """(sigma, weights) of every ``select_sigma`` kernel call, and the
+    arguments of every ``log_normal_cdf`` call select_sigma makes."""
+    calls, cdf_calls = [], []
+    kernel = core._smoothed_weights
 
-    def recorded(g, sigma, log_ratio):
-        sigmas.append(sigma)
-        return intermediate_log_weights(g, sigma, log_ratio)
+    def recorded(w, rows, neg_g, log_ratio, sigma):
+        calls.append((sigma, kernel(w, rows, neg_g, log_ratio, sigma).copy()))
+        return w
 
     def counted(x):
         cdf_calls.append(x)
         return log_normal_cdf(x)
 
-    monkeypatch.setattr(core, "intermediate_log_weights", recorded)
+    monkeypatch.setattr(core, "_smoothed_weights", recorded)
     monkeypatch.setattr(core, "log_normal_cdf", counted)
+    return calls, cdf_calls
+
+
+def decided_grid_points(g, log_ratio, sigma_prev, delta):
+    """The grid points at which so few rows count that cv(W) > delta
+    follows from their number: the first ones, as the count grows with sigma."""
+    thresholds = np.sort(core._count_thresholds(g, log_ratio)) * (1.0 - 1e-9)
+    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
+    counts = np.array([np.searchsorted(thresholds, np.exp(x), side="right") for x in grid])
+    return counts <= core._decided_rows(g.size, delta)
+
+
+def test_select_sigma_scans_the_grid_up_to_the_first_crossing(monkeypatch):
+    # the grid is evaluated from below up to the first crossing cell
+    # (i, i + 1), except the lowest points, whose row count alone puts cv
+    # above delta, and rooting that cell takes at most 12 more evaluations,
+    # each one log_normal_cdf pass
+    args = first_level_inputs(1024)
+    grid, e = excess_on_grid(*args)
+    i = np.flatnonzero(e[:-1] * e[1:] < 0.0)[0]
+    decided = decided_grid_points(*args)
+    low = int(decided.sum())
+    assert 0 < low < i and decided[:low].all() and np.all(e[:low] > 0.0)
+    calls, cdf_calls = record_smoothed_weights(monkeypatch)
     select_sigma(*args)
+    sigmas = [sigma for sigma, _ in calls]
     on_grid = np.isin(sigmas, np.exp(grid))
-    assert on_grid[: i + 2].all() and on_grid.sum() == i + 2
+    assert on_grid[: i + 2 - low].all() and on_grid.sum() == i + 2 - low
+    assert np.array_equal(np.array(sigmas)[on_grid], np.exp(grid[low : i + 2]))
     assert 1 <= (~on_grid).sum() <= 12
-    assert len(cdf_calls) == len(sigmas)
+    assert len(cdf_calls) == len(calls)
 
 
 def assert_same_as_full_grid(g, log_ratio, sigma_prev, delta):
@@ -417,26 +440,45 @@ def test_select_sigma_keeps_a_subnormal_weight(monkeypatch):
     # weight that the skip must keep, while rows 3 and 4 lie far below -800
     g = np.array([-1.0, -0.5, 1e-8, 1.0, 2.0])
     log_ratio = np.array([0.0, -0.3, -720.0, -2000.0, -5000.0])
-    sigmas, weights = [], []
-
-    def recorded(g, sigma, log_ratio):
-        sigmas.append(sigma)
-        return intermediate_log_weights(g, sigma, log_ratio)
-
-    def recorded_cv(w):
-        weights.append(w.copy())
-        return cv(w)
-
-    monkeypatch.setattr(core, "intermediate_log_weights", recorded)
-    monkeypatch.setattr(core, "cv", recorded_cv)
+    calls, cdf_calls = record_smoothed_weights(monkeypatch)
     got = select_sigma(g, log_ratio, 1.0, 4.0)
     monkeypatch.undo()
     assert got == select_sigma_sequential_reference(g, log_ratio, 1.0, 4.0)
-    assert len(sigmas) == len(weights) > 0
-    subnormal = (weights[0] > 0.0) & (weights[0] < np.finfo(float).tiny)
+    assert len(calls) == len(cdf_calls) > 0
+    assert calls[0][0] == np.exp(np.log(1e-8))
+    subnormal = (calls[0][1] > 0.0) & (calls[0][1] < np.finfo(float).tiny)
     assert subnormal.tolist() == [False, False, True, False, False]
-    for sigma, w in zip(sigmas, weights):
+    for sigma, w in calls:
         assert np.array_equal(w, shifted_exp(intermediate_log_weights(g, sigma, log_ratio))[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3000),
+    n_fail=st.integers(1, 40),
+    g_scale=st.sampled_from([1e-6, 1.0, 1e3]),
+    log_ratio_scale=st.sampled_from([0.0, 1.0, 30.0, 1e3]),
+    sigma_prev=st.sampled_from([1e-3, 0.5, 10.0, 1e6]),
+    delta=st.sampled_from([0.5, 1.5, 4.0, 30.0]),
+)
+def test_select_sigma_skips_only_grid_points_above_the_target(
+    seed, n, n_fail, g_scale, log_ratio_scale, sigma_prev, delta
+):
+    # few failing rows among many leave few rows that count at small sigma;
+    # where their number decides the point, the excess of the sequential
+    # reference, which weighs every row, is > 0 or +inf
+    rng = np.random.default_rng(seed)
+    g = g_scale * np.abs(rng.standard_normal(n))
+    g[: min(n_fail, n)] *= -1.0
+    log_ratio = log_ratio_scale * rng.standard_normal(n)
+    grid = np.linspace(np.log(1e-8 * sigma_prev), np.log(sigma_prev), 50)
+    for x in grid[decided_grid_points(g, log_ratio, sigma_prev, delta)]:
+        excess = _weight_cv(intermediate_log_weights(g, np.exp(x), log_ratio)) - delta
+        assert excess > 0.0
+    assert select_sigma(g, log_ratio, sigma_prev, delta) == select_sigma_sequential_reference(
+        g, log_ratio, sigma_prev, delta
+    )
 
 
 # -------------------------------------------------------------------- stop_cv
@@ -662,6 +704,9 @@ PERFBENCH_SEED_1000 = {
     "two-mode-rare": (("two-mode", 5.5, 20, 10_000), ("0x1.4322096928694p-25", 3, 2, 40000)),
     "oscillator": (("oscillator", 0.05, 10, 1000), ("0x1.255ffed44050ap-9", 2, 2, 3000)),
 }
+# the oscillator's seed 1002 ends at K = 1, where the mixture kernels take
+# their single-component paths; seed 1000 ends at K = 2
+OSCILLATOR_SEED_1002 = ("0x1.41a2dd6827d1dp-10", 2, 1, 3000)
 
 
 _PINS_SCRIPT = """
@@ -669,8 +714,8 @@ import json, sys
 from safeice.core import RunConfig, run
 from safeice.problems import problem_registry
 out = {}
-for workload, (name, z, d, n) in json.loads(sys.argv[1]).items():
-    res = run(problem_registry(name, z, d), RunConfig(seed=1000, n_per_iter=n))
+for workload, (name, z, d, n, seed) in json.loads(sys.argv[1]).items():
+    res = run(problem_registry(name, z, d), RunConfig(seed=seed, n_per_iter=n))
     out[workload] = [res.pf.hex(), res.iterations, res.final_k, res.lsf_evals]
 print(json.dumps(out))
 """
@@ -678,9 +723,11 @@ print(json.dumps(out))
 
 @pytest.fixture(scope="module")
 def pins_at_1_and_2_blas_threads():
-    """The seed-1000 pins, each computed in a fresh process at 1 and at 2
-    BLAS threads."""
-    problems = json.dumps({w: args for w, (args, _) in PERFBENCH_SEED_1000.items()})
+    """The seed-1000 pins and the oscillator's seed 1002, each computed in a
+    fresh process at 1 and at 2 BLAS threads."""
+    pins = {w: [*args, 1000] for w, (args, _) in PERFBENCH_SEED_1000.items()}
+    pins["oscillator seed 1002"] = ["oscillator", 0.05, 10, 1000, 1002]
+    problems = json.dumps(pins)
     runs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
@@ -699,6 +746,11 @@ def test_run_pins_the_perfbench_seed_1000_outputs(pins_at_1_and_2_blas_threads, 
     # host that runs the tests
     one, _ = pins_at_1_and_2_blas_threads
     assert tuple(one[workload]) == PERFBENCH_SEED_1000[workload][1]
+
+
+def test_run_pins_the_oscillator_seed_1002_output_at_k_1(pins_at_1_and_2_blas_threads):
+    one, _ = pins_at_1_and_2_blas_threads
+    assert tuple(one["oscillator seed 1002"]) == OSCILLATOR_SEED_1002
 
 
 @pytest.mark.parametrize(
@@ -826,6 +878,27 @@ def test_run_hits_outer_limit(monkeypatch, caplog):
     assert any(
         r.getMessage() == "run: problem 'two-mode' seed 0 t 1 sigma "
         f"{res.sigma_trace[1]:g}: outer iteration limit reached without convergence"
+        for r in caplog.records
+    )
+
+
+def test_run_at_the_outer_limit_names_the_levels_at_the_grid_floor(caplog):
+    # at K = 1 on two-mode z = 3.5, d = 2, the weights' cv stops depending
+    # on sigma: no grid cell crosses the target and 17 levels take the
+    # lowest grid point, sigma times 1e-8. The warning counts them, and
+    # the pinned result shows that counting changes none of its bits
+    with caplog.at_level("WARNING"):
+        res = run(problem_registry("two-mode", 3.5, 2), RunConfig(k_init=1, seed=0))
+    got = (res.pf.hex(), res.iterations, res.final_k, res.lsf_evals, res.converged, res.se.hex(), res.ess.hex())
+    assert got == ("0x1.d045f6652e28fp-12", 20, 1, 21000, False, "0x1.07e87e7390377p-15", "0x1.4aed3343bde1ep+7")
+    ratios = np.array(res.sigma_trace[1:]) / np.array(res.sigma_trace[:-1])
+    floored = int(np.sum(np.abs(ratios / 1e-8 - 1.0) < 1e-9))
+    assert floored == 17
+    assert any(
+        r.getMessage().endswith(
+            "outer iteration limit reached without convergence;"
+            f" {floored} of 20 levels cut sigma by select_sigma's full factor 1e-08"
+        )
         for r in caplog.records
     )
 
