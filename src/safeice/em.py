@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .mixtures import PolarSamples, VmfnmParams, _mixture_columns
+from .mixtures import PolarSamples, VmfnmParams, _mixture_columns, _row_norms
 from .special import shifted_exp
 
 __all__ = [
@@ -45,6 +45,11 @@ KAPPA_MAX = 1e4
 # below this norm the squares of a resultant's entries underflow, so
 # dividing by np.linalg.norm no longer yields a unit vector
 RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
+# m_step_params scales m by this before dividing by omega: as m <= M_MAX < 2^14,
+# m 2^-100 / omega stays finite at any omega > 0, and it reaches 2^924
+# exactly where m / omega overflows, since scaling by a power of 2 is exact
+_RATIO_SCALE = 2.0**-100
+_RATIO_TOP = 2.0**924
 
 
 def e_step(
@@ -60,25 +65,26 @@ def e_step(
     Samples with zero density under every component get uniform
     responsibilities (with a diagnostic warning) so the M-step stays defined.
     Where every column's max is finite, each column total lies in [1, K],
-    and the reset of non-finite maxima, the errstate blocks and that check
-    are skipped; the results are the same bits.
+    and the reset of non-finite maxima and the zero-density check are
+    skipped; the results are the same bits. Reductions are the ufuncs'
+    own, as in the rest of the EM loop.
     """
     if out is None:
         out = np.empty((v.k, len(samples)))
     joint = _mixture_columns(samples, v, [(v.pi, v.m, v.omega, 1)], out=out)
-    shift = joint.max(axis=0)
-    if np.isfinite(shift).all():
+    shift = np.maximum.reduce(joint, axis=0)
+    if np.logical_and.reduce(np.isfinite(shift)):
         # each column's largest term is exp(0) = 1, so its total lies in [1, K]
         e = np.exp(np.subtract(joint, shift, out=joint), out=joint)
-        total = e.sum(axis=0)
+        total = np.add.reduce(e, axis=0)
         log_q = np.log(total) + shift
     else:
         e, shift = shifted_exp(joint, axis=0, out=joint)
-        total = e.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            log_q = np.log(total) + shift
+        total = np.add.reduce(e, axis=0)
+        # a column of zero density has total 0, and ln 0 = -inf marks it
+        log_q = np.log(total, out=np.full(total.shape, -np.inf), where=total != 0.0) + shift
         bad = ~np.isfinite(log_q)
-        if bad.any():
+        if np.logical_or.reduce(bad):
             logger.warning("e_step: %d samples with zero density under all components", bad.sum())
             e[:, bad], total[bad] = 1.0, v.k
     e /= total
@@ -115,7 +121,7 @@ def penalized_weight_update(
     which ``fit`` takes once per iteration for this and ``beta_update``.
     """
     mass = gamma @ weights
-    pi_em = mass / mass.sum()
+    pi_em = mass / np.add.reduce(mass)
     return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
 
 
@@ -132,17 +138,17 @@ def prune(
     some entry survives.
     """
     keep = pi_new > 0.0
-    if keep.all():
-        return VmfnmParams(pi_new / pi_new.sum(), v.m, v.omega, v.mu, v.kappa), gamma
+    if np.logical_and.reduce(keep):
+        return VmfnmParams(pi_new / np.add.reduce(pi_new), v.m, v.omega, v.mu, v.kappa), gamma
     pi = pi_new[keep]
     gamma = gamma[keep]
-    total = gamma.sum(axis=0)
+    total = np.add.reduce(gamma, axis=0)
     dead = total <= 0.0
-    if dead.any():
-        gamma[:, dead], total[dead] = 1.0 / keep.sum(), 1.0
+    if np.logical_or.reduce(dead):
+        gamma[:, dead], total[dead] = 1.0 / pi.size, 1.0
     gamma /= total
     v2 = VmfnmParams(
-        pi=pi / pi.sum(), m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep]
+        pi=pi / np.add.reduce(pi), m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep]
     )
     return v2, gamma
 
@@ -165,10 +171,11 @@ def beta_update(
     argument is negative or non-finite, the first argument alone is used.
     """
     eta = min(1.0, 0.5 ** math.floor(d / 2.0 - 1.0))
-    first = float(np.exp(-eta * n_samples * np.abs(pi_new - pi_old)).mean())
-    denom = -float(pi_old.max()) * entropy_sum
+    # the mean as numpy takes it: one sum, then a divide by the count
+    first = float(np.add.reduce(np.exp(-eta * n_samples * np.abs(pi_new - pi_old)))) / pi_new.size
+    denom = -float(np.maximum.reduce(pi_old)) * entropy_sum
     if denom > 0.0:
-        second = (1.0 - float(pi_em.max())) / denom
+        second = (1.0 - float(np.maximum.reduce(pi_em))) / denom
         if math.isfinite(second) and second >= 0.0:
             return min(first, second)
     return first
@@ -190,25 +197,32 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     """
     sums = gamma @ stats
     dead = sums[:, 0] <= 0.0
-    if dead.any():
-        logger.warning("m_step: %d components with zero responsibility mass", dead.sum())
+    if np.logical_or.reduce(dead):
+        logger.warning("m_step: %d components with zero responsibility mass", np.add.reduce(dead))
     s0_safe = np.where(dead, 1.0, sums[:, 0])
 
+    # each quotient is taken only where it can neither divide by 0 nor meet
+    # an invalid operation; elsewhere m and kappa keep +inf, their limit
+    # before the clamps, and mu a 0 row that ``bad`` replaces
     omega, mean_r4 = sums[:, 1:3].T / s0_safe  # omega is the mean of r^2
     var_r2 = mean_r4 - omega**2
-    # neither the norm nor the clips can divide by 0 or meet an invalid
-    # operation, so this block silences only what the quotients raise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        m = np.clip(np.where(var_r2 > 0.0, omega**2 / var_r2, np.inf), M_MIN, M_MAX)
-        res_norm = np.linalg.norm(sums[:, 3:], axis=1)  # of the resultant
-        mu = sums[:, 3:] / res_norm[:, None]
-        rbar = res_norm / s0_safe
-        kappa = np.where(rbar < 1.0, rbar * (v.dim - rbar**2) / (1.0 - rbar**2), np.inf)
-        kappa = np.clip(kappa, 0.0, KAPPA_MAX)
+    limits = np.empty((3, v.k))
+    limits.fill(np.inf)
+    m, kappa, ratio = limits
+    np.divide(omega**2, var_r2, out=m, where=var_r2 > 0.0)
+    np.minimum(np.maximum(m, M_MIN, out=m), M_MAX, out=m)  # np.clip's bits
+    resultant = sums[:, 3:]
+    res_norm = _row_norms(resultant, np.empty(resultant.shape))
+    mu = np.divide(resultant, res_norm[:, None], out=np.zeros(resultant.shape), where=res_norm[:, None] != 0.0)
+    rbar = res_norm / s0_safe
+    np.divide(rbar * (v.dim - rbar**2), 1.0 - rbar**2, out=kappa, where=rbar < 1.0)
+    np.minimum(np.maximum(kappa, 0.0, out=kappa), KAPPA_MAX, out=kappa)
 
-    with np.errstate(divide="ignore", over="ignore"):
-        bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~np.isfinite(m / omega)
-    if bad.any():
+    # m / omega, the radial kernels' coefficient, is not finite where the
+    # scaled quotient is not below _RATIO_TOP, and where omega is 0
+    np.divide(m * _RATIO_SCALE, omega, out=ratio, where=omega > 0.0)
+    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~(ratio < _RATIO_TOP)
+    if np.logical_or.reduce(bad):
         m[bad] = v.m[bad]
         omega[bad] = v.omega[bad]
         mu[bad] = v.mu[bad]
@@ -226,7 +240,7 @@ def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) 
 def _loglik(w_pos: np.ndarray, pos: np.ndarray, log_q: np.ndarray) -> float:
     # the sum runs over the positive weights w_pos = weights[pos] only, so
     # 0 * (-inf) cannot poison it
-    return float((w_pos * log_q[pos]).sum())
+    return float(np.add.reduce(w_pos * log_q[pos]))
 
 
 @dataclass
@@ -258,7 +272,8 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     """
     weights = np.asarray(weights, dtype=float)
     pos = weights > 0.0
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0) or not pos.any():
+    valid = np.isfinite(weights) & (weights >= 0.0)
+    if not (np.logical_and.reduce(valid, axis=None) and np.logical_or.reduce(pos, axis=None)):
         raise ValueError("weights must be finite and nonnegative with positive total")
     w_pos = weights[pos]
     v_init.check()
@@ -271,7 +286,7 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     gamma, _ = e_step(samples, v, out=gamma_buf)
     for n_iterations in range(1, MAX_EM + 1):
         pi_old = v.pi
-        entropy_sum = float(xlogy(pi_old, pi_old).sum())
+        entropy_sum = float(np.add.reduce(xlogy(pi_old, pi_old)))
         pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta, entropy_sum)
         v, gamma = prune(pi_raw, gamma, v)
         if penalized:

@@ -60,6 +60,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Largest | |mu| - 1 | a mean direction may have; ``VmfnmParams.check``
 # rejects a mixture whose directions stray further.
 UNIT_NORM_TOL = 1e-8
+# A radial product whose entries are bounded by this in size cannot overflow:
+# it leaves room for the rounding of a two-term sum
+_RADIAL_MAX = float(np.finfo(float).max) / 2.0
 
 
 def _radial_coefficients(m, omega, side: int):
@@ -104,7 +107,7 @@ def vmf_log_normalizer(d: int, kappa: np.ndarray) -> np.ndarray:
     at every fitted level, the formula runs on the whole array.
     """
     pos = kappa > 0.0
-    kp = kappa if pos.all() else kappa[pos]
+    kp = kappa if np.logical_and.reduce(pos) else kappa[pos]
     nu = d / 2.0 - 1.0
     log_i = log_bessel_i_scaled(nu, kp) + kp
     log_c = nu * np.log(kp) - (d / 2.0) * _LOG_2PI - log_i
@@ -190,14 +193,15 @@ class PolarSamples:
     n_light : the first n_light rows took a light radius, the rest a
         heavy one; all n rows by default
 
-    ``radial_statistics`` keeps what it computes from ``r``, so ``r`` must
-    not change after the first density read of the batch.
+    ``radial_statistics`` keeps what it computes from ``r``, with the
+    largest size of each statistic, so ``r`` must not change after the
+    first density read of the batch.
     """
 
     r: np.ndarray
     a: np.ndarray
     n_light: int | None = None
-    _radial: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _radial: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -221,13 +225,19 @@ class PolarSamples:
         """(n, 2) statistics [ln r, r^(2 side)] of the radial kernels, made
         at the first call for each side and kept: ``safe_logpdf`` and every
         E-step of the fit that follows read the same array."""
-        stats = self._radial.get(side)
-        if stats is None:
+        return self.radial_statistics_and_top(side)[0]
+
+    def radial_statistics_and_top(self, side: int) -> tuple[np.ndarray, list]:
+        """``radial_statistics`` and the largest |ln r| and r^(2 side) of the
+        batch, as floats: inf where a statistic is, and nan where r is."""
+        kept = self._radial.get(side)
+        if kept is None:
             # r^(2 side) overflows to inf in the tail the law decays in
             with np.errstate(over="ignore"):
                 stats = np.stack((np.log(self.r), self.r ** (2.0 * side)), axis=1)
-            self._radial[side] = stats
-        return stats
+            top = np.maximum.reduce(np.abs(stats), axis=0, initial=0.0).tolist()
+            kept = self._radial[side] = (stats, top)
+        return kept
 
 
 @dataclass
@@ -307,6 +317,10 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     products are (n, K), so each sample's row is the same in any batch;
     one transposed add then lays their sum out by component.
 
+    The radial product meets an inf only where a statistic is inf or an
+    entry overflows, as the batch's ``top`` statistics and the
+    coefficients' sizes bound it; only then does it run under errstate.
+
     Both products go into C-contiguous scratch views: matmul into a
     strided ``out`` leaves BLAS and rounds differently. Each has a spare
     column that repeats column 0, so that they add as whole arrays. The
@@ -321,9 +335,11 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     # at K = 1 numpy takes BLAS's matrix-vector path, whose rounding of a
     # row depends on its place in the batch; one spare column keeps the
     # product on the matrix-matrix path, where it does not
-    kmu = v.kappa[:, None] * v.mu
+    kmu = np.empty((k + 1, v.mu.shape[1]))
+    np.multiply(v.kappa[:, None], v.mu, out=kmu[:k])
+    kmu[k] = kmu[0]
     angular = buf[: n * (k + 1)].reshape(n, k + 1)
-    np.matmul(samples.a, np.concatenate((kmu, kmu[:1])).T, out=angular)
+    np.matmul(samples.a, kmu.T, out=angular)
     angular = angular[:, :width]
     radial = buf[n * (k + 1) : n * (k + 1 + width)].reshape(n, width)
     joint = buf[n * (k + 1 + width) :].reshape(rows_total, n) if out is None else out
@@ -332,10 +348,16 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     for i, (w, m, omega, side) in enumerate(column_sets):
         log_c, coef[0, :k], coef[1, :k] = _radial_coefficients(m, omega, side)
         coef[:, k:] = coef[:, :1]
-        # an inf statistic times its negative coefficient is -inf, the right
-        # limit; matmul flags an inf operand as invalid
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(samples.radial_statistics(side), coef, out=radial)
+        stats, top = samples.radial_statistics_and_top(side)
+        c_top = np.maximum.reduce(np.abs(coef), axis=1).tolist()
+        if top[0] * c_top[0] + top[1] * c_top[1] <= _RADIAL_MAX:
+            np.matmul(stats, coef, out=radial)
+        else:
+            # an inf statistic times its negative coefficient is -inf, the
+            # right limit, and so is an overflowing entry; matmul flags an
+            # inf operand as invalid
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.matmul(stats, coef, out=radial)
         radial += angular
         np.add(radial[:, :k].T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
     return joint

@@ -50,7 +50,7 @@ def log_bessel_i_scaled(order: float, x: np.ndarray) -> np.ndarray:
     """
     scaled = _sc.ive(order, x)
     ok = scaled > 0.0
-    if ok.all():
+    if np.logical_and.reduce(ok, axis=None):
         return np.log(scaled)
     out = np.empty(x.shape)
     out[ok] = np.log(scaled[ok])
@@ -66,9 +66,9 @@ def shifted_exp(x, axis=-1, out=None):
     Where the max is NaN or +inf, other entries of the slice may overflow
     to +inf, silently. When every max is finite, the reset and the
     errstate block are skipped."""
-    shift = x.max(axis=axis, keepdims=True)
+    shift = np.maximum.reduce(x, axis=axis, keepdims=True)
     finite = np.isfinite(shift)
-    if finite.all():
+    if np.logical_and.reduce(finite, axis=None):
         # x - shift <= 0 everywhere, so exp cannot overflow
         e = np.subtract(x, shift, out=out)
         np.exp(e, out=e)

@@ -7,6 +7,7 @@ other way, so the tests can compare the two.
 import math
 
 import numpy as np
+from scipy import special as _sc
 from scipy.special import logsumexp, xlogy
 
 from safeice import problems
@@ -24,7 +25,7 @@ from safeice.mixtures import (
     uniform_sphere_logpdf,
     vmf_log_normalizer,
 )
-from safeice.special import shifted_exp
+from safeice.special import _log_bessel_i_series, log_normal_cdf, shifted_exp
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
@@ -524,3 +525,173 @@ def select_sigma_sequential_reference(
                 fa *= 0.5
             kept = -1
     return float(min(np.exp(x), sigma_prev))
+
+
+# The EM and sigma-search kernels as they were when they called numpy's
+# Python wrappers (ndarray.sum/max/all/any/mean, np.clip, np.linalg.norm,
+# np.concatenate) and silenced floating-point errors with np.errstate. The
+# kernels now call the ufuncs' reductions and guard each quotient instead;
+# the tests hold the two to the same bits.
+
+
+def log_bessel_i_scaled_with_wrappers(order: float, x: np.ndarray) -> np.ndarray:
+    scaled = _sc.ive(order, x)
+    ok = scaled > 0.0
+    if ok.all():
+        return np.log(scaled)
+    out = np.empty(x.shape)
+    out[ok] = np.log(scaled[ok])
+    out[~ok] = _log_bessel_i_series(order, x[~ok])
+    return out
+
+
+def vmf_log_normalizer_with_wrappers(d: int, kappa: np.ndarray) -> np.ndarray:
+    pos = kappa > 0.0
+    kp = kappa if pos.all() else kappa[pos]
+    nu = d / 2.0 - 1.0
+    log_i = log_bessel_i_scaled_with_wrappers(nu, kp) + kp
+    log_c = nu * np.log(kp) - (d / 2.0) * np.log(2.0 * np.pi) - log_i
+    if kp is kappa:
+        return log_c
+    out = np.full(kappa.shape, uniform_sphere_logpdf(d))
+    out[pos] = log_c
+    return out
+
+
+def shifted_exp_with_wrappers(x, axis=-1, out=None):
+    shift = x.max(axis=axis, keepdims=True)
+    finite = np.isfinite(shift)
+    if finite.all():
+        e = np.subtract(x, shift, out=out)
+        np.exp(e, out=e)
+        return e, shift.squeeze(axis=axis)
+    shift[~finite] = 0.0
+    e = np.subtract(x, shift, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    return e, shift.squeeze(axis=axis)
+
+
+def mixture_columns_with_wrappers(samples, v, column_sets) -> np.ndarray:
+    """``mixtures._mixture_columns`` in fresh arrays rather than the scratch."""
+    n, k = len(samples), v.k
+    width = k + 1 if k > 1 and n > 1 else k
+    kmu = v.kappa[:, None] * v.mu
+    angular = np.empty((n, k + 1))
+    np.matmul(samples.a, np.concatenate((kmu, kmu[:1])).T, out=angular)
+    angular = angular[:, :width]
+    radial = np.empty((n, width))
+    joint = np.empty((len(column_sets) * k, n))
+    log_vmf = vmf_log_normalizer_with_wrappers(v.dim, v.kappa)
+    coef = np.empty((2, width))
+    for i, (w, m, omega, side) in enumerate(column_sets):
+        log_c, coef[0, :k], coef[1, :k] = _radial_coefficients(m, omega, side)
+        coef[:, k:] = coef[:, :1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(samples.radial_statistics(side), coef, out=radial)
+        radial += angular
+        np.add(radial[:, :k].T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
+    return joint
+
+
+def e_step_with_wrappers(samples, v):
+    joint = mixture_columns_with_wrappers(samples, v, [(v.pi, v.m, v.omega, 1)])
+    shift = joint.max(axis=0)
+    if np.isfinite(shift).all():
+        e = np.exp(np.subtract(joint, shift, out=joint), out=joint)
+        total = e.sum(axis=0)
+        log_q = np.log(total) + shift
+    else:
+        e, shift = shifted_exp_with_wrappers(joint, axis=0, out=joint)
+        total = e.sum(axis=0)
+        with np.errstate(divide="ignore"):
+            log_q = np.log(total) + shift
+        bad = ~np.isfinite(log_q)
+        if bad.any():
+            e[:, bad], total[bad] = 1.0, v.k
+    e /= total
+    return e, log_q
+
+
+def penalized_weight_update_with_wrappers(gamma, weights, pi_old, beta, entropy_sum):
+    mass = gamma @ weights
+    pi_em = mass / mass.sum()
+    return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
+
+
+def prune_with_wrappers(pi_new, gamma, v):
+    keep = pi_new > 0.0
+    if keep.all():
+        return VmfnmParams(pi_new / pi_new.sum(), v.m, v.omega, v.mu, v.kappa), gamma
+    pi = pi_new[keep]
+    gamma = gamma[keep]
+    total = gamma.sum(axis=0)
+    dead = total <= 0.0
+    if dead.any():
+        gamma[:, dead], total[dead] = 1.0 / keep.sum(), 1.0
+    gamma /= total
+    v2 = VmfnmParams(pi=pi / pi.sum(), m=v.m[keep], omega=v.omega[keep], mu=v.mu[keep], kappa=v.kappa[keep])
+    return v2, gamma
+
+
+def beta_update_with_wrappers(pi_new, pi_old, pi_em, d, n_samples, entropy_sum):
+    eta = min(1.0, 0.5 ** math.floor(d / 2.0 - 1.0))
+    first = float(np.exp(-eta * n_samples * np.abs(pi_new - pi_old)).mean())
+    denom = -float(pi_old.max()) * entropy_sum
+    if denom > 0.0:
+        second = (1.0 - float(pi_em.max())) / denom
+        if math.isfinite(second) and second >= 0.0:
+            return min(first, second)
+    return first
+
+
+def m_step_params_with_wrappers(gamma, stats, v):
+    sums = gamma @ stats
+    dead = sums[:, 0] <= 0.0
+    s0_safe = np.where(dead, 1.0, sums[:, 0])
+
+    omega, mean_r4 = sums[:, 1:3].T / s0_safe
+    var_r2 = mean_r4 - omega**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = np.clip(np.where(var_r2 > 0.0, omega**2 / var_r2, np.inf), M_MIN, M_MAX)
+        res_norm = np.linalg.norm(sums[:, 3:], axis=1)
+        mu = sums[:, 3:] / res_norm[:, None]
+        rbar = res_norm / s0_safe
+        kappa = np.where(rbar < 1.0, rbar * (v.dim - rbar**2) / (1.0 - rbar**2), np.inf)
+        kappa = np.clip(kappa, 0.0, KAPPA_MAX)
+
+    with np.errstate(divide="ignore", over="ignore"):
+        bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~np.isfinite(m / omega)
+    if bad.any():
+        m[bad] = v.m[bad]
+        omega[bad] = v.omega[bad]
+        mu[bad] = v.mu[bad]
+        kappa[bad] = v.kappa[bad]
+    return VmfnmParams(v.pi, m, omega, mu, kappa)
+
+
+def cv_with_wrappers(values) -> float:
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    mean = values.sum() / n
+    if mean == 0.0 or not np.isfinite(mean):
+        return np.inf
+    d = values - mean
+    d *= d
+    return float(np.sqrt(d.sum() / (n - 1)) / mean)
+
+
+def smoothed_weights_with_wrappers(w, rows, neg_g, log_ratio, sigma) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        x = neg_g / sigma
+    log_w = log_normal_cdf(x)
+    log_w += log_ratio
+    top = log_w.max()
+    if math.isfinite(top):
+        log_w -= top
+        np.exp(log_w, out=log_w)
+    else:
+        log_w = shifted_exp_with_wrappers(log_w)[0]
+    w.fill(0.0)
+    w[rows] = log_w
+    return w

@@ -39,6 +39,7 @@ import logging
 import math
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
 STRUCTURE = ("iterations", "final_k", "lsf_evals", "converged")
@@ -51,21 +52,42 @@ def two_mode_pf(z: float) -> float:
 
 FOUR_BRANCH_PF = json.loads(REFERENCES.read_text())["four-branch"]["pf"]
 
-# name: (problem, z, d, method, n_per_iter, seeds, reference pf or None)
+
+class RunSet(NamedTuple):
+    """One set of runs: the problem, its threshold z and dimension d, the
+    method, N per level, the seeds, the reference pf and K0."""
+
+    problem: str
+    z: float
+    d: int
+    method: str
+    n_per_iter: int
+    seeds: range
+    ref: float | None  # the reference pf, or None
+    k_init: int = 20
+
+
 SETS = {
-    "four-branch safe-ice 10000-10599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(10000, 10600), FOUR_BRANCH_PF),
-    "four-branch safe-ice 0-599": ("four-branch", 0.0, 2, "safe-ice", 1000, range(600), FOUR_BRANCH_PF),
-    "four-branch ice 1000-1099": ("four-branch", 0.0, 2, "ice", 1000, range(1000, 1100), FOUR_BRANCH_PF),
-    "two-mode z=3.5 d=2 ice 0-59": ("two-mode", 3.5, 2, "ice", 1000, range(60), two_mode_pf(3.5)),
-    "two-mode-rare 1000-1009": ("two-mode", 5.5, 20, "safe-ice", 10_000, range(1000, 1010), two_mode_pf(5.5)),
-    "oscillator 1000-1009": ("oscillator", 0.05, 10, "safe-ice", 1000, range(1000, 1010), None),
+    "four-branch safe-ice 10000-10599": RunSet("four-branch", 0.0, 2, "safe-ice", 1000, range(10000, 10600), FOUR_BRANCH_PF),
+    "four-branch safe-ice 0-599": RunSet("four-branch", 0.0, 2, "safe-ice", 1000, range(600), FOUR_BRANCH_PF),
+    "four-branch ice 1000-1099": RunSet("four-branch", 0.0, 2, "ice", 1000, range(1000, 1100), FOUR_BRANCH_PF),
+    "two-mode z=3.5 d=2 ice 0-59": RunSet("two-mode", 3.5, 2, "ice", 1000, range(60), two_mode_pf(3.5)),
+    "two-mode-rare 1000-1009": RunSet("two-mode", 5.5, 20, "safe-ice", 10_000, range(1000, 1010), two_mode_pf(5.5)),
+    "oscillator 1000-1009": RunSet("oscillator", 0.05, 10, "safe-ice", 1000, range(1000, 1010), None),
 }
 # Safe-ICE against ICE on two-mode at the default N, at d = 2 and at d = 20
 SETS.update(
     {
-        f"two-mode z={z:g} d={d} {method} 0-{n_seeds - 1}": ("two-mode", z, d, method, 1000, range(n_seeds), two_mode_pf(z))
+        f"two-mode z={z:g} d={d} {method} 0-{n_seeds - 1}": RunSet("two-mode", z, d, method, 1000, range(n_seeds), two_mode_pf(z))
         for d, z, n_seeds in ((2, 5.5, 20), (20, 3.5, 100), (20, 5.5, 100), (20, 7.0, 100))
         for method in ("safe-ice", "ice")
+    }
+)
+# ICE at d = 2 from the 2 components that ACCEPTANCE line 2 starts it with
+SETS.update(
+    {
+        "two-mode z=3.5 d=2 ice k_init=2 0-59": RunSet("two-mode", 3.5, 2, "ice", 1000, range(60), two_mode_pf(3.5), k_init=2),
+        "four-branch ice k_init=2 1000-1099": RunSet("four-branch", 0.0, 2, "ice", 1000, range(1000, 1100), FOUR_BRANCH_PF, k_init=2),
     }
 )
 
@@ -76,14 +98,15 @@ def make_table(path: str) -> None:
 
     logging.getLogger("safeice").setLevel(logging.ERROR)
     with open(path, "w") as fh:
-        for name, (problem, z, d, method, n, seeds, _) in SETS.items():
-            prob = problem_registry(problem, z, d)
-            for seed in seeds:
-                r = run(prob, RunConfig(seed=seed, method=method, n_per_iter=n))
+        for name, spec in SETS.items():
+            prob = problem_registry(spec.problem, spec.z, spec.d)
+            for seed in spec.seeds:
+                config = RunConfig(n_per_iter=spec.n_per_iter, k_init=spec.k_init, seed=seed, method=spec.method)
+                r = run(prob, config)
                 row = {"set": name, "seed": seed, "pf": float(r.pf).hex()}
                 row.update({f: getattr(r, f) for f in STRUCTURE})
                 fh.write(json.dumps(row) + "\n")
-            print(f"{name}: {len(seeds)} runs", flush=True)
+            print(f"{name}: {len(spec.seeds)} runs", flush=True)
 
 
 def load(path: str) -> dict:
@@ -137,7 +160,7 @@ def compare(path_a: str, path_b: str) -> bool:
         worst = max(keys, key=lambda key: rel[key])
         n_same = sum(pf_a[key] == pf_b[key] for key in keys)
         print(f"{name}: pf bit-equal in {n_same} of {len(keys)}; largest rel pf diff {rel[worst]:.3g} (seed {worst[1]})")
-        ref = SETS[name][-1] if name in SETS else None
+        ref = SETS[name].ref if name in SETS else None
         if ref is not None:
             for label, pfs in (("before", pf_a), ("after", pf_b)):
                 rmse, trimmed, above, ratio, mean, se = accuracy(list(pfs.values()), ref)

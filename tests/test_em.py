@@ -5,6 +5,7 @@ synthetic recovery experiment that exercises component collapse."""
 
 import logging
 import math
+import sys
 import warnings
 
 import hypothesis.extra.numpy as hnp
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from safeice import em
+from safeice import core, em
 from safeice.em import (
     KAPPA_MAX,
     M_MAX,
@@ -35,9 +36,12 @@ from safeice.mixtures import (
     heavy_params_from_light,
     nakagami_sample,
     safe_logpdf,
+    vmf_log_normalizer,
     vmf_sample,
 )
+from safeice.special import log_bessel_i_scaled, shifted_exp
 
+import oracles
 from oracles import e_step as reference_e_step
 from oracles import entropy_sum
 from oracles import m_step_params as reference_m_step
@@ -936,3 +940,203 @@ def test_fit_synthetic_recovery_prunes_to_truth(monkeypatch):
         assert res.v.mu[top] @ true_mu >= 0.99
         wins += 1
     assert wins >= 45
+
+
+# ------------------------------------------------- numpy's C entry points
+
+# numpy's Python wrappers around its C reductions, clip, norm and errstate
+NUMPY_WRAPPERS = (
+    "numpy/_core/_methods.py",
+    "numpy/_core/fromnumeric.py",
+    "numpy/_core/_ufunc_config.py",
+    "numpy/linalg/",
+)
+
+
+def numpy_wrapper_frames(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the number of Python frames it entered
+    in numpy's wrapper modules."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and any(m in frame.f_code.co_filename.replace("\\", "/") for m in NUMPY_WRAPPERS):
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return result, count
+
+
+def test_numpy_wrapper_frames_are_counted():
+    # the counter sees each wrapper named in NUMPY_WRAPPERS
+    x = np.arange(4.0)
+    for fn in (x.sum, lambda: np.clip(x, 0.0, 1.0), lambda: np.linalg.norm(x), np.errstate):
+        assert numpy_wrapper_frames(fn)[1] > 0
+
+
+def test_em_and_the_sigma_kernels_enter_no_numpy_wrapper_per_iteration(monkeypatch):
+    # a finite K = 20, n = 1,000, d = 2 batch: a fit of 10 iterations enters
+    # numpy's wrappers as often as one of 2 (its start, v_init.check, is
+    # once per fit), and the sigma search's kernels never do
+    rng = np.random.default_rng(34)
+    s = random_samples(rng, 1000, 2)
+    w = rng.random(1000)
+    v0 = random_params(rng, 20, 2)
+    monkeypatch.setattr(em, "EM_TOL", 0.0)
+    counts = {}
+    for max_em in (2, 10):
+        monkeypatch.setattr(em, "MAX_EM", max_em)
+        s = PolarSamples(s.r, s.a)  # no kept radial statistics
+        res, counts[max_em] = numpy_wrapper_frames(fit, s, w, v0, penalized=True)
+        assert res.n_iterations == max_em
+    assert counts[2] == counts[10]
+
+    g = rng.standard_normal(1000)
+    log_ratio = rng.standard_normal(1000)
+    rows = np.arange(1000)
+    weights, count = numpy_wrapper_frames(core._smoothed_weights, np.empty(1000), rows, -g, log_ratio, 0.5, 4.0)
+    assert count == 0
+    assert numpy_wrapper_frames(core.cv, weights)[1] == 0
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, VmfnmParams):
+        for name in ("pi", "m", "omega", "mu", "kappa"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+    elif isinstance(got, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([2, 3, 10]),
+    k=st.integers(3, 21),
+    n=st.integers(6, 80),
+    seed=st.integers(0, 2**32 - 1),
+    dead=st.booleans(),
+    flat_radius=st.booleans(),
+    one_direction=st.booleans(),
+    zero_resultant=st.booleans(),
+    tiny_omega=st.booleans(),
+    inf_radius=st.booleans(),
+)
+def test_property_em_kernels_equal_their_wrapper_versions_bit_for_bit(
+    d, k, n, seed, dead, flat_radius, one_direction, zero_resultant, tiny_omega, inf_radius
+):
+    # each case gives one component the branch that an errstate block used
+    # to silence: no responsibility mass (dead), var(r^2) <= 0 (flat_radius),
+    # rbar >= 1 (one_direction), a resultant of exactly 0 (zero_resultant),
+    # r^2 near the least subnormal, so omega is too and m / omega overflows
+    # (tiny_omega), and r^2 = inf, so a radial statistic is inf and the
+    # sample has zero density (inf_radius, in the E-step only)
+    rng = np.random.default_rng(seed)
+    s = random_samples(rng, n, d)
+    v = random_params(rng, k, d)
+    w = rng.random(n) + 0.05
+    gamma = rng.random((k, n))
+    # samples 0-5 fall to component 1 alone, which draws on no other sample,
+    # and component 0 draws on none when dead
+    gamma[1] = 0.0
+    gamma[:, :6] = 0.0
+    gamma[1, :6] = 1.0
+    w[:6] = 1.0
+    if dead:
+        gamma[0] = 0.0
+    if flat_radius:
+        s.r[:6] = 2.0  # exact moments, so var(r^2) is exactly 0
+    if one_direction:
+        s.a[:6] = s.a[0]
+    if zero_resultant:
+        # sums of +-1 are exact in any order
+        s.a[:6] = np.eye(d)[0]
+        s.a[3:6] *= -1.0
+    if tiny_omega:
+        s.r[:6] = 1e-161
+    gamma /= np.add.reduce(gamma, axis=0)
+
+    stats = batch_statistics(PolarSamples(s.r, s.a), w)
+    assert_same_bits(m_step_params(gamma, stats, v), oracles.m_step_params_with_wrappers(gamma, stats, v))
+    pi_old = v.pi
+    e_sum = entropy_sum(pi_old)
+    pi_em, pi_new = penalized_weight_update(gamma, w, pi_old, 0.7, e_sum)
+    assert_same_bits(
+        (pi_em, pi_new), oracles.penalized_weight_update_with_wrappers(gamma, w, pi_old, 0.7, e_sum)
+    )
+    for pi in (pi_new, np.where(rng.random(k) < 0.5, -1.0, pi_new)):
+        got = beta_update(pi, pi_old, pi_em, d, n, e_sum)
+        assert got == oracles.beta_update_with_wrappers(pi, pi_old, pi_em, d, n, e_sum)
+        if (pi > 0.0).any():
+            g_new, g_old = (gamma.copy() for _ in range(2))
+            (v2, gamma2), (v2_old, gamma2_old) = prune(pi, g_new, v), oracles.prune_with_wrappers(pi, g_old, v)
+            assert_same_bits(v2, v2_old)
+            assert_same_bits(gamma2, gamma2_old)
+
+    if inf_radius:
+        s.r[n - 1] = 1e160
+    samples = PolarSamples(s.r, s.a)
+    got = e_step(samples, v)
+    assert_same_bits(got, oracles.e_step_with_wrappers(PolarSamples(s.r, s.a), v))
+    assert (got[1][-1] == -np.inf) == inf_radius
+    m_h, omega_h = heavy_params_from_light(v)
+    for sets in ([(v.pi, v.m, v.omega, 1)], [(0.5 * v.pi, v.m, v.omega, 1), (0.5 * v.pi, m_h, omega_h, -1)]):
+        assert_same_bits(
+            _mixture_columns(samples, v, sets), oracles.mixture_columns_with_wrappers(samples, v, sets)
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    order=st.floats(0.0, 300.0),
+    log_x=st.lists(st.floats(-300.0, 3.0), min_size=1, max_size=8),
+    kappa_zero=st.booleans(),
+    d=st.integers(2, 400),
+)
+def test_property_special_kernels_equal_their_wrapper_versions_bit_for_bit(order, log_x, kappa_zero, d):
+    # the ascending series takes over where the scaled Bessel value underflows
+    x = 10.0 ** np.array(log_x)
+    assert_same_bits(log_bessel_i_scaled(order, x), oracles.log_bessel_i_scaled_with_wrappers(order, x))
+    kappa = x.copy()
+    if kappa_zero:
+        kappa[0] = 0.0
+    assert_same_bits(vmf_log_normalizer(d, kappa), oracles.vmf_log_normalizer_with_wrappers(d, kappa))
+    joint = np.stack((np.log(x), -np.log(x)))
+    joint[:, 0] = -np.inf
+    if kappa_zero:
+        joint[0, -1] = np.inf
+    for axis in (0, 1):
+        assert_same_bits(shifted_exp(joint, axis=axis), oracles.shifted_exp_with_wrappers(joint, axis=axis))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    seed=st.integers(0, 2**32 - 1),
+    log10_sigma=st.floats(-300.0, 1.0),
+    g_scale=st.sampled_from([1.0, 1e10, 1e300]),
+    n_rows=st.integers(0, 60),
+)
+def test_property_sigma_kernels_equal_their_wrapper_versions_bit_for_bit(n, seed, log10_sigma, g_scale, n_rows):
+    # sigma runs down to 1e-300, where -g / sigma overflows for |g| above
+    # about 1e8; at g_scale 1e300 it overflows at any sigma below about 1e-8
+    rng = np.random.default_rng(seed)
+    neg_g = g_scale * rng.standard_normal(n)
+    log_ratio = rng.standard_normal(n)
+    sigma = np.float64(10.0**log10_sigma)
+    rows = np.sort(rng.permutation(n)[: max(1, min(n_rows, n))])
+    g_max = float(np.maximum.reduce(np.abs(neg_g)))
+    got = core._smoothed_weights(np.empty(n), rows, neg_g[rows], log_ratio[rows], sigma, g_max)
+    want = oracles.smoothed_weights_with_wrappers(np.empty(n), rows, neg_g[rows], log_ratio[rows], sigma)
+    assert_same_bits(got, want)
+    assert core.cv(got) == oracles.cv_with_wrappers(want)
