@@ -131,13 +131,20 @@ def cv(values) -> float:
     n = values.size
     if n < 2:
         raise ValueError("cv needs at least two values")
-    # numpy's mean and std(ddof=1) step by step, bit for bit, with one sum for the mean
     mean = np.add.reduce(values, axis=None) / n
     if mean == 0.0 or not math.isfinite(mean):
         return np.inf
+    return float(_std(values, mean) / mean)
+
+
+def _std(values: np.ndarray, mean) -> np.floating:
+    """The sample std (ddof=1) of two or more ``values`` about their
+    ``mean`` = np.add.reduce(values, axis=None) / values.size: numpy's
+    mean and std(ddof=1) step by step, bit for bit, with one sum for the
+    mean."""
     d = values - mean
     d *= d
-    return float(np.sqrt(np.add.reduce(d, axis=None) / (n - 1)) / mean)
+    return np.sqrt(np.add.reduce(d, axis=None) / (values.size - 1))
 
 
 def intermediate_log_weights(g: np.ndarray, sigma: float, log_ratio: np.ndarray) -> np.ndarray:
@@ -167,9 +174,9 @@ def _count_thresholds(g: np.ndarray, log_ratio: np.ndarray):
     margin's slack.
     """
     fail = g <= 0.0
-    if not fail.any():
+    if not np.logical_or.reduce(fail):
         return np.zeros(g.size)
-    top = log_ratio[fail].max()
+    top = np.maximum.reduce(log_ratio[fail])
     if not abs(top) <= _SKIP_TOP_MAX:
         return np.zeros(g.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -251,7 +258,7 @@ def select_sigma(
     # the rows that count at sigma are a prefix in threshold order; its
     # max is the whole batch's shift, as every skipped row lies far below
     thresholds = _count_thresholds(g, log_ratio)
-    order = np.argsort(thresholds)
+    order = thresholds.argsort()
     neg_g_s, log_ratio_s = -g[order], log_ratio[order]
     g_max = float(np.maximum.reduce(np.abs(g), initial=0.0))
     # shrunk a little, so that rounding only ever keeps more rows; this
@@ -261,7 +268,7 @@ def select_sigma(
 
     def counted(log_sigma: float):
         sigma = np.exp(log_sigma)
-        return sigma, np.searchsorted(thresholds, sigma, side="right")
+        return sigma, thresholds.searchsorted(sigma, side="right")
 
     def excess(log_sigma: float) -> float:
         if g.size < 2:
@@ -289,7 +296,7 @@ def select_sigma(
             break
     else:
         e[:low] = [excess(x) for x in grid[:low]]
-        best = grid[np.argmin(np.where(np.isfinite(e), np.abs(e), np.inf))]
+        best = grid[np.where(np.isfinite(e), np.abs(e), np.inf).argmin()]
         return float(min(np.exp(best), sigma_prev))
 
     a = grid[len(e) - 2]
@@ -344,13 +351,14 @@ def estimate_pf(g: np.ndarray, log_ratio: np.ndarray) -> tuple[float, float, flo
     estimate (1/N) sum_i I{g_i <= 0} p(u_i)/q(u_i) with the error bar and
     ESS that ``RunResult`` defines; all three are 0 when no sample fails."""
     fail = g <= 0.0
-    if not fail.any():
+    if not np.logical_or.reduce(fail):
         return 0.0, 0.0, 0.0
     w, shift = shifted_exp(np.where(fail, log_ratio, -np.inf))
     # pf sums the failing entries alone: a sum over all N rounds differently
-    pf = float(np.exp(shift) * w[fail].sum() / g.size)
-    se = float(np.exp(shift) * w.std(ddof=1) / math.sqrt(g.size))
-    return pf, se, float(w.sum() ** 2 / np.sum(w * w))
+    pf = float(np.exp(shift) * np.add.reduce(w[fail]) / g.size)
+    total = np.add.reduce(w)
+    se = float(np.exp(shift) * _std(w, total / g.size) / math.sqrt(g.size))
+    return pf, se, float(total**2 / np.add.reduce(w * w))
 
 
 def init_light_params(rng: np.random.Generator, d: int, k: int) -> VmfnmParams:
@@ -430,14 +438,14 @@ def run(problem, config: RunConfig) -> RunResult:
         floored += sigma_new <= _GRID_FLOOR * sigma * (1.0 + 1e-9)
 
         weights, _ = shifted_exp(intermediate_log_weights(g, sigma_new, log_ratio))
-        if not weights.any():
+        if not np.logical_or.reduce(weights):
             warn(f"no smoothed weight is positive at the next sigma {sigma_new:g}; stopping")
             break
         v = fit(samples, weights, v, penalized=use_heavy).v
         sigma = sigma_new
 
     pf, se, ess = estimate_pf(g, log_ratio)
-    n_failures = int(np.count_nonzero(g <= 0.0))
+    n_failures = int(np.add.reduce(g <= 0.0))
     if not n_failures:
         warn("no failure samples; pf is 0")
     elif ess < 10.0:

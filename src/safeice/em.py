@@ -50,6 +50,9 @@ RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
 # exactly where m / omega overflows, since scaling by a power of 2 is exact
 _RATIO_SCALE = 2.0**-100
 _RATIO_TOP = 2.0**924
+# fit runs its E-steps on the rows of positive weight alone when they are
+# at most this share of the batch, and at least 2
+_POSITIVE_SHARE_MAX = 0.9
 
 
 def e_step(
@@ -120,7 +123,7 @@ def penalized_weight_update(
     pi_new sums to 1; prune() removes its entries <= 0. ``entropy_sum`` is E,
     which ``fit`` takes once per iteration for this and ``beta_update``.
     """
-    mass = gamma @ weights
+    mass = np.dot(gamma, weights)
     pi_em = mass / np.add.reduce(mass)
     return pi_em, pi_em + beta * pi_old * (np.log(pi_old) - entropy_sum)
 
@@ -195,7 +198,7 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     degenerate radial moment (omega or m / omega not finite) also keeps
     its parameters from ``v``.
     """
-    sums = gamma @ stats
+    sums = np.dot(gamma, stats)
     dead = sums[:, 0] <= 0.0
     if np.logical_or.reduce(dead):
         logger.warning("m_step: %d components with zero responsibility mass", np.add.reduce(dead))
@@ -234,13 +237,8 @@ def weighted_loglik(samples: PolarSamples, weights: np.ndarray, v: VmfnmParams) 
     """Weighted mixture log likelihood sum_i W_i ln q(u_i; v), with ln q
     the ``e_step`` normaliser: the l_j of ``fit``'s stop test."""
     pos = weights > 0.0
-    return _loglik(weights[pos], pos, e_step(samples, v)[1])
-
-
-def _loglik(w_pos: np.ndarray, pos: np.ndarray, log_q: np.ndarray) -> float:
-    # the sum runs over the positive weights w_pos = weights[pos] only, so
-    # 0 * (-inf) cannot poison it
-    return float(np.add.reduce(w_pos * log_q[pos]))
+    # the sum runs over the positive weights only, so 0 * (-inf) cannot poison it
+    return float(np.add.reduce(weights[pos] * e_step(samples, v)[1][pos]))
 
 
 @dataclass
@@ -269,6 +267,16 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     counts the iterations run. ``MAX_EM`` and ``EM_TOL`` are read at each
     call. Only ``v_init`` is checked: the mixtures EM derives from it are
     valid by construction.
+
+    Where at least 2 and at most ``_POSITIVE_SHARE_MAX`` n of the n rows
+    have positive weight, every E-step runs on a batch of those rows
+    alone, made once per fit, and writes its columns into the buffer,
+    whose other columns stay 0. The products gamma W and gamma S keep the
+    full width n, so each sums the same terms in the same order as with
+    every row evaluated: a zero-weight row's terms are +-0 at any finite
+    gamma. A row's E-step column has the same bits in any batch of 2 or
+    more, so the result is the same bit for bit; only the E-step's
+    zero-density warning counts the positive-weight rows alone.
     """
     weights = np.asarray(weights, dtype=float)
     pos = weights > 0.0
@@ -282,22 +290,40 @@ def fit(samples: PolarSamples, weights: np.ndarray, v_init: VmfnmParams, *, pena
     l_prev = np.inf
     n_iterations = 0
     stats = batch_statistics(samples, weights)
-    gamma_buf = np.empty((v.k, len(samples)))
-    gamma, _ = e_step(samples, v, out=gamma_buf)
+    n = len(samples)
+    rows = pos.nonzero()[0]
+    if 2 <= rows.size <= _POSITIVE_SHARE_MAX * n:
+        batch = samples.take(rows)
+        gamma_buf = np.zeros((v.k, n))
+        batch_buf = np.empty((v.k, rows.size))
+    else:
+        batch, rows = samples, None
+        batch_buf = gamma_buf = np.empty((v.k, n))
+
+    def responsibilities(v: VmfnmParams) -> tuple[np.ndarray, np.ndarray]:
+        # gamma, full width, and ln q at the positive-weight rows
+        e, log_q = e_step(batch, v, out=batch_buf[: v.k])
+        if rows is None:
+            return e, log_q[pos]
+        gamma = gamma_buf[: v.k]
+        gamma[:, rows] = e
+        return gamma, log_q
+
+    gamma, _ = responsibilities(v)
     for n_iterations in range(1, MAX_EM + 1):
         pi_old = v.pi
         entropy_sum = float(np.add.reduce(xlogy(pi_old, pi_old)))
         pi_em, pi_raw = penalized_weight_update(gamma, weights, pi_old, beta, entropy_sum)
         v, gamma = prune(pi_raw, gamma, v)
         if penalized:
-            beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, len(samples), entropy_sum)
+            beta = beta_update(pi_raw, pi_old, pi_em, samples.dim, n, entropy_sum)
         v = m_step_params(gamma, stats, v)
         if n_iterations == MAX_EM:
             logger.debug("fit: EM stopped at MAX_EM=%d", MAX_EM)
             break
 
-        gamma, log_q = e_step(samples, v, out=gamma_buf[: v.k])
-        l_cur = _loglik(w_pos, pos, log_q)
+        gamma, log_q_pos = responsibilities(v)
+        l_cur = float(np.add.reduce(w_pos * log_q_pos))
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < EM_TOL * abs(l_cur):
             break
         l_prev = l_cur

@@ -138,7 +138,7 @@ def vmf_sample(rng: np.random.Generator, mu, kappa: float, n: int):
 
     w = _vmf_cosines(rng, d, kappa, n)
     a = rng.standard_normal((n, d))
-    return _vmf_finish(a, a @ mu, w, mu, np.empty((n, d)))
+    return _vmf_finish(a, np.dot(a, mu), w, mu, np.empty((n, d)))
 
 
 def _vmf_cosines(rng: np.random.Generator, d: int, kappa: float, n: int) -> np.ndarray:
@@ -221,6 +221,14 @@ class PolarSamples:
     def cartesian(self) -> np.ndarray:
         return self.r[:, None] * self.a
 
+    def take(self, rows: np.ndarray) -> PolarSamples:
+        """The batch of the ``rows``, sorted indices, of this one. It keeps
+        those rows of the kept radial statistics, with this batch's largest
+        statistics, which bound its own."""
+        sub = PolarSamples(self.r[rows], self.a[rows], int(rows.searchsorted(self.n_light)))
+        sub._radial = {side: (stats[rows], top) for side, (stats, top) in self._radial.items()}
+        return sub
+
     def radial_statistics(self, side: int) -> np.ndarray:
         """(n, 2) statistics [ln r, r^(2 side)] of the radial kernels, made
         at the first call for each side and kept: ``safe_logpdf`` and every
@@ -232,9 +240,15 @@ class PolarSamples:
         batch, as floats: inf where a statistic is, and nan where r is."""
         kept = self._radial.get(side)
         if kept is None:
-            # r^(2 side) overflows to inf in the tail the law decays in
+            stats = np.empty((len(self), 2))
+            np.log(self.r, out=stats[:, 0])
+            # r^(2 side) overflows to inf in the tail the law decays in; the
+            # ufunc is the one that ** picks
             with np.errstate(over="ignore"):
-                stats = np.stack((np.log(self.r), self.r ** (2.0 * side)), axis=1)
+                if side == 1:
+                    np.square(self.r, out=stats[:, 1])
+                else:
+                    np.power(self.r, -2.0, out=stats[:, 1])
             top = np.maximum.reduce(np.abs(stats), axis=0, initial=0.0).tolist()
             kept = self._radial[side] = (stats, top)
         return kept
@@ -268,21 +282,23 @@ class VmfnmParams:
                 raise ValueError(f"{name} must have shape (K,) with K = len(pi)")
         if self.mu.ndim != 2 or self.mu.shape[0] != k or self.mu.shape[1] < 2:
             raise ValueError(f"mu must have shape (K, d) with K = {k} and d >= 2")
+        # the ufuncs' reductions, not the ndarray methods and np.any
+        every, some = np.logical_and.reduce, np.logical_or.reduce
         for name in ("pi", "m", "omega", "mu", "kappa"):
-            if not np.isfinite(getattr(self, name)).all():
+            if not every(np.isfinite(getattr(self, name)), axis=None):
                 raise ValueError(f"{name} must be finite")
-        if np.any(self.pi <= 0.0) or abs(self.pi.sum() - 1.0) > 1e-9:
+        if some(self.pi <= 0.0) or abs(np.add.reduce(self.pi) - 1.0) > 1e-9:
             raise ValueError("pi must be positive and sum to 1")
-        if np.any(self.m < 0.5):
+        if some(self.m < 0.5):
             raise ValueError("m must be at least 0.5")
-        if np.any(self.omega <= 0.0):
+        if some(self.omega <= 0.0):
             raise ValueError("omega must be positive")
         with np.errstate(over="ignore"):  # the radial kernels' coefficient -m / omega
-            if not np.isfinite(self.m / self.omega).all():
+            if not every(np.isfinite(self.m / self.omega)):
                 raise ValueError("omega must be large enough that m / omega is finite")
-        if np.any(self.kappa < 0.0):
+        if some(self.kappa < 0.0):
             raise ValueError("kappa must be nonnegative")
-        if np.any(np.abs(np.linalg.norm(self.mu, axis=1) - 1.0) > UNIT_NORM_TOL):
+        if some(np.abs(_row_norms(self.mu, np.empty(self.mu.shape)) - 1.0) > UNIT_NORM_TOL):
             raise ValueError(f"mu must have rows of unit norm (deviation > {UNIT_NORM_TOL})")
 
     @property
@@ -322,8 +338,10 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     coefficients' sizes bound it; only then does it run under errstate.
 
     Both products go into C-contiguous scratch views: matmul into a
-    strided ``out`` leaves BLAS and rounds differently. Each has a spare
-    column that repeats column 0, so that they add as whole arrays. The
+    strided ``out`` leaves BLAS and rounds differently. They stay with
+    matmul, as ``np.dot`` zeroes its ``out`` before the product and takes
+    longer from about n = 1,000 at K = 10. Each has a spare column that
+    repeats column 0, so that they add as whole arrays. The
     radial product has none at K = 1, where (n, 2) @ (2, 1) rounds
     otherwise than the padded (n, 2) @ (2, 2), nor at n = 1, where
     (1, 2) @ (2, K + 1) rounds otherwise than (1, 2) @ (2, K) at K = 3, 7,
@@ -395,12 +413,12 @@ class SafeMixtureParams:
         self.light.check()
         self.heavy_m, self.heavy_omega = heavy_params_from_light(self.light)
         # a light m >= ~3e305, or an omega near the least normal float, derives NaN or inf
-        if not np.all(np.isfinite(self.heavy_omega) & (self.heavy_omega > 0.0)):
+        if not np.logical_and.reduce(np.isfinite(self.heavy_omega) & (self.heavy_omega > 0.0)):
             raise ValueError("invalid heavy radial parameters")
         # a light omega near the largest float derives a heavy spread so small
         # that the heavy kernels' coefficient -m_h / omega_h overflows
         with np.errstate(over="ignore"):
-            if not np.isfinite(self.heavy_m / self.heavy_omega).all():
+            if not np.logical_and.reduce(np.isfinite(self.heavy_m / self.heavy_omega)):
                 raise ValueError("heavy radial parameters: heavy_m / heavy_omega must be finite")
 
 
@@ -446,8 +464,8 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
     # the rows of each component in turn, less those of kappa = 0, which
     # vmf_sample draws whole; the rest are drawn into the scratch in this order
     uniform = v.kappa == 0.0
-    order = np.argsort(comp, kind="stable")
-    if uniform.any():
+    order = comp.argsort(kind="stable")
+    if np.logical_or.reduce(uniform):
         order = order[~uniform[comp[order]]]
     flat = _scratch(n * (3 * d + 2))
     z, mu_rows, buf = (flat[i * n * d : (i + 1) * n * d].reshape(n, d) for i in range(3))
@@ -462,7 +480,7 @@ def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> Pol
         rows = slice(filled, filled + count)
         w[rows] = _vmf_cosines(rng, d, float(v.kappa[k]), count)
         rng.standard_normal(out=z[rows])
-        proj[rows] = z[rows] @ v.mu[k]
+        proj[rows] = np.dot(z[rows], v.mu[k])
         mu_rows[rows] = v.mu[k]
         filled += count
     if filled:

@@ -35,7 +35,7 @@ def _log_bessel_i_series(order: float, x):
     for k in range(1, 40):
         term = term * q / (k * (order + k))
         total = total + term
-        if np.all(term < 1e-18 * total):
+        if np.logical_and.reduce(term < 1e-18 * total, axis=None):
             break
     # ln x - ln 2, not ln(x / 2): halving the least subnormal x gives 0
     return order * (np.log(x) - np.log(2.0)) - _sc.gammaln(order + 1.0) + np.log(total) - x
@@ -87,4 +87,4 @@ def log_sum_exp(x, axis=-1, out=None):
     exponentials go into ``out`` when given, which may be ``x`` itself."""
     e, shift = shifted_exp(x, axis, out)
     with np.errstate(divide="ignore"):
-        return np.log(e.sum(axis=axis)) + shift
+        return np.log(np.add.reduce(e, axis=axis)) + shift

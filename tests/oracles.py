@@ -695,3 +695,41 @@ def smoothed_weights_with_wrappers(w, rows, neg_g, log_ratio, sigma) -> np.ndarr
     w.fill(0.0)
     w[rows] = log_w
     return w
+
+
+
+def fit_on_every_row(samples, weights, v_init, *, penalized):
+    """``em.fit`` as it was when every E-step ran on every row of the
+    batch, zero-weight rows too, built from the kernels above, whose
+    products are taken by ``@`` and ``np.matmul``. Returns the fitted
+    mixture and the number of iterations; reads ``em.MAX_EM`` and
+    ``em.EM_TOL`` at each call."""
+    from safeice import em
+
+    weights = np.asarray(weights, dtype=float)
+    pos = weights > 0.0
+    w_pos = weights[pos]
+    v_init.check()
+    v = v_init
+    beta = 1.0 if penalized else 0.0
+    l_prev = np.inf
+    n_iterations = 0
+    stats = em.batch_statistics(samples, weights)
+    gamma, _ = e_step_with_wrappers(samples, v)
+    for n_iterations in range(1, em.MAX_EM + 1):
+        pi_old = v.pi
+        e_sum = entropy_sum(pi_old)
+        pi_em, pi_raw = penalized_weight_update_with_wrappers(gamma, weights, pi_old, beta, e_sum)
+        v, gamma = prune_with_wrappers(pi_raw, gamma, v)
+        if penalized:
+            beta = beta_update_with_wrappers(pi_raw, pi_old, pi_em, samples.dim, len(samples), e_sum)
+        v = m_step_params_with_wrappers(gamma, stats, v)
+        if n_iterations == em.MAX_EM:
+            break
+
+        gamma, log_q = e_step_with_wrappers(samples, v)
+        l_cur = float(np.add.reduce(w_pos * log_q[pos]))
+        if np.isfinite(l_prev) and abs(l_cur - l_prev) < em.EM_TOL * abs(l_cur):
+            break
+        l_prev = l_cur
+    return v, n_iterations

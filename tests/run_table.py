@@ -18,7 +18,8 @@ ratio pf / reference and the mean of that ratio with its standard error.
 The reference is the exact 2 Phi(-z) for two-mode and the pf of
 perfbench/references.json for four-branch. ``compare`` exits with status
 1 when any run's pf bits or structure changed and 0 otherwise, so one
-command's status says whether a change is bit for bit over every set.
+command's status says whether a change is bit for bit over every set. It
+refuses, with status 2, two tables that do not hold the same runs.
 
 pytest does not collect this file; a full ``run`` takes a few minutes on
 one core.
@@ -146,7 +147,8 @@ def compare(path_a: str, path_b: str) -> bool:
     structure in both tables."""
     a, b = load(path_a), load(path_b)
     if a.keys() != b.keys():
-        raise SystemExit("the two tables hold different runs")
+        print("the two tables hold different runs", file=sys.stderr)
+        raise SystemExit(2)
     changed = [key for key in a if any(a[key][f] != b[key][f] for f in STRUCTURE)]
     print(f"structure changed in {len(changed)} of {len(a)} runs")
     for key in changed:

@@ -1,7 +1,8 @@
 """Work arrays that the sampling, mixture and EM kernels write in place or
 reuse: bit-equality with the fresh-array code they replaced, no state
 carried from one call to the next, no returned array overwritten by a
-later call, and one scratch per thread."""
+later call, and one scratch per thread. Also the BLAS products of small
+results, which ``np.dot`` takes with the bits of ``np.matmul``."""
 
 import threading
 from dataclasses import asdict
@@ -220,3 +221,37 @@ def test_two_runs_in_two_threads_equal_the_sequential_runs():
     for t in threads:
         t.join()
     assert repr(got) == repr(want)
+
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 20])
+def test_np_dot_gives_the_matmul_bits_of_the_em_and_sampler_products(k, n):
+    # gamma W and gamma S, with gamma the leading rows of a (K0, n) buffer
+    # and W zero on about half the rows, and one component's rows of
+    # z @ mu; at n = 1 and K = 1 numpy takes other BLAS paths
+    rng = np.random.default_rng(100 * k + n)
+    for d in (2, 3, 10, 20):
+        a = rng.standard_normal((n, d))
+        gamma = rng.random((k + 3, n))[:k]
+        weights = np.where(rng.random(n) < 0.5, 0.0, rng.random(n))
+        stats = batch_statistics(PolarSamples(np.exp(rng.standard_normal(n)), a), weights)
+        assert_same_bits(np.dot(gamma, weights), gamma @ weights)
+        assert_same_bits(np.dot(gamma, stats), gamma @ stats)
+        assert_same_bits(np.dot(a, a[0]), a @ a[0])
+
+
+@pytest.mark.parametrize("n", [1, 254, 255, 257, 300, 1000])
+def test_np_dot_gives_the_matmul_bits_of_the_oscillator_stage_product(n):
+    # the (3, 3) @ (3, n) linear part of each RK4 stage, into a buffer
+    rng = np.random.default_rng(n)
+    linear = rng.standard_normal((3, 3))
+    state = rng.standard_normal((3, n))
+    got, want = np.empty((3, n)), np.empty((3, n))
+    np.dot(linear, state, got)
+    np.matmul(linear, state, want)
+    assert_same_bits(got, want)

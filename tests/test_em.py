@@ -39,6 +39,7 @@ from safeice.mixtures import (
     vmf_log_normalizer,
     vmf_sample,
 )
+from safeice.problems import problem_registry
 from safeice.special import log_bessel_i_scaled, shifted_exp
 
 import oracles
@@ -942,25 +943,98 @@ def test_fit_synthetic_recovery_prunes_to_truth(monkeypatch):
     assert wins >= 45
 
 
+def leave_nan_in_freed_memory(*sizes):
+    """Make and free NaN arrays of ``sizes`` floats, so that an array made
+    next and never written is likely to hold NaN: the allocator hands the
+    freed memory out again without clearing it."""
+    for size in sizes:
+        np.full(size, np.nan)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.sampled_from([1, 2, 3, 20]),
+    d=st.sampled_from([2, 3, 10, 20]),
+    n=st.integers(3, 300),
+    seed=st.integers(0, 2**32 - 1),
+    penalized=st.booleans(),
+    run_to_max_em=st.booleans(),
+    data=st.data(),
+)
+def test_property_fit_on_the_positive_rows_equals_the_fit_on_every_row(
+    k, d, n, seed, penalized, run_to_max_em, data
+):
+    # fit runs its E-steps on the positive-weight rows alone when they are
+    # 2 to 90% of the batch, and the result must not change in any bit. The
+    # positive rows run from 1 (the full-width path), through 2 (the
+    # smallest batch), up to all n (the full-width path again); their
+    # weights span 6 decades. A buffer whose zero-weight columns were not
+    # zeroed would likely hold the NaN left in freed memory, and a NaN
+    # there reaches every product gamma W and gamma S.
+    n_pos = data.draw(st.one_of(st.sampled_from([1, 2, n]), st.integers(1, n)))
+    rng = np.random.default_rng(seed)
+    s = random_samples(rng, n, d)
+    v0 = random_params(rng, k, d)
+    w = np.zeros(n)
+    w[rng.choice(n, n_pos, replace=False)] = 10.0 ** rng.uniform(-6.0, 0.0, n_pos)
+    with pytest.MonkeyPatch.context() as mp:
+        if run_to_max_em:
+            mp.setattr(em, "EM_TOL", 0.0)
+        want, want_iterations = oracles.fit_on_every_row(PolarSamples(s.r, s.a), w, v0, penalized=penalized)
+        leave_nan_in_freed_memory(k * n, 1 << 17)
+        got = fit(PolarSamples(s.r, s.a), w, v0, penalized=penalized)
+    assert got.n_iterations == want_iterations
+    for name in ("pi", "m", "omega", "mu", "kappa"):
+        assert np.array_equal(getattr(got.v, name), getattr(want, name))
+
+
 # ------------------------------------------------- numpy's C entry points
 
-# numpy's Python wrappers around its C reductions, clip, norm and errstate
-NUMPY_WRAPPERS = (
+# numpy's Python wrappers around its C reductions, clip and norm
+NUMPY_WRAPPER_FUNCTIONS = (
     "numpy/_core/_methods.py",
     "numpy/_core/fromnumeric.py",
-    "numpy/_core/_ufunc_config.py",
     "numpy/linalg/",
 )
+# ... and np.errstate's
+NUMPY_WRAPPERS = NUMPY_WRAPPER_FUNCTIONS + ("numpy/_core/_ufunc_config.py",)
 
 
-def numpy_wrapper_frames(fn, *args, **kwargs):
+def _path(code) -> str:
+    return code.co_filename.replace("\\", "/")
+
+
+def generator_call(method, *args, **kwargs):
+    return method(*args, **kwargs)
+
+
+class TaggedGenerator:
+    """A numpy Generator whose methods run inside ``generator_call``: the
+    Python frames a method makes on its own behalf then have that frame as
+    their caller, where they would otherwise seem to come from the code
+    that called the method."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+        return lambda *args, **kwargs: generator_call(method, *args, **kwargs)
+
+
+def numpy_wrapper_frames(fn, *args, modules=NUMPY_WRAPPERS, **kwargs):
     """``fn(*args, **kwargs)`` and the number of Python frames it entered
-    in numpy's wrapper modules."""
+    in numpy's wrapper ``modules`` from outside numpy: the frames a wrapper
+    enters in turn are not counted, nor are those of a ``TaggedGenerator``
+    method."""
     count = 0
 
     def profile(frame, event, arg):
         nonlocal count
-        if event == "call" and any(m in frame.f_code.co_filename.replace("\\", "/") for m in NUMPY_WRAPPERS):
+        if event != "call" or not any(m in _path(frame.f_code) for m in modules):
+            return
+        caller = frame.f_back.f_code
+        if caller is not generator_call.__code__ and "numpy/" not in _path(caller):
             count += 1
 
     previous = sys.getprofile()
@@ -1002,6 +1076,25 @@ def test_em_and_the_sigma_kernels_enter_no_numpy_wrapper_per_iteration(monkeypat
     weights, count = numpy_wrapper_frames(core._smoothed_weights, np.empty(1000), rows, -g, log_ratio, 0.5, 4.0)
     assert count == 0
     assert numpy_wrapper_frames(core.cv, weights)[1] == 0
+
+
+@pytest.mark.parametrize(
+    "name, z, d, method", [("four-branch", 0.0, 2, "safe-ice"), ("two-mode", 3.5, 2, "ice"), ("oscillator", 0.05, 10, "safe-ice")]
+)
+def test_a_whole_run_enters_no_numpy_wrapper_function(monkeypatch, name, z, d, method):
+    # sampling, the LSF, the densities, the sigma search, EM and the
+    # estimate call numpy's C entry points. Not counted: the frames that
+    # the run's Generator makes on its own behalf (choice's checks of p,
+    # gamma's of its shape and scale), and np.errstate's, whose blocks
+    # outside EM stay
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: TaggedGenerator(default_rng(seed)))
+    config = core.RunConfig(n_per_iter=100, seed=1000, method=method)
+    result, count = numpy_wrapper_frames(
+        core.run, problem_registry(name, z, d), config, modules=NUMPY_WRAPPER_FUNCTIONS
+    )
+    assert result.iterations >= 1
+    assert count == 0
 
 
 def assert_same_bits(got, want):

@@ -95,6 +95,24 @@ def test_polar_samples_shape_validation():
         PolarSamples(np.ones(3), np.eye(2))
 
 
+def test_take_keeps_its_rows_radial_statistics_and_light_count():
+    # the light side is kept before take and carried over; the heavy side
+    # is made by the new batch, with the bits of a batch built from scratch
+    rng = np.random.default_rng(35)
+    r = np.exp(rng.standard_normal(7))
+    a = rng.standard_normal((7, 3))
+    s = PolarSamples(r, a, n_light=4)
+    light = s.radial_statistics(1)
+    rows = np.array([1, 3, 4, 6])
+    sub = s.take(rows)
+    assert sub.n_light == 2
+    assert np.array_equal(sub.r, r[rows]) and np.array_equal(sub.a, a[rows])
+    assert np.array_equal(sub.radial_statistics(1), light[rows])
+    fresh = PolarSamples(r[rows], a[rows])
+    for side in (1, -1):
+        assert sub.radial_statistics(side).tobytes() == fresh.radial_statistics(side).tobytes()
+
+
 # --------------------------------------------------------------- VmfnmParams
 
 
