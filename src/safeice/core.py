@@ -55,8 +55,6 @@ SIGMA0 = 10.0  # the start level, in units of g, and the horizon of lambda_sched
 _SKIP_MARGIN = 800.0  # select_sigma skips rows this far below the shift; exp(x) = 0 below about -745.13
 _SKIP_TOP_MAX = 2.0**40  # up to this |M| rounding stays far inside the 800 - 745.13 slack
 _GRID_FLOOR = 1e-8  # select_sigma's grid starts at this share of the current sigma
-# ln Phi(x) is 0 from x = 1e300 up and -inf from x = -1e300 down, as at +-inf
-_X_MAX = 1e300
 
 
 def _check_integer(name: str, value, least: int) -> None:
@@ -96,7 +94,13 @@ class RunResult:
     per-iteration traces (index t = 0 .. iterations) and the final batch's
     reliability: ``se``, the sample std (ddof 1) of I p/q over sqrt(N),
     and ``ess``, the Kish ESS (sum w)^2 / sum w^2 of the weights p/q of the
-    failing samples, 0 when none fails."""
+    failing samples, 0 when none fails.
+
+    ``se`` is the sampling error of the final batch alone and cannot see
+    failure mass that the final proposal under-samples: pf +- 2 se covered
+    the reference in 465 of 600 four-branch runs (132 misses below, 3
+    above), 166 of 200 on two-mode z = 3.5, d = 2 (34 below) and 75 of 100
+    on two-mode z = 5.5, d = 20 (24 below, 1 run at pf 0)."""
 
     pf: float
     iterations: int
@@ -199,18 +203,15 @@ def _decided_rows(n: int, delta_target: float) -> int:
     return math.ceil(n * n / (t * (n - 1) + n)) - 1
 
 
-def _smoothed_weights(w, rows, neg_g, log_ratio, sigma, g_max) -> np.ndarray:
+def _smoothed_weights(w, rows, neg_g, log_ratio, sigma) -> np.ndarray:
     """``w`` set to 0 and, at ``rows``, to the shifted smoothed weights
     exp(ln W - max ln W) with ln W = ln Phi(neg_g / sigma) + log_ratio:
     ``shifted_exp`` of ``intermediate_log_weights`` bit for bit, without its
-    reset where the max is finite. ``g_max`` is the largest |neg_g|, or
-    anything larger."""
-    bound = _X_MAX * float(sigma)
-    if not g_max <= bound:
-        # at a tiny sigma neg_g / sigma would overflow to +-inf; ln Phi takes
-        # the same limits from |x| = _X_MAX on, so |neg_g| is cut there
-        neg_g = np.minimum(np.maximum(neg_g, -bound), bound)
-    log_w = log_normal_cdf(neg_g / sigma)
+    reset where the max is finite."""
+    # at a tiny sigma neg_g / sigma overflows to +-inf, where ln Phi takes its limits
+    with np.errstate(over="ignore"):
+        x = neg_g / sigma
+    log_w = log_normal_cdf(x)
     log_w += log_ratio
     top = np.maximum.reduce(log_w)
     if math.isfinite(top):
@@ -260,7 +261,6 @@ def select_sigma(
     thresholds = _count_thresholds(g, log_ratio)
     order = thresholds.argsort()
     neg_g_s, log_ratio_s = -g[order], log_ratio[order]
-    g_max = float(np.maximum.reduce(np.abs(g), initial=0.0))
     # shrunk a little, so that rounding only ever keeps more rows; this
     # also widens the margin by 2e-9 (ln(p/q) - M + 800)
     thresholds = thresholds[order] * (1.0 - 1e-9)
@@ -274,7 +274,7 @@ def select_sigma(
         if g.size < 2:
             return np.inf - delta_target
         sigma, k = counted(log_sigma)
-        return cv(_smoothed_weights(w, order[:k], neg_g_s[:k], log_ratio_s[:k], sigma, g_max)) - delta_target
+        return cv(_smoothed_weights(w, order[:k], neg_g_s[:k], log_ratio_s[:k], sigma)) - delta_target
 
     grid = np.linspace(np.log(_GRID_FLOOR * sigma_prev), np.log(sigma_prev), 50)
     # the rows that count grow with sigma, so the grid points whose row

@@ -45,11 +45,6 @@ KAPPA_MAX = 1e4
 # below this norm the squares of a resultant's entries underflow, so
 # dividing by np.linalg.norm no longer yields a unit vector
 RESULTANT_MIN = math.sqrt(np.finfo(float).tiny)
-# m_step_params scales m by this before dividing by omega: as m <= M_MAX < 2^14,
-# m 2^-100 / omega stays finite at any omega > 0, and it reaches 2^924
-# exactly where m / omega overflows, since scaling by a power of 2 is exact
-_RATIO_SCALE = 2.0**-100
-_RATIO_TOP = 2.0**924
 # fit runs its E-steps on the rows of positive weight alone when they are
 # at most this share of the batch, and at least 2. It is the measured
 # break-even: at n = 1,000, K = 5 and 20, d = 2 and 10, such an E-step with
@@ -213,9 +208,9 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     # before the clamps, and mu a 0 row that ``bad`` replaces
     omega, mean_r4 = sums[:, 1:3].T / s0_safe  # omega is the mean of r^2
     var_r2 = mean_r4 - omega**2
-    limits = np.empty((3, v.k))
+    limits = np.empty((2, v.k))
     limits.fill(np.inf)
-    m, kappa, ratio = limits
+    m, kappa = limits
     np.divide(omega**2, var_r2, out=m, where=var_r2 > 0.0)
     np.minimum(np.maximum(m, M_MIN, out=m), M_MAX, out=m)  # np.clip's bits
     resultant = sums[:, 3:]
@@ -225,10 +220,11 @@ def m_step_params(gamma: np.ndarray, stats: np.ndarray, v: VmfnmParams) -> Vmfnm
     np.divide(rbar * (v.dim - rbar**2), 1.0 - rbar**2, out=kappa, where=rbar < 1.0)
     np.minimum(np.maximum(kappa, 0.0, out=kappa), KAPPA_MAX, out=kappa)
 
-    # m / omega, the radial kernels' coefficient, is not finite where the
-    # scaled quotient is not below _RATIO_TOP, and where omega is 0
-    np.divide(m * _RATIO_SCALE, omega, out=ratio, where=omega > 0.0)
-    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~(ratio < _RATIO_TOP)
+    # m / omega, the radial kernels' coefficient, overflows at a tiny omega,
+    # is inf at omega = 0 and NaN where omega is
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = m / omega
+    bad = dead | (res_norm < RESULTANT_MIN) | ~np.isfinite(omega) | ~np.isfinite(ratio)
     if np.logical_or.reduce(bad):
         m[bad] = v.m[bad]
         omega[bad] = v.omega[bad]

@@ -60,9 +60,6 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # Largest | |mu| - 1 | a mean direction may have; ``VmfnmParams.check``
 # rejects a mixture whose directions stray further.
 UNIT_NORM_TOL = 1e-8
-# A radial product whose entries are bounded by this in size cannot overflow:
-# it leaves room for the rounding of a two-term sum
-_RADIAL_MAX = float(np.finfo(float).max) / 2.0
 
 
 def _radial_coefficients(m, omega, side: int):
@@ -193,15 +190,14 @@ class PolarSamples:
     n_light : the first n_light rows took a light radius, the rest a
         heavy one; all n rows by default
 
-    ``radial_statistics`` keeps what it computes from ``r``, with the
-    largest size of each statistic, so ``r`` must not change after the
-    first density read of the batch.
+    ``radial_statistics`` keeps what it computes from ``r``, so ``r`` must
+    not change after the first density read of the batch.
     """
 
     r: np.ndarray
     a: np.ndarray
     n_light: int | None = None
-    _radial: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _radial: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
@@ -223,23 +219,17 @@ class PolarSamples:
 
     def take(self, rows: np.ndarray) -> PolarSamples:
         """The batch of the ``rows``, sorted indices, of this one. It keeps
-        those rows of the kept radial statistics, with this batch's largest
-        statistics, which bound its own."""
+        those rows of the kept radial statistics."""
         sub = PolarSamples(self.r[rows], self.a[rows], int(rows.searchsorted(self.n_light)))
-        sub._radial = {side: (stats[rows], top) for side, (stats, top) in self._radial.items()}
+        sub._radial = {side: stats[rows] for side, stats in self._radial.items()}
         return sub
 
     def radial_statistics(self, side: int) -> np.ndarray:
         """(n, 2) statistics [ln r, r^(2 side)] of the radial kernels, made
         at the first call for each side and kept: ``safe_logpdf`` and every
         E-step of the fit that follows read the same array."""
-        return self.radial_statistics_and_top(side)[0]
-
-    def radial_statistics_and_top(self, side: int) -> tuple[np.ndarray, list]:
-        """``radial_statistics`` and the largest |ln r| and r^(2 side) of the
-        batch, as floats: inf where a statistic is, and nan where r is."""
-        kept = self._radial.get(side)
-        if kept is None:
+        stats = self._radial.get(side)
+        if stats is None:
             stats = np.empty((len(self), 2))
             np.log(self.r, out=stats[:, 0])
             # r^(2 side) overflows to inf in the tail the law decays in; the
@@ -249,9 +239,8 @@ class PolarSamples:
                     np.square(self.r, out=stats[:, 1])
                 else:
                     np.power(self.r, -2.0, out=stats[:, 1])
-            top = np.maximum.reduce(np.abs(stats), axis=0, initial=0.0).tolist()
-            kept = self._radial[side] = (stats, top)
-        return kept
+            self._radial[side] = stats
+        return stats
 
 
 @dataclass
@@ -331,25 +320,17 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     ``radial_statistics`` times (2, K) coefficients; the vMF term
     a @ (kappa mu)^T + its normalizer is computed once per call. Both
     products are (n, K), so each sample's row is the same in any batch;
-    one transposed add then lays their sum out by component.
-
-    The radial product meets an inf only where a statistic is inf or an
-    entry overflows, as the batch's ``top`` statistics and the
-    coefficients' sizes bound it; only then does it run under errstate.
+    one transposed add then lays their sum out by component. The radial
+    product runs under errstate: an inf statistic, or an entry that
+    overflows, gives -inf, the right limit of a density that decays there.
 
     Both products go into C-contiguous scratch views: matmul into a
     strided ``out`` leaves BLAS and rounds differently. They stay with
     matmul, as ``np.dot`` zeroes its ``out`` before the product and takes
-    longer from about n = 1,000 at K = 10. Each has a spare column that
-    repeats column 0, so that they add as whole arrays. The
-    radial product has none at K = 1, where (n, 2) @ (2, 1) rounds
-    otherwise than the padded (n, 2) @ (2, 2), nor at n = 1, where
-    (1, 2) @ (2, K + 1) rounds otherwise than (1, 2) @ (2, K) at K = 3, 7,
-    11, ..."""
+    longer from about n = 1,000 at K = 10."""
     n, k = len(samples), v.k
-    width = k + 1 if k > 1 and n > 1 else k  # of the radial product
     rows_total = len(column_sets) * k
-    buf = _scratch(n * (k + 1 + width) + (rows_total * n if out is None else 0))
+    buf = _scratch(n * (2 * k + 1) + (rows_total * n if out is None else 0))
     # at K = 1 numpy takes BLAS's matrix-vector path, whose rounding of a
     # row depends on its place in the batch; one spare column keeps the
     # product on the matrix-matrix path, where it does not
@@ -358,26 +339,20 @@ def _mixture_columns(samples: PolarSamples, v: VmfnmParams, column_sets, out=Non
     kmu[k] = kmu[0]
     angular = buf[: n * (k + 1)].reshape(n, k + 1)
     np.matmul(samples.a, kmu.T, out=angular)
-    angular = angular[:, :width]
-    radial = buf[n * (k + 1) : n * (k + 1 + width)].reshape(n, width)
-    joint = buf[n * (k + 1 + width) :].reshape(rows_total, n) if out is None else out
+    angular = angular[:, :k]
+    radial = buf[n * (k + 1) : n * (2 * k + 1)].reshape(n, k)
+    joint = buf[n * (2 * k + 1) :].reshape(rows_total, n) if out is None else out
     log_vmf = vmf_log_normalizer(v.dim, v.kappa)
-    coef = np.empty((2, width))
+    coef = np.empty((2, k))
     for i, (w, m, omega, side) in enumerate(column_sets):
-        log_c, coef[0, :k], coef[1, :k] = _radial_coefficients(m, omega, side)
-        coef[:, k:] = coef[:, :1]
-        stats, top = samples.radial_statistics_and_top(side)
-        c_top = np.maximum.reduce(np.abs(coef), axis=1).tolist()
-        if top[0] * c_top[0] + top[1] * c_top[1] <= _RADIAL_MAX:
-            np.matmul(stats, coef, out=radial)
-        else:
-            # an inf statistic times its negative coefficient is -inf, the
-            # right limit, and so is an overflowing entry; matmul flags an
-            # inf operand as invalid
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.matmul(stats, coef, out=radial)
+        log_c, coef[0], coef[1] = _radial_coefficients(m, omega, side)
+        # an inf statistic times its negative coefficient is -inf, the right
+        # limit, and so is an overflowing entry; matmul flags an inf operand
+        # as invalid
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(samples.radial_statistics(side), coef, out=radial)
         radial += angular
-        np.add(radial[:, :k].T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
+        np.add(radial.T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
     return joint
 
 

@@ -153,6 +153,31 @@ def subset_estimate_pf(samples, g, phi):
     return float(np.exp(shift) * w.sum() / len(samples))
 
 
+def four_branch_pf_by_quadrature(n_angles: int) -> float:
+    """The four-branch pf at z = 0 by a midpoint rule over ``n_angles``
+    directions. With u = r (cos t, sin t) and p = t - pi/4, the branches
+    read 0.2 r^2 sin^2 p -+ r cos p + 3 and 3.5 -+ r sin p. Along a ray the
+    quadratic branch with the sign of cos p fails between its two roots and
+    the linear branch with the sign of sin p beyond 3.5 / |sin p|; the other
+    two never fail. The radius is chi with 2 degrees of freedom, so
+    P(a <= r <= b) = exp(-a^2/2) - exp(-b^2/2), and the union of the two
+    intervals is summed less their overlap."""
+
+    def mass(a, b):
+        return np.where(a < b, np.exp(-0.5 * a * a) - np.exp(-0.5 * b * b), 0.0)
+
+    p = 2.0 * np.pi * (np.arange(n_angles) + 0.5) / n_angles
+    c, s = np.abs(np.cos(p)), np.abs(np.sin(p))
+    root = np.sqrt(np.maximum(c * c - 2.4 * s * s, 0.0))
+    with np.errstate(divide="ignore"):
+        # the roots of 0.2 s^2 r^2 - c r + 3, the lower one in its stable form
+        lo = np.where(c * c >= 2.4 * s * s, 6.0 / (c + root), np.inf)
+        hi = (c + root) / (0.4 * s * s)
+        line = 3.5 / s
+    per_ray = mass(lo, hi) + np.exp(-0.5 * line * line) - mass(np.maximum(lo, line), hi)
+    return float(per_ray.mean())
+
+
 def mixture_columns(samples, v, column_sets):
     """(n, K) joints ln w_k + radial_k + ln vMF_k for each set (w, m, omega,
     side) of ``column_sets``, side by side: the sample-major layout the
@@ -338,10 +363,10 @@ def shifted_exp_reference(x, axis=-1):
 
 
 def mixture_columns_reference(samples, v, column_sets):
-    """``mixtures._mixture_columns`` as it was before its radial product had
-    a spare column: (K, n) joints from an (n, K + 1) angular product, its
-    first K columns added to an unpadded (n, K) radial product, in fresh
-    arrays."""
+    """``mixtures._mixture_columns`` in fresh arrays rather than the
+    scratch, with the angular product's spare column from ``np.vstack``:
+    (K, n) joints from an (n, K + 1) angular product, its first K columns
+    added to the (n, K) radial product."""
     n, k = len(samples), v.k
     kmu = v.kappa[:, None] * v.mu
     angular = np.matmul(samples.a, np.vstack((kmu, kmu[:1])).T, out=np.empty((n, k + 1)))[:, :k]
@@ -528,10 +553,11 @@ def select_sigma_sequential_reference(
 
 
 # The EM and sigma-search kernels as they were when they called numpy's
-# Python wrappers (ndarray.sum/max/all/any/mean, np.clip, np.linalg.norm,
-# np.concatenate) and silenced floating-point errors with np.errstate. The
-# kernels now call the ufuncs' reductions and guard each quotient instead;
-# the tests hold the two to the same bits.
+# Python wrappers (ndarray.sum/max/all/any/mean, np.clip, np.linalg.norm)
+# and silenced every floating-point error with np.errstate. The kernels now
+# call the ufuncs' reductions and divide with where= wherever no errstate
+# block is kept; the tests hold the two to the same bits. The E-step, its
+# joints and shifted_exp are held to the references above.
 
 
 def log_bessel_i_scaled_with_wrappers(order: float, x: np.ndarray) -> np.ndarray:
@@ -556,61 +582,6 @@ def vmf_log_normalizer_with_wrappers(d: int, kappa: np.ndarray) -> np.ndarray:
     out = np.full(kappa.shape, uniform_sphere_logpdf(d))
     out[pos] = log_c
     return out
-
-
-def shifted_exp_with_wrappers(x, axis=-1, out=None):
-    shift = x.max(axis=axis, keepdims=True)
-    finite = np.isfinite(shift)
-    if finite.all():
-        e = np.subtract(x, shift, out=out)
-        np.exp(e, out=e)
-        return e, shift.squeeze(axis=axis)
-    shift[~finite] = 0.0
-    e = np.subtract(x, shift, out=out)
-    with np.errstate(over="ignore"):
-        np.exp(e, out=e)
-    return e, shift.squeeze(axis=axis)
-
-
-def mixture_columns_with_wrappers(samples, v, column_sets) -> np.ndarray:
-    """``mixtures._mixture_columns`` in fresh arrays rather than the scratch."""
-    n, k = len(samples), v.k
-    width = k + 1 if k > 1 and n > 1 else k
-    kmu = v.kappa[:, None] * v.mu
-    angular = np.empty((n, k + 1))
-    np.matmul(samples.a, np.concatenate((kmu, kmu[:1])).T, out=angular)
-    angular = angular[:, :width]
-    radial = np.empty((n, width))
-    joint = np.empty((len(column_sets) * k, n))
-    log_vmf = vmf_log_normalizer_with_wrappers(v.dim, v.kappa)
-    coef = np.empty((2, width))
-    for i, (w, m, omega, side) in enumerate(column_sets):
-        log_c, coef[0, :k], coef[1, :k] = _radial_coefficients(m, omega, side)
-        coef[:, k:] = coef[:, :1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(samples.radial_statistics(side), coef, out=radial)
-        radial += angular
-        np.add(radial[:, :k].T, (np.log(w) + log_c + log_vmf)[:, None], out=joint[i * k : (i + 1) * k])
-    return joint
-
-
-def e_step_with_wrappers(samples, v):
-    joint = mixture_columns_with_wrappers(samples, v, [(v.pi, v.m, v.omega, 1)])
-    shift = joint.max(axis=0)
-    if np.isfinite(shift).all():
-        e = np.exp(np.subtract(joint, shift, out=joint), out=joint)
-        total = e.sum(axis=0)
-        log_q = np.log(total) + shift
-    else:
-        e, shift = shifted_exp_with_wrappers(joint, axis=0, out=joint)
-        total = e.sum(axis=0)
-        with np.errstate(divide="ignore"):
-            log_q = np.log(total) + shift
-        bad = ~np.isfinite(log_q)
-        if bad.any():
-            e[:, bad], total[bad] = 1.0, v.k
-    e /= total
-    return e, log_q
 
 
 def penalized_weight_update_with_wrappers(gamma, weights, pi_old, beta, entropy_sum):
@@ -691,7 +662,7 @@ def smoothed_weights_with_wrappers(w, rows, neg_g, log_ratio, sigma) -> np.ndarr
         log_w -= top
         np.exp(log_w, out=log_w)
     else:
-        log_w = shifted_exp_with_wrappers(log_w)[0]
+        log_w = shifted_exp_reference(log_w)[0]
     w.fill(0.0)
     w[rows] = log_w
     return w
@@ -715,7 +686,7 @@ def fit_on_every_row(samples, weights, v_init, *, penalized):
     l_prev = np.inf
     n_iterations = 0
     stats = em.batch_statistics(samples, weights)
-    gamma, _ = e_step_with_wrappers(samples, v)
+    gamma, _ = e_step_reference(samples, v)
     for n_iterations in range(1, em.MAX_EM + 1):
         pi_old = v.pi
         e_sum = entropy_sum(pi_old)
@@ -727,7 +698,7 @@ def fit_on_every_row(samples, weights, v_init, *, penalized):
         if n_iterations == em.MAX_EM:
             break
 
-        gamma, log_q = e_step_with_wrappers(samples, v)
+        gamma, log_q = e_step_reference(samples, v)
         l_cur = float(np.add.reduce(w_pos * log_q[pos]))
         if np.isfinite(l_prev) and abs(l_cur - l_prev) < em.EM_TOL * abs(l_cur):
             break

@@ -5,9 +5,10 @@ the digests in the last bits.
     python tests/run_table.py compare BEFORE.jsonl AFTER.jsonl
 
 ``run`` makes every run of SETS with the ``safeice`` on PYTHONPATH, one
-after another, and writes one JSON line per run: set, seed, pf as hex,
-iterations, final_k, lsf_evals and converged. Point PYTHONPATH at a
-checkout of the parent commit's ``src`` to make the "before" table.
+after another, and writes one JSON line per run: set, seed, pf and se as
+hex, iterations, final_k, lsf_evals and converged. Point PYTHONPATH at a
+checkout of the parent commit's ``src`` to make the "before" table; the
+repository's ``src`` is used when PYTHONPATH holds no ``safeice``.
 
 ``compare`` prints the runs whose structure (iterations, final_k,
 lsf_evals, converged) changed, the largest relative pf difference in each
@@ -15,8 +16,13 @@ set with its seed, and for each set with a reference pf the relative
 RMSE against it, the RMSE without the largest 1% of errors (5% in a set
 of fewer than 600 runs), the runs above twice the reference, the largest
 ratio pf / reference and the mean of that ratio with its standard error.
-The reference is the exact 2 Phi(-z) for two-mode and the pf of
-perfbench/references.json for four-branch. ``compare`` exits with status
+It also prints the relative MSE times the mean LSF evaluations per run
+over 1000, an error at equal LSF work, and, where both tables carry se,
+the runs whose |pf - reference| <= 2 se and the misses below and above.
+The reference is the exact 2 Phi(-z) for two-mode and the ray quadrature
+``oracles.four_branch_pf_by_quadrature`` for four-branch; se is not
+compared, so a table without it, made by an older ``run``, compares
+with one that has it. ``compare`` exits with status
 1 when any run's pf bits or structure changed and 0 otherwise, so one
 command's status says whether a change is bit for bit over every set. It
 refuses, with status 2, two tables that do not hold the same runs.
@@ -42,7 +48,11 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+# after PYTHONPATH, so that a checkout named there keeps its safeice
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+from oracles import four_branch_pf_by_quadrature  # noqa: E402
+
 STRUCTURE = ("iterations", "final_k", "lsf_evals", "converged")
 
 
@@ -51,7 +61,7 @@ def two_mode_pf(z: float) -> float:
     return math.erfc(z / math.sqrt(2.0))
 
 
-FOUR_BRANCH_PF = json.loads(REFERENCES.read_text())["four-branch"]["pf"]
+FOUR_BRANCH_PF = four_branch_pf_by_quadrature(2**16)
 
 
 class RunSet(NamedTuple):
@@ -104,7 +114,7 @@ def make_table(path: str) -> None:
             for seed in spec.seeds:
                 config = RunConfig(n_per_iter=spec.n_per_iter, k_init=spec.k_init, seed=seed, method=spec.method)
                 r = run(prob, config)
-                row = {"set": name, "seed": seed, "pf": float(r.pf).hex()}
+                row = {"set": name, "seed": seed, "pf": float(r.pf).hex(), "se": float(r.se).hex()}
                 row.update({f: getattr(r, f) for f in STRUCTURE})
                 fh.write(json.dumps(row) + "\n")
             print(f"{name}: {len(spec.seeds)} runs", flush=True)
@@ -142,6 +152,14 @@ def accuracy(pfs: list, ref: float) -> tuple:
     return rmse, trimmed, sum(ratio > 2.0 for ratio in ratios), max(ratios), mean, se
 
 
+def coverage(pfs: list, ses: list, ref: float) -> tuple:
+    """(covered, misses below, of them at pf 0, misses above): the runs
+    with |pf - ref| <= 2 se and those below and above that band."""
+    below = [pf for pf, se in zip(pfs, ses) if pf < ref - 2.0 * se]
+    above = sum(pf > ref + 2.0 * se for pf, se in zip(pfs, ses))
+    return len(pfs) - len(below) - above, len(below), below.count(0.0), above
+
+
 def compare(path_a: str, path_b: str) -> bool:
     """Print the comparison; True when every run has the same pf bits and
     structure in both tables."""
@@ -163,12 +181,22 @@ def compare(path_a: str, path_b: str) -> bool:
         n_same = sum(pf_a[key] == pf_b[key] for key in keys)
         print(f"{name}: pf bit-equal in {n_same} of {len(keys)}; largest rel pf diff {rel[worst]:.3g} (seed {worst[1]})")
         ref = SETS[name].ref if name in SETS else None
-        if ref is not None:
-            for label, pfs in (("before", pf_a), ("after", pf_b)):
-                rmse, trimmed, above, ratio, mean, se = accuracy(list(pfs.values()), ref)
+        if ref is None:
+            continue
+        with_se = all("se" in table[key] for table in (a, b) for key in keys)
+        for label, table, pfs in (("before", a, pf_a), ("after", b, pf_b)):
+            rmse, trimmed, above, ratio, mean, se = accuracy(list(pfs.values()), ref)
+            evals = sum(table[key]["lsf_evals"] for key in keys) / len(keys)
+            print(
+                f"  {label}: rel RMSE {rmse:.4f}, without {n_trimmed(len(pfs))} largest {trimmed:.4f},"
+                f" runs > 2x {above}, largest ratio {ratio:.2f}, mean pf/ref {mean:.4f} ± {se:.4f},"
+                f" rel MSE x mean LSF evals / 1000 {rmse**2 * evals / 1000:.4g}"
+            )
+            if with_se:
+                ses = [float.fromhex(table[key]["se"]) for key in keys]
+                covered, low, at_zero, high = coverage(list(pfs.values()), ses, ref)
                 print(
-                    f"  {label}: rel RMSE {rmse:.4f}, without {n_trimmed(len(pfs))} largest {trimmed:.4f},"
-                    f" runs > 2x {above}, largest ratio {ratio:.2f}, mean pf/ref {mean:.4f} ± {se:.4f}"
+                    f"    ±2 se covers {covered} of {len(keys)}; misses below {low} ({at_zero} at pf 0), above {high}"
                 )
     return not changed and all(a[key]["pf"] == b[key]["pf"] for key in a)
 

@@ -123,9 +123,9 @@ def mixture_batch(rng, n, d):
 @pytest.mark.parametrize("d", [2, 10, 20])
 @pytest.mark.parametrize("k", [1, 2, 3, 20])
 def test_mixture_kernels_equal_the_unpadded_reference_bit_for_bit(k, d, n):
-    # the radial product's spare column, absent at K = 1, changes no bit of
-    # the joints on either side, of safe_logpdf or of e_step, with or
-    # without an out array; seed 1 sets one kappa to 0
+    # the scratch and the filled (K + 1, d) directions change no bit of the
+    # joints on either side, of safe_logpdf or of e_step, with or without
+    # an out array; seed 1 sets one kappa to 0
     for seed in range(3):
         rng = np.random.default_rng(seed)
         s = mixture_batch(rng, n, d)

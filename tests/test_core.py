@@ -271,8 +271,8 @@ def record_smoothed_weights(monkeypatch):
     calls, cdf_calls = [], []
     kernel = core._smoothed_weights
 
-    def recorded(w, rows, neg_g, log_ratio, sigma, g_max):
-        calls.append((sigma, kernel(w, rows, neg_g, log_ratio, sigma, g_max).copy()))
+    def recorded(w, rows, neg_g, log_ratio, sigma):
+        calls.append((sigma, kernel(w, rows, neg_g, log_ratio, sigma).copy()))
         return w
 
     def counted(x):

@@ -7,6 +7,8 @@ from scipy.stats import norm
 from safeice.oracle import McEstimate, mc_estimate
 from safeice.problems import Problem, problem_registry
 
+import oracles
+
 ALWAYS_SAFE = Problem("safe", 2, lambda u: np.ones(u.shape[0]))
 ALWAYS_FAIL = Problem("fail", 2, lambda u: -np.ones(u.shape[0]))
 
@@ -20,6 +22,17 @@ def test_mc_two_mode_reference():
     assert est.n_failures == round(est.pf * est.n_total)
     expect_cv = np.sqrt((1.0 - est.pf) / (est.n_total * est.pf))
     assert est.cv == pytest.approx(expect_cv, rel=1e-12)
+
+
+def test_four_branch_quadrature_converges_and_agrees_with_monte_carlo():
+    # the ray quadrature is the four-branch reference: 2^12 and 2^16 angles
+    # agree far below any Monte Carlo error, and a 10^6-sample estimate lies
+    # within 3 of its standard errors of the value
+    coarse, fine = (oracles.four_branch_pf_by_quadrature(2**k) for k in (12, 16))
+    assert coarse == pytest.approx(fine, rel=1e-9)
+    assert fine == pytest.approx(2.22279507e-3, rel=1e-8)
+    est = mc_estimate(problem_registry("four-branch", 0.0, 2), 10**6, seed=0)
+    assert abs(est.pf - fine) <= 3.0 * est.cv * est.pf
 
 
 def test_mc_batch_size_invariance():

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import oracles
+
 RUN_TABLE = Path(__file__).resolve().parent / "run_table.py"
 SET = "four-branch safe-ice 0-599"  # a set with a reference pf, so the accuracy lines print
 
@@ -71,3 +73,27 @@ def test_tables_of_different_runs_are_refused(tmp_path, change):
     assert done.returncode == 2
     assert "the two tables hold different runs" in done.stderr
     assert "pf bit-equal" not in done.stdout
+
+
+def test_coverage_and_error_at_equal_work(tmp_path):
+    # against the four-branch reference: one run inside 2 se, one below and
+    # one above; rel MSE (0 + 0.25 + 0.25) / 3 times 3,000 evaluations / 1000
+    ref = oracles.four_branch_pf_by_quadrature(2**16)
+    rows = table_rows()
+    for row, ratio, se in zip(rows, (1.0, 0.5, 1.5), (0.01, 0.1, 0.1)):
+        row.update(pf=(ratio * ref).hex(), se=(se * ref).hex())
+    done = compare(tmp_path, rows, rows)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("rel MSE x mean LSF evals / 1000 0.5\n") == 2
+    assert done.stdout.count("±2 se covers 1 of 3; misses below 1 (0 at pf 0), above 1") == 2
+
+
+def test_coverage_needs_se_in_both_tables(tmp_path):
+    # a table from before se was written compares equal, without coverage
+    after = table_rows()
+    for row in after:
+        row["se"] = (0.5 * float.fromhex(row["pf"])).hex()
+    done = compare(tmp_path, table_rows(), after)
+    assert done.returncode == 0, done.stderr
+    assert "rel MSE x mean LSF evals / 1000" in done.stdout
+    assert "se covers" not in done.stdout
