@@ -100,18 +100,14 @@ def vmf_log_normalizer(d: int, kappa: np.ndarray) -> np.ndarray:
 
     Vectorized over the kappa array of a mixture that has passed
     ``VmfnmParams.check`` (kappa >= 0, d >= 2); the kappa = 0 entries
-    reduce to the uniform sphere density. When every kappa is positive, as
-    at every fitted level, the formula runs on the whole array.
+    reduce to the uniform sphere density.
     """
     pos = kappa > 0.0
-    kp = kappa if np.logical_and.reduce(pos) else kappa[pos]
+    kp = kappa[pos]
     nu = d / 2.0 - 1.0
     log_i = log_bessel_i_scaled(nu, kp) + kp
-    log_c = nu * np.log(kp) - (d / 2.0) * _LOG_2PI - log_i
-    if kp is kappa:
-        return log_c
     out = np.full(kappa.shape, uniform_sphere_logpdf(d))
-    out[pos] = log_c
+    out[pos] = nu * np.log(kp) - (d / 2.0) * _LOG_2PI - log_i
     return out
 
 
@@ -405,7 +401,7 @@ def safe_logpdf(samples: PolarSamples, phi: SafeMixtureParams) -> np.ndarray:
     sides = ((lam, v.m, v.omega, 1), (1.0 - lam, phi.heavy_m, phi.heavy_omega, -1))
     columns = [(w * v.pi, *radial) for w, *radial in sides if w > 0.0]
     joint = _mixture_columns(samples, v, columns)
-    return log_sum_exp(joint, axis=0, out=joint)
+    return log_sum_exp(joint, axis=0)
 
 
 def safe_sample(rng: np.random.Generator, phi: SafeMixtureParams, n: int) -> PolarSamples:

@@ -64,16 +64,9 @@ def shifted_exp(x, axis=-1, out=None):
     removed. A sum of the exponentials is 0 only where x is all -inf.
     The exponentials go into ``out`` when given, which may be ``x`` itself.
     Where the max is NaN or +inf, other entries of the slice may overflow
-    to +inf, silently. When every max is finite, the reset and the
-    errstate block are skipped."""
+    to +inf, silently."""
     shift = np.maximum.reduce(x, axis=axis, keepdims=True)
-    finite = np.isfinite(shift)
-    if np.logical_and.reduce(finite, axis=None):
-        # x - shift <= 0 everywhere, so exp cannot overflow
-        e = np.subtract(x, shift, out=out)
-        np.exp(e, out=e)
-        return e, shift.squeeze(axis=axis)
-    shift[~finite] = 0.0
+    shift[~np.isfinite(shift)] = 0.0
     e = np.subtract(x, shift, out=out)
     # a slice with a finite max cannot overflow, so this silences the
     # slices whose max was NaN or +inf only
@@ -82,9 +75,8 @@ def shifted_exp(x, axis=-1, out=None):
     return e, shift.squeeze(axis=axis)
 
 
-def log_sum_exp(x, axis=-1, out=None):
-    """ln sum exp(x) along ``axis``; -inf where every entry is -inf. The
-    exponentials go into ``out`` when given, which may be ``x`` itself."""
-    e, shift = shifted_exp(x, axis, out)
+def log_sum_exp(x, axis=-1):
+    """ln sum exp(x) along ``axis``; -inf where every entry is -inf."""
+    e, shift = shifted_exp(x, axis)
     with np.errstate(divide="ignore"):
         return np.log(np.add.reduce(e, axis=axis)) + shift

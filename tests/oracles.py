@@ -352,8 +352,8 @@ def safe_sample_reference(rng, phi, n: int):
 
 
 def shifted_exp_reference(x, axis=-1):
-    """``special.shifted_exp`` as it was before its path for finite maxima:
-    every non-finite max reset to 0, then exp(x - shift) under errstate."""
+    """``special.shifted_exp`` in fresh arrays, with ``ndarray.max``: every
+    non-finite max reset to 0, then exp(x - shift) under errstate."""
     shift = x.max(axis=axis, keepdims=True)
     shift[~np.isfinite(shift)] = 0.0
     e = np.subtract(x, shift)

@@ -23,7 +23,13 @@ from safeice.mixtures import (
     vmf_sample,
 )
 
-from oracles import bessel_ratio, inv_nakagami_logpdf, nakagami_logpdf, vmf_logpdf
+from oracles import (
+    bessel_ratio,
+    inv_nakagami_logpdf,
+    nakagami_logpdf,
+    vmf_log_normalizer_with_wrappers,
+    vmf_logpdf,
+)
 
 
 def nakagami_cdf(r, m, omega):
@@ -162,12 +168,15 @@ def test_vmf_log_normalizer_zero_kappa():
 
 @pytest.mark.parametrize("d", [2, 3, 20])
 def test_vmf_log_normalizer_of_positive_kappas_matches_the_masked_path(d):
-    # every kappa > 0 takes the whole-array path; one kappa = 0 more sends the
-    # same values through the mask, and each entry must agree bit for bit.
-    # At d = 20, kappa = 1e-300 also takes the Bessel series route.
+    # the positive kappas go through the mask with or without one kappa = 0
+    # more, and each entry equals the formula run on the whole array, the
+    # oracle's route when every kappa is positive, bit for bit. At d = 20,
+    # kappa = 1e-300 also takes the Bessel series route.
     kappa = np.concatenate((np.random.default_rng(d).uniform(0.01, 50.0, 12), [1e-300, 1e-8, 1e4]))
     masked = vmf_log_normalizer(d, np.append(kappa, 0.0))
-    assert np.array_equal(vmf_log_normalizer(d, kappa), masked[:-1])
+    whole = vmf_log_normalizer_with_wrappers(d, kappa)
+    assert np.array_equal(vmf_log_normalizer(d, kappa), whole)
+    assert np.array_equal(masked[:-1], whole) and masked[-1] == uniform_sphere_logpdf(d)
 
 
 def test_vmf_log_normalizer_d3_closed_form():
